@@ -2,19 +2,13 @@
 //! in-process `rip_serve` server driven by the deterministic load
 //! generator at several concurrency levels (1/4/16 connections by
 //! default), with every deterministic response byte-checked against a
-//! reference engine and the engines' cache hit rates recorded.
+//! reference engine and the shared engine's cache hit rate recorded.
+//! The request mix includes masked tree solves (`trees` > 0) so the
+//! tree path is load-tested too.
 //!
-//! Two legs per level, sharing one prepared load: the **direct** server
-//! (one shared engine — the committed pre-sharding topology) and the
-//! **sharded** server (`shards` private engines routed by cache key).
-//! Both legs byte-check against the same reference renders, so the legs
-//! are transitively byte-identical to each other — that is the gated
-//! sharding-equivalence claim. The request mix includes masked tree
-//! solves (`trees` > 0) so the tree path is load-tested too.
-//!
-//! The byte-identity checks, the hit rates and the sharded-vs-direct
-//! throughput ratio are machine-independent and gated by `rip bench
-//! --check-baseline`; the absolute requests/s figures are recorded for
+//! The byte-identity check and the hit rate are machine-independent and
+//! gated by `rip bench --check-baseline`; the absolute requests/s
+//! figures are recorded for
 //! trend-watching only (runner classes differ too much for an absolute
 //! gate — see the ROADMAP's runner-variance note).
 
@@ -42,8 +36,6 @@ pub struct ServeBenchConfig {
     pub runs: usize,
     /// Server connection-worker threads.
     pub workers: usize,
-    /// Engine shards in the sharded leg.
-    pub shards: usize,
 }
 
 impl ServeBenchConfig {
@@ -57,7 +49,6 @@ impl ServeBenchConfig {
                 trees: 2,
                 runs: 1,
                 workers: 4,
-                shards: 2,
             }
         } else {
             Self {
@@ -67,13 +58,12 @@ impl ServeBenchConfig {
                 trees: 3,
                 runs: 3,
                 workers: 16,
-                shards: 2,
             }
         }
     }
 }
 
-/// One concurrency level's measurements for one server topology.
+/// One concurrency level's measurements.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeLevel {
     /// Concurrent connections at this level.
@@ -107,44 +97,25 @@ pub struct ServeBenchReport {
     pub config: ServeBenchConfig,
     /// Hardware threads available to the process.
     pub threads: usize,
-    /// Direct-leg (single shared engine) measurements, in
-    /// `config.connections` order.
+    /// Per-level measurements, in `config.connections` order.
     pub levels: Vec<ServeLevel>,
-    /// Sharded-leg measurements, same order.
-    pub sharded_levels: Vec<ServeLevel>,
-    /// Direct leg's shared-engine cache hit rate at the end of the run
-    /// (hits / lookups; the repeated scripts make this high by
-    /// construction).
+    /// The shared engine's cache hit rate at the end of the run (hits /
+    /// lookups; the repeated scripts make this high by construction).
     pub hit_rate: f64,
-    /// Sharded leg's aggregate hit rate over every shard engine — the
-    /// cache-affine routing must keep this as warm as the shared cache.
-    pub sharded_hit_rate: f64,
-    /// LRU promotions recorded by the direct leg's engine.
+    /// LRU promotions recorded by the engine.
     pub promotions: u64,
-    /// Requests handled by the direct server across the whole bench.
+    /// Requests handled by the server across the whole bench.
     pub requests_total: u64,
-    /// Requests handled by the sharded server across the whole bench.
-    pub sharded_requests_total: u64,
-    /// Responses that failed (`ok: false` or unparseable) in either
-    /// leg without being byte-identity mismatches — kept separate so a
-    /// failed request is never misreported as a determinism break.
+    /// Responses that failed (`ok: false` or unparseable) without being
+    /// byte-identity mismatches — kept separate so a failed request is
+    /// never misreported as a determinism break.
     pub request_errors: u64,
-    /// Whether every deterministic response — direct and sharded — was
-    /// byte-identical to the in-process reference engine's answer.
+    /// Whether every deterministic response was byte-identical to the
+    /// in-process reference engine's answer.
     pub byte_identical: bool,
 }
 
 impl ServeBenchReport {
-    /// Sharded-vs-direct throughput ratio at the highest concurrency
-    /// level (> 1.0 = sharding beat the shared-engine plateau). This is
-    /// the in-process ratio `--check-baseline` gates.
-    pub fn sharded_speedup(&self) -> f64 {
-        match (self.levels.last(), self.sharded_levels.last()) {
-            (Some(direct), Some(sharded)) => sharded.requests_per_s() / direct.requests_per_s(),
-            _ => 0.0,
-        }
-    }
-
     /// The flat-JSON rendering written to `BENCH_serve.json`.
     pub fn to_json(&self) -> String {
         let mut obj = JsonObject::new()
@@ -153,7 +124,6 @@ impl ServeBenchReport {
             .int("requests_per_conn", self.config.requests_per_conn as u64)
             .int("runs", self.config.runs as u64)
             .int("workers", self.config.workers as u64)
-            .int("shards", self.config.shards as u64)
             .int("threads", self.threads as u64);
         for level in &self.levels {
             let c = level.connections;
@@ -165,22 +135,9 @@ impl ServeBenchReport {
                 .num(&format!("c{c}_p95_s"), level.p95_s)
                 .num(&format!("c{c}_p99_s"), level.p99_s);
         }
-        for level in &self.sharded_levels {
-            let c = level.connections;
-            obj = obj
-                .num(&format!("sharded_c{c}_s"), level.elapsed.median_s)
-                .num(&format!("sharded_c{c}_mad_s"), level.elapsed.mad_s)
-                .num(&format!("sharded_c{c}_req_per_s"), level.requests_per_s())
-                .num(&format!("sharded_c{c}_p50_s"), level.p50_s)
-                .num(&format!("sharded_c{c}_p95_s"), level.p95_s)
-                .num(&format!("sharded_c{c}_p99_s"), level.p99_s);
-        }
-        obj.num("sharded_speedup", self.sharded_speedup())
-            .num("hit_rate", self.hit_rate)
-            .num("sharded_hit_rate", self.sharded_hit_rate)
+        obj.num("hit_rate", self.hit_rate)
             .int("promotions", self.promotions)
             .int("requests_total", self.requests_total)
-            .int("sharded_requests_total", self.sharded_requests_total)
             .int("request_errors", self.request_errors)
             .bool("byte_identical", self.byte_identical)
             .finish()
@@ -190,46 +147,38 @@ impl ServeBenchReport {
     pub fn summary_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = format!(
-            "serve: {} nets + {} trees, {} req/conn, {} run(s), {} worker(s), {} shard(s)\n",
+            "serve: {} nets + {} trees, {} req/conn, {} run(s), {} worker(s)\n",
             self.config.nets,
             self.config.trees,
             self.config.requests_per_conn,
             self.config.runs,
             self.config.workers,
-            self.config.shards,
         );
-        for (label, levels) in [("direct", &self.levels), ("sharded", &self.sharded_levels)] {
-            for level in levels {
-                let _ = writeln!(
-                    out,
-                    "  {label:>7} {:>2} conn(s): median {:.3}s  mad {:.4}s  ({:.2} req/s, {} verified/run)  \
-                     p50 {:.1}ms  p95 {:.1}ms  p99 {:.1}ms",
-                    level.connections,
-                    level.elapsed.median_s,
-                    level.elapsed.mad_s,
-                    level.requests_per_s(),
-                    level.verified,
-                    level.p50_s * 1e3,
-                    level.p95_s * 1e3,
-                    level.p99_s * 1e3,
-                );
-            }
+        for level in &self.levels {
+            let _ = writeln!(
+                out,
+                "  {:>2} conn(s): median {:.3}s  mad {:.4}s  ({:.2} req/s, {} verified/run)  \
+                 p50 {:.1}ms  p95 {:.1}ms  p99 {:.1}ms",
+                level.connections,
+                level.elapsed.median_s,
+                level.elapsed.mad_s,
+                level.requests_per_s(),
+                level.verified,
+                level.p50_s * 1e3,
+                level.p95_s * 1e3,
+                level.p99_s * 1e3,
+            );
         }
         let _ = write!(
             out,
-            "  sharded_speedup: {:.3}   hit_rate: {:.3} (sharded {:.3})   \
-             request_errors: {}   byte_identical: {}",
-            self.sharded_speedup(),
-            self.hit_rate,
-            self.sharded_hit_rate,
-            self.request_errors,
-            self.byte_identical
+            "  hit_rate: {:.3}   request_errors: {}   byte_identical: {}",
+            self.hit_rate, self.request_errors, self.byte_identical
         );
         out
     }
 }
 
-/// One leg's timed runs at one level.
+/// The timed runs at one level.
 fn run_level(
     server: &ServerHandle,
     load: &PreparedLoad,
@@ -275,42 +224,32 @@ fn run_level(
     }
 }
 
-/// Runs the serve bench: starts a direct and a sharded in-process
-/// server, drives both with the same prepared loads at every configured
-/// concurrency level, byte-checks every response against the shared
-/// reference, and reads the final cache stats of both topologies.
+/// Runs the serve bench: starts an in-process server, drives it with a
+/// prepared load at every configured concurrency level, byte-checks
+/// every response against the reference, and reads the final cache
+/// stats.
 ///
 /// # Panics
 ///
-/// Panics when a server cannot bind a loopback port or a loadgen
+/// Panics when the server cannot bind a loopback port or a loadgen
 /// connection fails at the transport level — a benchmark host without
 /// loopback TCP has no meaningful result.
 pub fn run_serve_bench(config: ServeBenchConfig) -> ServeBenchReport {
     let tech = Technology::generic_180nm();
     let rip_config = RipConfig::paper();
-    let direct_config = ServeConfig {
+    let server_config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: config.workers,
         ..ServeConfig::default()
     };
-    let sharded_config = ServeConfig {
-        shards: config.shards.max(1),
-        ..direct_config.clone()
-    };
-    let direct = start_server(
+    let server = start_server(
         Engine::new(tech.clone(), rip_config.clone()),
-        &direct_config,
+        &server_config,
     )
     .expect("bind a loopback port for the serve bench");
-    let sharded = start_server(
-        Engine::new(tech.clone(), rip_config.clone()),
-        &sharded_config,
-    )
-    .expect("bind a loopback port for the sharded serve bench");
     let reference = ServeState::new(Engine::new(tech, rip_config));
 
     let mut levels = Vec::with_capacity(config.connections.len());
-    let mut sharded_levels = Vec::with_capacity(config.connections.len());
     let mut byte_identical = true;
     let mut request_errors = 0u64;
     for &connections in &config.connections {
@@ -322,21 +261,11 @@ pub fn run_serve_bench(config: ServeBenchConfig) -> ServeBenchReport {
             ..LoadgenConfig::default()
         };
         // Scripts and their expected responses are identical across the
-        // repeated runs of a level AND across the two legs: prepare
-        // (and drive the reference engine) once, fire many times —
-        // matching both legs against one render set is what makes the
-        // sharded leg's byte-identity transitive to the direct leg's.
+        // repeated runs of a level: prepare (and drive the reference
+        // engine) once, fire many times.
         let load = prepare_load(Some(&reference), &loadgen);
         levels.push(run_level(
-            &direct,
-            &load,
-            connections,
-            config.runs,
-            &mut byte_identical,
-            &mut request_errors,
-        ));
-        sharded_levels.push(run_level(
-            &sharded,
+            &server,
             &load,
             connections,
             config.runs,
@@ -345,23 +274,18 @@ pub fn run_serve_bench(config: ServeBenchConfig) -> ServeBenchReport {
         ));
     }
 
-    let direct_monitor = direct.monitor();
-    let sharded_monitor = sharded.monitor();
-    direct.shutdown();
-    sharded.shutdown();
-    let (_, _, promotions, ..) = direct_monitor.engine_totals();
+    let monitor = server.monitor();
+    server.shutdown();
+    let stats = monitor.state().engine().stats();
     ServeBenchReport {
         config,
         threads: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
         levels,
-        sharded_levels,
-        hit_rate: direct_monitor.hit_rate(),
-        sharded_hit_rate: sharded_monitor.hit_rate(),
-        promotions,
-        requests_total: direct_monitor.requests_total(),
-        sharded_requests_total: sharded_monitor.requests_total(),
+        hit_rate: stats.hit_rate(),
+        promotions: stats.promotions,
+        requests_total: monitor.requests_total(),
         request_errors,
         byte_identical,
     }
@@ -381,45 +305,33 @@ mod tests {
             trees: 1,
             runs: 1,
             workers: 2,
-            shards: 2,
         });
         assert!(report.byte_identical, "responses diverged from reference");
         assert_eq!(report.request_errors, 0);
         assert_eq!(report.levels.len(), 2);
-        assert_eq!(report.sharded_levels.len(), 2);
         assert!(report.requests_total >= 9);
-        assert!(report.sharded_requests_total >= 9);
-        assert!(report.sharded_speedup() > 0.0);
-        // The repeated script re-solves the same nets: both topologies
-        // must be hitting their caches by the second level.
+        // The repeated script re-solves the same nets: the shared
+        // engine must be hitting its caches by the second level.
         assert!(report.hit_rate > 0.0);
-        assert!(report.sharded_hit_rate > 0.0);
         let json = report.to_json();
         for key in [
             "nets",
             "trees",
             "workers",
-            "shards",
             "c1_s",
             "c1_req_per_s",
             "c1_p50_s",
             "c1_p95_s",
             "c1_p99_s",
             "c2_req_per_s",
-            "sharded_c1_req_per_s",
-            "sharded_c1_p99_s",
-            "sharded_c2_req_per_s",
-            "sharded_speedup",
             "hit_rate",
-            "sharded_hit_rate",
             "requests_total",
-            "sharded_requests_total",
         ] {
             assert!(
                 read_json_number(&json, key).is_some(),
                 "missing key {key} in {json}"
             );
         }
-        assert!(report.summary_text().contains("sharded"));
+        assert!(report.summary_text().contains("hit_rate"));
     }
 }

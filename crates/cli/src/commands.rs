@@ -597,12 +597,10 @@ impl Default for BenchOptions {
 /// # Errors
 ///
 /// * [`CliError::BenchRegression`] when any solution is not
-///   byte-identical to its reference (including the sharded serve leg),
+///   byte-identical to its reference (including the serve responses),
 ///   or when `--check-baseline` finds a DP engine slower than its
 ///   in-process reference, the batch engine behind the sequential pass
-///   beyond the tolerance, either serve topology's warm hit rate below
-///   50 %, or the sharded serve leg behind the direct leg beyond the
-///   tolerance;
+///   beyond the tolerance, or the service's warm hit rate below 50 %;
 /// * [`CliError::Io`] when the JSON artifacts cannot be written.
 pub fn cmd_bench(opts: &BenchOptions) -> Result<String, CliError> {
     let root = rip_bench::workspace_root();
@@ -715,44 +713,17 @@ pub fn cmd_bench(opts: &BenchOptions) -> Result<String, CliError> {
                 serve.hit_rate
             ));
         }
-        if serve.sharded_hit_rate < 0.5 {
-            failures.push(format!(
-                "serve sharded_hit_rate {:.3} < 0.5 (cache-affine routing stopped \
-                 keeping the shard caches warm)",
-                serve.sharded_hit_rate
-            ));
-        }
-        // Sharded-vs-direct throughput at the top concurrency level is
-        // an in-process ratio: both legs replay the same prepared load
-        // on the same host back to back. Sharding must at least hold
-        // the line against the shared-engine lock funnel; it gets the
-        // same tolerance floor as batch because on a single-core runner
-        // both topologies are compute-bound on one CPU and the ratio
-        // sits near 1.0 by construction.
-        let sharded_floor = 1.0 - opts.tolerance;
-        if serve.sharded_speedup() < sharded_floor {
-            failures.push(format!(
-                "serve sharded_speedup {:.3} < {sharded_floor:.3} (sharding fell behind \
-                 the single shared engine)",
-                serve.sharded_speedup()
-            ));
-        }
         let _ = writeln!(
             out,
             "absolute throughput recorded for trends only (not gated): \
              {:.2} nets/s frontier, {:.2} nets/s batch, {:.2} trees/s \
-             ({:.2} masked pipeline), {:.2} req/s serve ({:.2} sharded)",
+             ({:.2} masked pipeline), {:.2} req/s serve",
             frontier.frontier_nets_per_s(),
             batch.batch_nets_per_s(),
             tree.frontier_trees_per_s(),
             tree.masked_batch_trees_per_s(),
             serve
                 .levels
-                .last()
-                .map(|l| l.requests_per_s())
-                .unwrap_or(0.0),
-            serve
-                .sharded_levels
                 .last()
                 .map(|l| l.requests_per_s())
                 .unwrap_or(0.0),
@@ -956,10 +927,9 @@ USAGE:
     rip generate [--tree] --seed <n> --count <k> [--out-dir <dir>]
     rip bench    [--quick] [--check-baseline] [--tolerance <frac>]
     rip profile  [--quick] [--trees <n>] [--seed <n>]
-    rip serve    [--port <p>] [--bind <host>] [--workers <n>] [--shards <n>]
-                 [--max-conns <n>] [--queue-cap <n>] [--timeout-secs <s>]
-                 [--cache-cap <n>] [--value-cache-cap <n>] [--drain-secs <s>]
-                 [--log-slow-ms <ms>]
+    rip serve    [--port <p>] [--bind <host>] [--workers <n>] [--max-conns <n>]
+                 [--timeout-secs <s>] [--cache-cap <n>] [--value-cache-cap <n>]
+                 [--drain-secs <s>] [--log-slow-ms <ms>]
                  [--fault-panic-every <n>] [--fault-delay-every <n>]
                  [--fault-delay-ms <ms>] [--fault-drop-every <n>] [--fault-seed <n>]
     rip client   <addr> [--smoke | --metrics | --shutdown | --file <net-or-tree-file>
@@ -968,18 +938,16 @@ USAGE:
                                                  # reads JSON lines from stdin otherwise
     rip help
 
-`rip serve --shards N` runs N private engine workers routed by cache
-key (batch/compare fan out and reassemble in input order); responses
-stay byte-identical to a single shared engine. `--max-conns` rejects
-over-limit connections with a typed `busy` error, and full shard queues
-answer `backpressure` instead of stalling. Workers are supervised: a
-panic becomes a typed `internal` error and the worker respawns with a
-fresh engine. A `drain` request (default deadline `--drain-secs`)
+`rip serve` runs `--workers` connection workers over one shared engine
+session; unknown flags are usage errors. `--max-conns` rejects
+over-limit connections with a typed `busy` error. Requests are
+supervised: a panic becomes a typed `internal` error and the engine
+respawns fresh. A `drain` request (default deadline `--drain-secs`)
 finishes in-flight work, answers new requests with `shutting_down`, and
 stops cleanly. The `--fault-*` flags inject deterministic panics,
 delays, and connection drops for chaos testing (see the README's
 resilience section). `rip client --retries N` retries transient
-failures (busy/backpressure/timeout/internal, resets) over fresh
+failures (busy/timeout/internal, resets) over fresh
 connections with capped exponential backoff starting at --backoff-ms.
 
 `rip batch` exits nonzero when any net in the batch fails to solve (the
@@ -988,7 +956,7 @@ per-net table, including the failure rows, is still printed).
 `rip profile` solves a seeded compact masked-tree corpus in-process and
 prints the hybrid tree pipeline's per-stage wall-clock breakdown from
 the engine's stage histograms. `rip serve --log-slow-ms N` logs any
-request slower than N ms to stderr with its queue-wait and solve spans;
+request slower than N ms to stderr with its total and solve spans;
 `rip client --metrics` fetches the server's merged metrics registry as
 Prometheus-style text (see the README's observability section).
 

@@ -198,6 +198,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
         }
         Some("serve") => {
             let flags: Vec<String> = it.map(String::from).collect();
+            reject_unknown_flags(&flags, &SERVE_FLAGS)?;
             let mut opts = ServeOptions::default();
             let parse_usize = |name: &str, v: String| {
                 v.parse::<usize>()
@@ -217,17 +218,8 @@ fn run(args: &[String]) -> Result<String, CliError> {
                     return Err(CliError::Usage("--workers must be at least 1".into()));
                 }
             }
-            if let Some(s) = flag_value(&flags, "--shards")? {
-                opts.shards = parse_usize("--shards", s)?;
-            }
             if let Some(m) = flag_value(&flags, "--max-conns")? {
                 opts.max_conns = parse_usize("--max-conns", m)?;
-            }
-            if let Some(q) = flag_value(&flags, "--queue-cap")? {
-                opts.queue_cap = parse_usize("--queue-cap", q)?;
-                if opts.queue_cap == 0 {
-                    return Err(CliError::Usage("--queue-cap must be at least 1".into()));
-                }
             }
             if let Some(t) = flag_value(&flags, "--timeout-secs")? {
                 opts.timeout_secs = t
@@ -356,6 +348,39 @@ fn split_flags<'a>(
     Ok((file.to_string(), it.map(String::from).collect()))
 }
 
+/// Every `rip serve` flag; each takes exactly one value.
+const SERVE_FLAGS: [&str; 14] = [
+    "--port",
+    "--bind",
+    "--workers",
+    "--max-conns",
+    "--timeout-secs",
+    "--cache-cap",
+    "--value-cache-cap",
+    "--drain-secs",
+    "--log-slow-ms",
+    "--fault-panic-every",
+    "--fault-delay-every",
+    "--fault-delay-ms",
+    "--fault-drop-every",
+    "--fault-seed",
+];
+
+/// Fails with a usage error naming the first token of `flags` that is
+/// not one of `known` (each known flag's value is skipped), so a
+/// misspelt or retired flag stops the command instead of being ignored.
+fn reject_unknown_flags(flags: &[String], known: &[&str]) -> Result<(), CliError> {
+    let mut it = flags.iter();
+    while let Some(flag) = it.next() {
+        if !known.contains(&flag.as_str()) {
+            return Err(CliError::Usage(format!("unknown flag {flag:?}")));
+        }
+        // The value; a missing one is reported by `flag_value`.
+        it.next();
+    }
+    Ok(())
+}
+
 /// Looks up `--flag value` in a flag list.
 fn flag_value(flags: &[String], name: &str) -> Result<Option<String>, CliError> {
     let mut it = flags.iter();
@@ -390,5 +415,51 @@ fn parse_target(flags: &[String]) -> Result<Target, CliError> {
         (Some(_), Some(_)) => Err(CliError::Usage(
             "--target-ns and --target-mult are mutually exclusive".into(),
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flags(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn serve_rejects_unknown_flags_by_name() {
+        for (args, bad) in [
+            (
+                &["--port", "0", "--shardz", "2", "--bogus", "1"][..],
+                "--shardz",
+            ),
+            (&["--workers", "2", "--shards", "2"][..], "--shards"),
+            (&["--queue-cap", "8"][..], "--queue-cap"),
+            (&["--fault-seed", "3", "stray"][..], "stray"),
+        ] {
+            match reject_unknown_flags(&flags(args), &SERVE_FLAGS) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains(bad), "{args:?}: {msg}"),
+                other => panic!("{args:?} must be a usage error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn serve_accepts_every_known_flag_and_skips_its_value() {
+        // Values are skipped, never checked as flags: a value that
+        // happens to look like an unknown flag is the known flag's.
+        let all: Vec<String> = SERVE_FLAGS
+            .iter()
+            .flat_map(|f| [f.to_string(), "--not-a-flag".to_string()])
+            .collect();
+        assert!(reject_unknown_flags(&all, &SERVE_FLAGS).is_ok());
+        assert!(reject_unknown_flags(&[], &SERVE_FLAGS).is_ok());
+        // A trailing flag without its value passes here; `flag_value`
+        // reports it when the value is read.
+        assert!(reject_unknown_flags(&flags(&["--port"]), &SERVE_FLAGS).is_ok());
+        assert!(matches!(
+            run(&flags(&["serve", "--port", "0", "--shards", "2"])),
+            Err(CliError::Usage(_))
+        ));
     }
 }

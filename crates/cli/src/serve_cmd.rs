@@ -1,10 +1,10 @@
 //! `rip serve` / `rip client`: the CLI face of the resident solver
 //! service (`rip_serve`).
 //!
-//! `rip serve` starts the TCP server — one shared [`Engine`] session by
-//! default, or `--shards N` private engines routed by cache key — and
-//! blocks until a client sends `shutdown`. The edge flags (`--bind`,
-//! `--max-conns`, `--queue-cap`, `--timeout-secs`) harden it for
+//! `rip serve` starts the TCP server — `--workers` connection workers
+//! over one shared [`Engine`] session — and blocks until a client sends
+//! `shutdown`. The edge flags (`--bind`, `--max-conns`,
+//! `--timeout-secs`) harden it for
 //! non-loopback traffic. `rip client` connects to a running server and
 //! either relays raw JSON request lines from stdin, wraps a local
 //! `.net`/`.tree` file into a protocol request (`--file`), runs the
@@ -31,12 +31,8 @@ pub struct ServeOptions {
     pub port: u16,
     /// Connection worker threads.
     pub workers: usize,
-    /// Engine shards (`--shards`); 0 = one shared engine.
-    pub shards: usize,
     /// Concurrent-connection cap (`--max-conns`); 0 = unlimited.
     pub max_conns: usize,
-    /// Bounded per-shard queue depth (`--queue-cap`).
-    pub queue_cap: usize,
     /// Idle-connection timeout, seconds (`--timeout-secs`); 0 = never.
     pub timeout_secs: u64,
     /// Geometry-cache LRU bound (entries per cache; 0 = unbounded).
@@ -62,9 +58,7 @@ impl Default for ServeOptions {
             bind: "127.0.0.1".to_string(),
             port: 4817,
             workers: defaults.workers,
-            shards: defaults.shards,
             max_conns: defaults.max_conns,
-            queue_cap: defaults.queue_cap,
             timeout_secs: 0,
             cache_cap: defaults.cache_cap,
             value_cache_cap: defaults.value_cache_cap,
@@ -88,9 +82,7 @@ pub fn cmd_serve(opts: &ServeOptions) -> Result<String, CliError> {
         workers: opts.workers,
         cache_cap: opts.cache_cap,
         value_cache_cap: opts.value_cache_cap,
-        shards: opts.shards,
         max_conns: opts.max_conns,
-        queue_cap: opts.queue_cap,
         read_timeout_ms: opts.timeout_secs.saturating_mul(1000),
         drain_deadline_secs: opts.drain_secs,
         log_slow_ms: opts.log_slow_ms,
@@ -102,13 +94,8 @@ pub fn cmd_serve(opts: &ServeOptions) -> Result<String, CliError> {
     // The banner must appear before the (indefinite) blocking join, so
     // scripts can discover the port; everything else the command prints
     // goes through the returned summary as usual.
-    let topology = if opts.shards > 0 {
-        format!("{} shard(s), queue cap {}", opts.shards, config.queue_cap)
-    } else {
-        "1 shared engine".to_string()
-    };
     println!(
-        "rip serve: listening on {} ({} worker(s), {topology}, cache cap {}, \
+        "rip serve: listening on {} ({} worker(s), 1 shared engine, cache cap {}, \
          value cache cap {}, max conns {})",
         server.addr(),
         config.workers,
@@ -135,20 +122,19 @@ pub fn cmd_serve(opts: &ServeOptions) -> Result<String, CliError> {
     let _ = std::io::stdout().flush();
     let monitor = server.monitor();
     server.join();
-    let (_, _, promotions, evictions, _, _) = monitor.engine_totals();
+    let stats = monitor.state().engine().stats();
     Ok(format!(
         "rip serve: shut down after {} request(s) over {} connection(s) ({} rejected); \
          {} caught panic(s), {} respawn(s); engine cache hit rate {:.1}% \
-         ({} promotion(s), {} eviction(s)) across {} engine(s)\n",
+         ({} promotion(s), {} eviction(s))\n",
         monitor.requests_total(),
         monitor.connections_total(),
         monitor.rejected_conns(),
         monitor.panics_total(),
         monitor.respawns_total(),
-        monitor.hit_rate() * 100.0,
-        promotions,
-        evictions,
-        monitor.shards().max(1),
+        stats.hit_rate() * 100.0,
+        stats.promotions,
+        stats.evictions,
     ))
 }
 
@@ -509,23 +495,9 @@ mod tests {
     }
 
     #[test]
-    fn smoke_script_passes_against_a_sharded_server() {
-        // CI runs the socket smoke with --shards 2; this is the same
-        // topology in-process, so a sharded regression fails here
-        // before it reaches CI. hello must now report the shard count.
-        let out = smoke_against(&ServeConfig {
-            workers: 2,
-            shards: 2,
-            ..ServeConfig::default()
-        });
-        assert!(out.contains("all ok"), "{out}");
-        assert!(out.contains("\"shards\":2"), "{out}");
-    }
-
-    #[test]
     fn chaos_smoke_converges_with_retries_under_injected_panics() {
-        // CI's chaos step: the same smoke script against a sharded
-        // server that panics every 7th eligible request, driven with
+        // CI's chaos step: the same smoke script against a server that
+        // panics every 7th eligible request of a connection, driven with
         // --retries 3. The injected panic must surface as a typed
         // internal error, get retried, and the script still end all-ok
         // with its byte-identity and post-reset assertions intact.
@@ -533,7 +505,6 @@ mod tests {
             Engine::paper(Technology::generic_180nm()),
             &ServeConfig {
                 workers: 2,
-                shards: 2,
                 faults: FaultPlan {
                     panic_every: 7,
                     ..FaultPlan::none()
@@ -573,7 +544,6 @@ mod tests {
             Engine::paper(Technology::generic_180nm()),
             &ServeConfig {
                 workers: 2,
-                shards: 2,
                 ..ServeConfig::default()
             },
         )

@@ -58,7 +58,7 @@ use rip_dp::{
     solve_min_delay_with, solve_min_power_with, tree_min_delay_with, tree_min_power_with,
     CandidateSet, DpError, DpScratch, DpSolution, TreeScratch,
 };
-use rip_net::{TreeNet, TwoPinNet};
+use rip_net::TwoPinNet;
 use rip_obs::{Histogram, MetricsRegistry};
 use rip_refine::{refine, trim_tree_widths, RefineError, RefineOutcome, TreeTrimOutcome};
 use rip_tech::{RepeaterLibrary, TechError, Technology};
@@ -259,33 +259,6 @@ fn masked_key(base: String, mask: Option<&[bool]>) -> String {
             format!("{base}|mask:{bits}")
         }
     }
-}
-
-/// Stable shard key of a chain net, derived from the engine's
-/// **geometry** cache key (total length + forbidden zones): nets that
-/// share candidate grids and fine windows hash to the same shard, so a
-/// sharded service keeps each engine's geometry caches hot and disjoint
-/// instead of duplicating the working set N times.
-///
-/// The key is deterministic within a process (requests for one net
-/// always land on one shard) but not stable across processes or Rust
-/// versions — routing is a cache-affinity hint, never part of the
-/// answer: any routing yields byte-identical responses.
-pub fn net_shard_key(net: &TwoPinNet) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    geometry_key(net, &"shard").hash(&mut hasher);
-    hasher.finish()
-}
-
-/// Stable shard key of a tree net, derived from the tree's **topology**
-/// rendering — the same `Debug` discrimination the engine's subdivision
-/// cache keys on (one `TreeNet` maps to one [`RcTree`], so equal trees
-/// always share a shard and its cached subdivisions). Same determinism
-/// contract as [`net_shard_key`].
-pub fn tree_shard_key(tree: &TreeNet) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    cache_key(tree).hash(&mut hasher);
-    hasher.finish()
 }
 
 /// A cached tree subdivision: the subdivided candidate-site tree and —
@@ -739,8 +712,7 @@ impl Engine {
     /// the per-stage histogram handles. A supervisor replacing a crashed
     /// engine calls this with the old engine's registry so latency
     /// history survives the respawn; handles previously resolved from
-    /// that registry (e.g. a shard worker's queue-wait histogram) stay
-    /// valid because the registry is get-or-create.
+    /// that registry stay valid because the registry is get-or-create.
     pub fn adopt_metrics(&mut self, registry: Arc<MetricsRegistry>) {
         self.metrics = EngineMetrics::resolve(registry);
     }

@@ -79,7 +79,7 @@ mod tree_pipeline;
 pub use baseline::{baseline_dp, BaselineConfig};
 pub use compare::{power_saving_percent, summarize_savings, SavingsSummary};
 pub use config::{CoarseDpConfig, FineDpConfig, RipConfig};
-pub use engine::{net_shard_key, tree_shard_key, BatchTarget, Engine, EngineStats};
+pub use engine::{BatchTarget, Engine, EngineStats};
 pub use error::RipError;
 pub use pipeline::{rip, RipOutcome, RipRuntime};
 pub use rip_dp::{DpError, TreeSolution};

@@ -10,10 +10,10 @@
 //!
 //! Instruments live behind a named [`MetricsRegistry`]: `get-or-create`
 //! by name, so independently constructed components (an engine, its
-//! serving edge, a respawned shard worker) resolve the *same*
+//! serving edge, a respawned engine) resolve the *same*
 //! instrument handles and their observations accumulate in one place.
 //! Registries snapshot into plain data ([`RegistrySnapshot`]) that can
-//! be merged across shards and rendered as JSON or Prometheus-style
+//! be merged across registries and rendered as JSON or Prometheus-style
 //! text.
 //!
 //! # Histogram bucket semantics
@@ -204,7 +204,7 @@ impl Histogram {
     }
 }
 
-/// Plain-data copy of a [`Histogram`], mergeable across shards.
+/// Plain-data copy of a [`Histogram`], mergeable across registries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Observations (exact).
@@ -245,8 +245,8 @@ impl HistogramSnapshot {
         bucket_upper_bound(HISTOGRAM_BUCKETS - 1)
     }
 
-    /// Folds `other` into `self` (bucket-wise sums) — how a sharded
-    /// front end aggregates per-shard histograms.
+    /// Folds `other` into `self` (bucket-wise sums) — how the serving
+    /// edge folds the engine's histograms into its own.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         self.count += other.count;
         self.sum += other.sum;
@@ -374,7 +374,7 @@ impl MetricsRegistry {
 }
 
 /// Plain-data copy of a whole registry: what the serve layer renders
-/// into `metrics` responses and what a sharded front end merges.
+/// into `metrics` responses, merging the edge and engine registries.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RegistrySnapshot {
     /// `(name, value)` counters, sorted by name.

@@ -3,7 +3,7 @@
 //! integration tests, and CI's smoke test.
 //!
 //! With a [`RetryPolicy`] attached ([`Client::with_retry`]), transient
-//! failures — typed `busy`/`backpressure`/`timeout`/`internal` errors,
+//! failures — typed `busy`/`timeout`/`internal` errors,
 //! connection resets, and truncated (unparseable) response lines — are
 //! retried over a **fresh connection** with capped exponential backoff
 //! and deterministic [`SplitMix64`] jitter. Reconnecting before every
@@ -306,9 +306,6 @@ mod tests {
             r#"{"ok":false,"code":"busy","error":"x"}"#
         ));
         assert!(response_retryable(
-            r#"{"ok":false,"code":"backpressure","error":"x"}"#
-        ));
-        assert!(response_retryable(
             r#"{"ok":false,"code":"timeout","error":"x"}"#
         ));
         assert!(response_retryable(
@@ -320,6 +317,10 @@ mod tests {
         ));
         assert!(!response_retryable(
             r#"{"ok":false,"code":"shutting_down","error":"x"}"#
+        ));
+        // So do codes this client does not know.
+        assert!(!response_retryable(
+            r#"{"ok":false,"code":"made_up","error":"x"}"#
         ));
         // Successes do not.
         assert!(!response_retryable(r#"{"ok":true,"tau_min_ps":1.0}"#));

@@ -6,17 +6,20 @@
 //!   [`catch_unwind`], so a panic anywhere inside the engine becomes a
 //!   typed `internal` error response (carrying the request id, because
 //!   the caller still renders it) instead of a dead worker thread. The
-//!   caller then replaces the panicked state with a fresh engine built
-//!   from an identical recipe — caches restart cold, but correctness is
-//!   untouched because caching never changes results.
+//!   server's supervised engine slot then replaces the panicked state
+//!   with a fresh engine built from an identical recipe — caches restart
+//!   cold, but correctness is untouched because caching never changes
+//!   results.
 //! * **Fault injection** — a seeded [`FaultPlan`] drives three fault
 //!   families from inside the serving path: panic every Nth eligible
 //!   request, delay every Nth by a fixed amount, and cut the connection
-//!   mid-response every Nth reply. The plan is deterministic (counters
-//!   plus [`SplitMix64`] jitter from the seed), which is what lets the
-//!   chaos suite assert *exact* panic/respawn counts and byte-identity
-//!   of every successfully answered request against a fault-free
-//!   server.
+//!   mid-response every Nth reply. The plan is deterministic: ordinals
+//!   count per connection ([`FaultOrdinals`]) and drop points come from
+//!   [`SplitMix64`] jitter off the seed. Whether a request draws a fault
+//!   depends only on its position in its own connection, never on how
+//!   connections interleave, which is what lets the chaos suite assert
+//!   *exact* panic/respawn counts and byte-identity of every
+//!   successfully answered request against a fault-free server.
 //!
 //! Only non-control requests are fault-eligible
 //! ([`Request::is_control`] exempts `hello`, `stats`, `reset_stats`,
@@ -25,13 +28,17 @@
 //! injects faults into itself.
 
 use crate::protocol::{ErrorCode, Request, Response, ServeState};
+use rip_core::{Engine, RipConfig};
 use rip_net::SplitMix64;
+use rip_tech::Technology;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A deterministic fault schedule. All periods count *eligible*
-/// (non-control) requests; `0` disables that fault family.
+/// (non-control) requests of one connection; `0` disables that fault
+/// family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Panic inside the handler on every Nth eligible request (0 = off).
@@ -72,15 +79,23 @@ impl Default for FaultPlan {
     }
 }
 
+/// One connection's fault ordinals: the eligible requests it has had
+/// handled and the eligible replies it has been sent. The server keeps
+/// one per connection, so a client retry — which reconnects — starts
+/// counting from 1 again.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct FaultOrdinals {
+    handled: u64,
+    sent: u64,
+}
+
 /// The shared fault-injection state of one server: the plan plus the
-/// deterministic ordinal counters and the tallies of every fault
-/// actually fired (what the chaos suite reconciles `stats` against).
+/// tallies of every fault actually fired (what the chaos suite
+/// reconciles `stats` against).
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
     armed: AtomicBool,
-    handled: AtomicU64,
-    sent: AtomicU64,
     panics: AtomicU64,
     delays: AtomicU64,
     drops: AtomicU64,
@@ -92,8 +107,6 @@ impl FaultInjector {
         Self {
             plan,
             armed: AtomicBool::new(true),
-            handled: AtomicU64::new(0),
-            sent: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             delays: AtomicU64::new(0),
             drops: AtomicU64::new(0),
@@ -123,18 +136,19 @@ impl FaultInjector {
     }
 
     /// Called by a supervised handler before dispatching one eligible
-    /// request: fires the delay and/or panic fault when this request's
-    /// ordinal matches the plan.
+    /// request of the connection counted by `ordinals`: fires the delay
+    /// and/or panic fault when the request's ordinal matches the plan.
     ///
     /// # Panics
     ///
     /// Panics deliberately on every `panic_every`th eligible request
     /// while armed — that is the injected fault.
-    pub fn before_handle(&self) {
+    pub fn before_handle(&self, ordinals: &mut FaultOrdinals) {
         if !self.plan.is_active() {
             return;
         }
-        let ordinal = self.handled.fetch_add(1, Ordering::SeqCst) + 1;
+        ordinals.handled += 1;
+        let ordinal = ordinals.handled;
         if !self.armed() {
             return;
         }
@@ -149,15 +163,17 @@ impl FaultInjector {
     }
 
     /// Called by the transport before writing one eligible response of
-    /// `len` bytes (JSON text plus the trailing newline): returns the
-    /// byte offset to cut the connection at, or `None` to send it
-    /// whole. A cut is always strictly inside the JSON text, so the
-    /// client can never mistake the truncation for a complete response.
-    pub fn drop_response(&self, len: usize) -> Option<usize> {
+    /// `len` bytes (JSON text plus the trailing newline) on the
+    /// connection counted by `ordinals`: returns the byte offset to cut
+    /// the connection at, or `None` to send it whole. A cut is always
+    /// strictly inside the JSON text, so the client can never mistake
+    /// the truncation for a complete response.
+    pub fn drop_response(&self, ordinals: &mut FaultOrdinals, len: usize) -> Option<usize> {
         if self.plan.drop_every == 0 {
             return None;
         }
-        let ordinal = self.sent.fetch_add(1, Ordering::SeqCst) + 1;
+        ordinals.sent += 1;
+        let ordinal = ordinals.sent;
         if !self.armed() || ordinal % self.plan.drop_every != 0 || len < 3 {
             return None;
         }
@@ -183,18 +199,20 @@ impl FaultInjector {
 }
 
 /// Dispatches one typed request under supervision: injected faults fire
-/// first (non-control requests only), then [`ServeState::handle_request`]
-/// runs inside [`catch_unwind`]. A panic — injected or real — comes back
-/// as `Err` with the panic message; the caller answers with
-/// [`internal_error`] and respawns the state.
+/// first (non-control requests only, counted on the connection's
+/// `ordinals`), then [`ServeState::handle_request`] runs inside
+/// [`catch_unwind`]. A panic — injected or real — comes back as `Err`
+/// with the panic message; the caller answers with [`internal_error`]
+/// and respawns the state.
 pub fn supervised_handle(
     state: &ServeState,
     request: &Request,
     faults: &FaultInjector,
+    ordinals: &mut FaultOrdinals,
 ) -> Result<Response, String> {
     catch_unwind(AssertUnwindSafe(|| {
         if !request.is_control() {
-            faults.before_handle();
+            faults.before_handle(ordinals);
         }
         state.handle_request(request)
     }))
@@ -226,23 +244,146 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The recipe a respawn rebuilds the engine from: technology,
+/// configuration, cache caps and scratch-pool size, captured once at
+/// startup (the engine itself is not retained).
+#[derive(Debug)]
+struct EngineTemplate {
+    tech: Technology,
+    config: RipConfig,
+    cache_cap: usize,
+    value_cache_cap: usize,
+    scratch_cap: usize,
+}
+
+impl EngineTemplate {
+    fn of(engine: &Engine, scratch_cap: usize) -> Self {
+        Self {
+            tech: engine.technology().clone(),
+            config: engine.config().clone(),
+            cache_cap: engine.cache_cap(),
+            value_cache_cap: engine.value_cache_cap(),
+            scratch_cap,
+        }
+    }
+
+    /// A fresh state replacing `old` after a panic: cold caches (the
+    /// engine is new), but the serving counters, server info **and
+    /// metrics registry** carry over so monitoring history
+    /// survives the respawn — the replacement engine adopts the old
+    /// engine's registry, keeping every previously resolved histogram
+    /// handle valid.
+    fn respawn_state(&self, old: &ServeState) -> Arc<ServeState> {
+        let mut engine = Engine::new(self.tech.clone(), self.config.clone());
+        engine.set_cache_cap(self.cache_cap);
+        engine.set_value_cache_cap(self.value_cache_cap);
+        engine.set_scratch_cap(self.scratch_cap);
+        engine.adopt_metrics(Arc::clone(old.engine().metrics_registry()));
+        let state = Arc::new(ServeState::new(engine));
+        state.set_server_info(old.server_info());
+        state.restore_counters(old.requests(), old.connections());
+        state
+    }
+}
+
+/// The server's supervised engine slot: the shared [`ServeState`] every
+/// connection worker solves in (swapped on respawn after a caught
+/// panic), the recipe that rebuilds it, and the supervision tallies.
+#[derive(Debug)]
+pub(crate) struct EngineSlot {
+    live: Mutex<Arc<ServeState>>,
+    template: EngineTemplate,
+    panics: AtomicU64,
+    respawns: AtomicU64,
+}
+
+impl EngineSlot {
+    /// Wraps `state`, whose engine the respawn recipe is captured from
+    /// (`scratch_cap` is the scratch-pool size a fresh engine gets).
+    pub(crate) fn new(state: ServeState, scratch_cap: usize) -> Self {
+        Self {
+            template: EngineTemplate::of(state.engine(), scratch_cap),
+            live: Mutex::new(Arc::new(state)),
+            panics: AtomicU64::new(0),
+            respawns: AtomicU64::new(0),
+        }
+    }
+
+    /// The live state (post-respawn reads see the replacement).
+    pub(crate) fn state(&self) -> Arc<ServeState> {
+        Arc::clone(
+            &self
+                .live
+                .lock()
+                .expect("engine slot lock is never poisoned"),
+        )
+    }
+
+    /// Dispatches `request` under supervision: a caught panic answers
+    /// with a typed `internal` error and the shared state respawns from
+    /// its recipe (cold caches, counters carried over).
+    pub(crate) fn handle(
+        &self,
+        request: &Request,
+        faults: &FaultInjector,
+        ordinals: &mut FaultOrdinals,
+    ) -> Response {
+        let state = self.state();
+        match supervised_handle(&state, request, faults, ordinals) {
+            Ok(response) => response,
+            Err(panic_msg) => {
+                self.panics.fetch_add(1, Ordering::Relaxed);
+                *self
+                    .live
+                    .lock()
+                    .expect("engine slot lock is never poisoned") =
+                    self.template.respawn_state(&state);
+                self.respawns.fetch_add(1, Ordering::Relaxed);
+                internal_error(request.cmd(), &panic_msg)
+            }
+        }
+    }
+
+    /// Supervision tallies: `(panics, respawns)`.
+    pub(crate) fn tallies(&self) -> (u64, u64) {
+        (
+            self.panics.load(Ordering::Relaxed),
+            self.respawns.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Rezeroes the supervision tallies (`reset_stats`).
+    pub(crate) fn reset_tallies(&self) {
+        self.panics.store(0, Ordering::Relaxed);
+        self.respawns.store(0, Ordering::Relaxed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rip_core::Engine;
-    use rip_tech::Technology;
 
     fn state() -> ServeState {
         ServeState::new(Engine::paper(Technology::generic_180nm()))
     }
 
+    fn tau_min_request() -> Request {
+        Request::TauMin {
+            net: rip_net::NetGenerator::suite(rip_net::RandomNetConfig::default(), 7, 1)
+                .unwrap()
+                .remove(0),
+        }
+    }
+
     #[test]
     fn an_inactive_plan_never_counts_or_fires() {
         let faults = FaultInjector::disabled();
+        let mut ordinals = FaultOrdinals::default();
         for _ in 0..50 {
-            faults.before_handle();
-            assert_eq!(faults.drop_response(100), None);
+            faults.before_handle(&mut ordinals);
+            assert_eq!(faults.drop_response(&mut ordinals, 100), None);
         }
+        assert_eq!(ordinals, FaultOrdinals::default());
         assert_eq!(faults.injected_panics(), 0);
         assert_eq!(faults.injected_delays(), 0);
         assert_eq!(faults.injected_drops(), 0);
@@ -255,22 +396,19 @@ mod tests {
             panic_every: 3,
             ..FaultPlan::none()
         });
+        let mut ordinals = FaultOrdinals::default();
         let mut internal = 0;
         for _ in 0..9 {
-            match supervised_handle(&state, &Request::Shutdown, &faults) {
+            match supervised_handle(&state, &Request::Shutdown, &faults, &mut ordinals) {
                 Ok(_) => {}
                 Err(_) => internal += 1,
             }
         }
         // Shutdown is control-plane: never eligible, never panics.
         assert_eq!(internal, 0);
-        let solve = Request::TauMin {
-            net: rip_net::NetGenerator::suite(rip_net::RandomNetConfig::default(), 7, 1)
-                .unwrap()
-                .remove(0),
-        };
+        let solve = tau_min_request();
         for k in 1..=9u64 {
-            let result = supervised_handle(&state, &solve, &faults);
+            let result = supervised_handle(&state, &solve, &faults, &mut ordinals);
             if k % 3 == 0 {
                 let msg = result.expect_err("every 3rd eligible request must panic");
                 assert!(msg.contains("injected fault"), "{msg}");
@@ -291,6 +429,27 @@ mod tests {
     }
 
     #[test]
+    fn ordinals_count_per_connection() {
+        // Two connections interleaved request by request: each panics on
+        // its own 2nd eligible request, whatever the other one did.
+        let state = state();
+        let faults = FaultInjector::new(FaultPlan {
+            panic_every: 2,
+            ..FaultPlan::none()
+        });
+        let solve = tau_min_request();
+        let (mut a, mut b) = (FaultOrdinals::default(), FaultOrdinals::default());
+        assert!(supervised_handle(&state, &solve, &faults, &mut a).is_ok());
+        assert!(supervised_handle(&state, &solve, &faults, &mut b).is_ok());
+        assert!(supervised_handle(&state, &solve, &faults, &mut a).is_err());
+        assert!(supervised_handle(&state, &solve, &faults, &mut b).is_err());
+        // A fresh connection (a retry reconnects) starts over at 1.
+        let mut retry = FaultOrdinals::default();
+        assert!(supervised_handle(&state, &solve, &faults, &mut retry).is_ok());
+        assert_eq!(faults.injected_panics(), 2);
+    }
+
+    #[test]
     fn drop_points_are_deterministic_and_strictly_inside_the_text() {
         let plan = FaultPlan {
             drop_every: 4,
@@ -299,9 +458,11 @@ mod tests {
         };
         let a = FaultInjector::new(plan);
         let b = FaultInjector::new(plan);
+        let (mut conn_a, mut conn_b) = (FaultOrdinals::default(), FaultOrdinals::default());
         let mut cuts = 0;
         for k in 1..=32u64 {
-            let (cut_a, cut_b) = (a.drop_response(64), b.drop_response(64));
+            let cut_a = a.drop_response(&mut conn_a, 64);
+            let cut_b = b.drop_response(&mut conn_b, 64);
             assert_eq!(cut_a, cut_b, "drop schedule must be deterministic");
             if let Some(cut) = cut_a {
                 assert!(k % 4 == 0);
@@ -314,7 +475,10 @@ mod tests {
         assert_eq!(cuts, 8);
         assert_eq!(a.injected_drops(), 8);
         // Tiny lines are never cut (no room strictly inside).
-        assert_eq!(a.drop_response(2), None);
+        let mut fresh = FaultOrdinals::default();
+        for _ in 0..8 {
+            assert_eq!(a.drop_response(&mut fresh, 2), None);
+        }
     }
 
     #[test]
@@ -325,16 +489,13 @@ mod tests {
             ..FaultPlan::none()
         });
         let state = state();
-        let solve = Request::TauMin {
-            net: rip_net::NetGenerator::suite(rip_net::RandomNetConfig::default(), 7, 1)
-                .unwrap()
-                .remove(0),
-        };
-        assert!(supervised_handle(&state, &solve, &faults).is_err());
-        assert!(faults.drop_response(64).is_some());
+        let solve = tau_min_request();
+        let mut ordinals = FaultOrdinals::default();
+        assert!(supervised_handle(&state, &solve, &faults, &mut ordinals).is_err());
+        assert!(faults.drop_response(&mut ordinals, 64).is_some());
         faults.set_armed(false);
-        assert!(supervised_handle(&state, &solve, &faults).is_ok());
-        assert_eq!(faults.drop_response(64), None);
+        assert!(supervised_handle(&state, &solve, &faults, &mut ordinals).is_ok());
+        assert_eq!(faults.drop_response(&mut ordinals, 64), None);
         assert_eq!(faults.injected_panics(), 1);
         assert_eq!(faults.injected_drops(), 1);
     }

@@ -1,4 +1,4 @@
-//! # rip-serve — a resident, shardable solver service over [`Engine`]s
+//! # rip-serve — a resident solver service over one shared [`Engine`]
 //!
 //! The paper's pitch is that hybrid repeater insertion is cheap enough
 //! to sit inside an optimization loop; this crate is the subsystem that
@@ -8,12 +8,10 @@
 //! grids, fine windows, tree subdivisions, `τ_min` and synthesized
 //! libraries amortize across requests and connections (LRU-bounded —
 //! see [`Engine::set_cache_cap`] / [`Engine::set_value_cache_cap`] — so
-//! memory stays flat on unbounded request streams). In **sharded** mode
-//! ([`ServeConfig::shards`]) requests route by the engine's own cache
-//! keys to N private engines behind bounded queues, so per-shard caches
-//! stay hot and disjoint and the single shared-cache lock funnel
-//! disappears; caching never changes results, so sharded responses stay
-//! byte-identical to a single engine's.
+//! memory stays flat on unbounded request streams). There is one
+//! topology: N connection workers solving in place against one
+//! supervised engine session, so every connection warms the same
+//! caches.
 //!
 //! Layers, bottom up:
 //!
@@ -27,16 +25,13 @@
 //!   `shutdown` over a [`ServeState`]);
 //! * [`fault`] — supervision (`catch_unwind` → typed `internal` error +
 //!   engine respawn) and the seeded deterministic fault-injection plan
-//!   behind the chaos suite;
-//! * [`shard`] — the engine-worker pool: cache-key routing, fan-out
-//!   with input-ordered reassembly, bounded queues with typed
-//!   `backpressure` overflow, supervised workers;
+//!   behind the chaos suite, counted per connection;
 //! * [`server`] — the edge: connection workers, `--bind`/`--max-conns`
 //!   with typed `busy` rejection, per-connection timeouts, graceful
 //!   drain (`drain` → typed `shutting_down` rejections → clean stop);
 //! * [`client`] — a blocking line client with an optional
 //!   [`RetryPolicy`] (capped exponential backoff, deterministic
-//!   jitter) for transient `busy`/`backpressure`/`timeout`/`internal`
+//!   jitter) for transient `busy`/`timeout`/`internal`
 //!   errors and connection resets;
 //! * [`loadgen`] — deterministic concurrent load with **byte-identity**
 //!   verification against an in-process reference engine (the service
@@ -74,7 +69,6 @@ pub mod json;
 pub mod loadgen;
 pub mod protocol;
 pub mod server;
-pub mod shard;
 
 pub use client::{Client, RetryPolicy};
 pub use fault::{FaultInjector, FaultPlan};
@@ -88,4 +82,3 @@ pub use protocol::{
     RequestError, Response, ServeState, ServerInfo, Target, TreeEntry, COMMANDS, PROTO_VERSION,
 };
 pub use server::{start_server, ServeConfig, ServerHandle, ServerMonitor};
-pub use shard::{ShardPool, ShardSnapshot};

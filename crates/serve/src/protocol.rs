@@ -39,7 +39,7 @@
 //! | `batch`      | `nets` and/or `trees`, target   | `results: [per-net result or error, ...]`, `tree_results: [...]` |
 //! | `compare`    | `nets`/`trees`, target, `granularity` | `rows`/`tree_rows: [[base_w\|null, rip_w], ...]`, savings summary |
 //! | `tau_min`    | `net`                           | `tau_min_fs`                      |
-//! | `hello`      | —                               | server capabilities (shards, workers, caps, version, commands) |
+//! | `hello`      | —                               | server capabilities (workers, caps, version, commands) |
 //! | `stats`      | —                               | engine + server counters          |
 //! | `reset_stats`| —                               | the pre-reset counters, `reset: true`; counters rezero |
 //! | `drain`      | opt. `deadline_ms`              | `draining: true`, `deadline_ms`; the server stops taking work, answers what is in flight, then stops |
@@ -54,8 +54,7 @@
 //! ([`ErrorCode`]) next to the human-readable `error`. Responses are
 //! rendered deterministically — same request, same engine
 //! configuration, same bytes — which is what the loadgen's
-//! byte-identity check and the sharded-vs-single-engine equivalence
-//! tests rely on ([`crate::loadgen`]).
+//! byte-identity check relies on ([`crate::loadgen`]).
 
 use crate::json::{parse_json, Json};
 use rip_core::{
@@ -64,7 +63,7 @@ use rip_core::{
 use rip_delay::RcTree;
 use rip_net::{NetBuilder, Segment, TreeNet, TreeNetNode, TwoPinNet};
 use rip_tech::units::fs_from_ns;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Version of the wire protocol, carried as `proto` in every response.
@@ -100,9 +99,6 @@ pub enum ErrorCode {
     /// The server is at its connection limit (`--max-conns`); retry
     /// later or against another replica.
     Busy,
-    /// The target shard's request queue is full (`--queue-cap`); the
-    /// client should back off and retry.
-    Backpressure,
     /// The connection sat idle past the server's read timeout.
     Timeout,
     /// The handler panicked; the worker was respawned with a fresh
@@ -121,7 +117,6 @@ impl ErrorCode {
             ErrorCode::UnknownCmd => "unknown_cmd",
             ErrorCode::SolveFailed => "solve_failed",
             ErrorCode::Busy => "busy",
-            ErrorCode::Backpressure => "backpressure",
             ErrorCode::Timeout => "timeout",
             ErrorCode::Internal => "internal",
             ErrorCode::ShuttingDown => "shutting_down",
@@ -137,7 +132,6 @@ impl ErrorCode {
             "unknown_cmd" => Some(ErrorCode::UnknownCmd),
             "solve_failed" => Some(ErrorCode::SolveFailed),
             "busy" => Some(ErrorCode::Busy),
-            "backpressure" => Some(ErrorCode::Backpressure),
             "timeout" => Some(ErrorCode::Timeout),
             "internal" => Some(ErrorCode::Internal),
             "shutting_down" => Some(ErrorCode::ShuttingDown),
@@ -146,14 +140,14 @@ impl ErrorCode {
     }
 
     /// `true` when a client may retry the identical request and expect
-    /// it to succeed: transient capacity (`busy`, `backpressure`),
-    /// pacing (`timeout`) and supervised crashes (`internal`). Request
+    /// it to succeed: transient capacity (`busy`), pacing (`timeout`)
+    /// and supervised crashes (`internal`). Request
     /// defects (`bad_request`, `unknown_cmd`, `solve_failed`) and a
     /// draining server (`shutting_down`) are final.
     pub fn retryable(self) -> bool {
         matches!(
             self,
-            ErrorCode::Busy | ErrorCode::Backpressure | ErrorCode::Timeout | ErrorCode::Internal
+            ErrorCode::Busy | ErrorCode::Timeout | ErrorCode::Internal
         )
     }
 }
@@ -221,8 +215,8 @@ impl TreeEntry {
     }
 }
 
-/// A parsed, validated protocol request — what the shard router hashes
-/// and dispatches; no JSON survives past this point.
+/// A parsed, validated protocol request — what the server dispatches;
+/// no JSON survives past this point.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// `solve`: hybrid pipeline on one chain net.
@@ -506,8 +500,8 @@ fn push_nets_and_trees(push: &mut impl FnMut(&str, Json), nets: &[TwoPinNet], tr
 }
 
 /// Splits one raw request line into its echoed `id` and the typed
-/// parse result — the front door of both the direct server and the
-/// shard router ([`ServeState::handle_line`] is exactly this followed
+/// parse result — the server's front door ([`ServeState::handle_line`]
+/// is exactly this followed
 /// by [`ServeState::handle_request`] and [`Response::render`]).
 pub fn parse_line(line: &str) -> (Json, Result<Request, RequestError>) {
     let request = match parse_json(line) {
@@ -549,19 +543,15 @@ pub struct TreeSolveResult {
 /// Server capabilities rendered into a `hello` response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerInfo {
-    /// Engine shards (0 = single shared engine, no shard layer).
-    pub shards: usize,
     /// Connection worker threads.
     pub workers: usize,
     /// Concurrent-connection cap (0 = unlimited).
     pub max_conns: usize,
-    /// Per-shard bounded queue depth (0 = no shard layer).
-    pub queue_cap: usize,
 }
 
 /// A typed protocol response; [`Response::render`] is the only place
-/// response JSON is produced, so every transport (direct worker, shard
-/// fan-out, in-process reference) renders byte-identically.
+/// response JSON is produced, so every transport (connection worker,
+/// in-process reference) renders byte-identically.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// `solve` succeeded.
@@ -609,9 +599,9 @@ pub enum Response {
         /// capture).
         reset: bool,
     },
-    /// `metrics`: a point-in-time copy of the metrics registry (edge
-    /// request-latency histograms merged with every live engine's
-    /// stage-latency histograms on a sharded server).
+    /// `metrics`: a point-in-time copy of the metrics registry (on a
+    /// server, the edge request-latency histograms merged with the
+    /// engine's stage-latency histograms).
     Metrics {
         /// The merged registry snapshot.
         snapshot: rip_obs::RegistrySnapshot,
@@ -695,10 +685,8 @@ impl Response {
             } => {
                 push("server", Json::from("rip-serve"));
                 push("version", Json::from(env!("CARGO_PKG_VERSION")));
-                push("shards", Json::from(info.shards));
                 push("workers", Json::from(info.workers));
                 push("max_conns", Json::from(info.max_conns));
-                push("queue_cap", Json::from(info.queue_cap));
                 push("cache_cap", Json::from(*cache_cap));
                 push("value_cache_cap", Json::from(*value_cache_cap));
                 push(
@@ -852,9 +840,8 @@ fn render_rows(rows: &[(Option<f64>, f64)]) -> Json {
 }
 
 /// Shared state of a running engine worker: the long-lived [`Engine`]
-/// plus server-level counters. The direct (unsharded) server shares one
-/// instance across every worker thread; a sharded server gives each
-/// shard its own. [`ServeState::handle_line`] is the whole request
+/// plus server-level counters. The server shares one instance across
+/// every connection worker. [`ServeState::handle_line`] is the whole request
 /// router, so tests and the load generator can drive it without a
 /// socket.
 #[derive(Debug)]
@@ -864,7 +851,6 @@ pub struct ServeState {
     info: Mutex<ServerInfo>,
     requests: AtomicU64,
     connections: AtomicU64,
-    stop: AtomicBool,
 }
 
 impl ServeState {
@@ -876,7 +862,6 @@ impl ServeState {
             info: Mutex::new(ServerInfo::default()),
             requests: AtomicU64::new(0),
             connections: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
         }
     }
 
@@ -935,16 +920,6 @@ impl ServeState {
         self.connections.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Asks every worker to drain and stop.
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-    }
-
-    /// `true` once a shutdown has been requested.
-    pub fn stopping(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
     /// Handles one request line: parses ([`parse_line`]), dispatches
     /// ([`ServeState::handle_request`]), and renders
     /// ([`Response::render`]). The second return is `true` when the
@@ -970,7 +945,7 @@ impl ServeState {
     }
 
     /// Dispatches one typed request — a pure match, no JSON. This is
-    /// what a shard worker runs on routed requests; the caller is
+    /// what a connection worker runs under supervision; the caller is
     /// responsible for [`ServeState::count_request`].
     pub fn handle_request(&self, request: &Request) -> Response {
         match request {
@@ -1020,7 +995,7 @@ impl ServeState {
             },
             // A bare state reports its own engine's registry; the TCP
             // edge intercepts `metrics` and merges its request-latency
-            // registry (and, sharded, every live engine's) on top.
+            // registry on top.
             Request::Metrics => Response::Metrics {
                 snapshot: self.engine.metrics_registry().snapshot(),
             },
@@ -1181,8 +1156,7 @@ impl ServeState {
         };
         let tree_rows = self.run_tree_compare(trees, target, &baseline)?;
         // One summary over every row (nets first, then trees), computed
-        // from the rows themselves — so a sharded front-end merging
-        // per-shard rows recomputes the byte-identical summary.
+        // from the rows themselves.
         let mut all = rows.clone();
         all.extend(tree_rows.iter().copied());
         let summary = summarize_savings(&all);
@@ -1661,8 +1635,7 @@ mod tests {
             assert_eq!(echoed, id, "id must round-trip: {line}");
             assert_eq!(parsed.as_ref(), Ok(&request), "round trip broke: {line}");
             // And the encoding is a fixed point: encode(decode(encode))
-            // is byte-identical, so shards re-encoding requests could
-            // never drift.
+            // is byte-identical, so a re-encoded request never drifts.
             assert_eq!(
                 parsed.unwrap().to_json(Some(&id)).to_string(),
                 line,
@@ -1708,10 +1681,8 @@ mod tests {
     fn hello_reports_capabilities_and_commands() {
         let state = state();
         state.set_server_info(ServerInfo {
-            shards: 4,
             workers: 8,
             max_conns: 64,
-            queue_cap: 32,
         });
         let (response, stop) = state.handle_line(r#"{"id":1,"cmd":"hello"}"#);
         assert!(!stop);
@@ -1720,10 +1691,8 @@ mod tests {
             response.get("server").and_then(Json::as_str),
             Some("rip-serve")
         );
-        assert_eq!(response.get("shards").and_then(Json::as_f64), Some(4.0));
         assert_eq!(response.get("workers").and_then(Json::as_f64), Some(8.0));
         assert_eq!(response.get("max_conns").and_then(Json::as_f64), Some(64.0));
-        assert_eq!(response.get("queue_cap").and_then(Json::as_f64), Some(32.0));
         assert_eq!(
             response.get("version").and_then(Json::as_str),
             Some(env!("CARGO_PKG_VERSION"))
@@ -2019,7 +1988,6 @@ mod tests {
             ErrorCode::UnknownCmd,
             ErrorCode::SolveFailed,
             ErrorCode::Busy,
-            ErrorCode::Backpressure,
             ErrorCode::Timeout,
             ErrorCode::Internal,
             ErrorCode::ShuttingDown,
@@ -2028,7 +1996,6 @@ mod tests {
         }
         assert_eq!(ErrorCode::from_wire("made_up"), None);
         assert!(ErrorCode::Busy.retryable());
-        assert!(ErrorCode::Backpressure.retryable());
         assert!(ErrorCode::Timeout.retryable());
         assert!(ErrorCode::Internal.retryable());
         assert!(!ErrorCode::BadRequest.retryable());

@@ -1,14 +1,16 @@
 //! The hardened TCP edge: N connection workers share one listener and
-//! feed either a single shared [`ServeState`] (direct mode) or a
-//! [`ShardPool`] of private engines (sharded mode,
-//! [`ServeConfig::shards`] > 0).
+//! one supervised [`ServeState`] — a single engine session whose caches
+//! every connection reads and warms.
 //!
 //! Workers `accept` in non-blocking mode with a short poll interval, so
 //! a `shutdown` request (or [`ServerHandle::shutdown`]) drains every
 //! worker within one interval without platform-specific listener
-//! tricks. Each worker handles one connection at a time — request
-//! *handling* is where the parallelism pays, and the load generator
-//! opens exactly as many connections as it wants concurrency.
+//! tricks. Each worker handles one connection at a time and solves its
+//! requests in place — request *handling* is where the parallelism
+//! pays, and the load generator opens exactly as many connections as it
+//! wants concurrency. There is no server-side request queue: a request
+//! waits only in its connection's socket buffer until that connection's
+//! worker reads it.
 //!
 //! Edge hardening, all opt-in via [`ServeConfig`]:
 //!
@@ -19,22 +21,19 @@
 //!   is free to deliver it — size `workers` above `max_conns`);
 //! * `read_timeout_ms` closes idle connections with a typed `timeout`
 //!   error; `write_timeout_ms` bounds how long a stalled client can
-//!   pin a worker mid-response;
-//! * in sharded mode, per-shard queue overflow surfaces as a typed
-//!   `backpressure` error ([`crate::shard`]).
+//!   pin a worker mid-response.
 //!
 //! `stats` responses served over a connection additionally carry a
 //! `rejected_conns` counter, supervision tallies (`panics`,
-//! `respawns`), a per-connection `connection` object, and (sharded) a
-//! per-shard `shards` array — none of which exist in the bare
-//! [`ServeState`] rendering, which is why the load generator treats
-//! `stats` as non-deterministic.
+//! `respawns`) and a per-connection `connection` object — none of which
+//! exist in the bare [`ServeState`] rendering, which is why the load
+//! generator treats `stats` as non-deterministic.
 //!
 //! Fault tolerance at the edge ([`crate::fault`]):
 //!
-//! * both back ends handle requests under `catch_unwind` — a panic
-//!   answers with a typed `internal` error (id echoed) and the engine
-//!   state respawns from its recipe, so no panic kills a worker;
+//! * requests run under `catch_unwind` — a panic answers with a typed
+//!   `internal` error (id echoed) and the engine state respawns from
+//!   its recipe, so no panic kills a worker;
 //! * a `drain` request (or the configured default deadline) flips the
 //!   server into draining: new connections and new work get typed
 //!   `shutting_down` errors, in-flight requests finish, and the server
@@ -42,16 +41,15 @@
 //! * a seeded [`FaultPlan`] can inject panics, delays and mid-response
 //!   connection cuts for chaos testing — see [`crate::fault`].
 
-use crate::fault::{internal_error, supervised_handle, FaultInjector, FaultPlan};
+use crate::fault::{EngineSlot, FaultInjector, FaultOrdinals, FaultPlan};
 use crate::json::Json;
 use crate::protocol::{parse_line, ErrorCode, Request, Response, ServeState, ServerInfo};
-use crate::shard::{EngineTemplate, ShardPool, ShardSnapshot};
 use rip_core::Engine;
 use rip_obs::{Histogram, MetricsRegistry};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -72,25 +70,17 @@ pub struct ServeConfig {
     /// are accepted — pair them with `max_conns` and the timeouts.
     pub addr: String,
     /// Connection worker threads (each serving one connection at a
-    /// time). In direct mode the engine's scratch pool is sized to
-    /// this.
+    /// time). The engine's scratch pool is sized to this.
     pub workers: usize,
-    /// LRU bound for each engine's geometry caches
+    /// LRU bound for the engine's geometry caches
     /// ([`Engine::set_cache_cap`]); 0 = unbounded.
     pub cache_cap: usize,
-    /// LRU bound for each engine's `τ_min`/library maps
+    /// LRU bound for the engine's `τ_min`/library maps
     /// ([`Engine::set_value_cache_cap`]); 0 = unbounded.
     pub value_cache_cap: usize,
-    /// Engine shards; 0 = direct mode (one shared engine). With N > 0,
-    /// N private engines sit behind bounded queues and requests route
-    /// by cache key ([`crate::shard`]).
-    pub shards: usize,
     /// Concurrent-connection cap; over-limit connections get a typed
     /// `busy` error and a clean close. 0 = unlimited.
     pub max_conns: usize,
-    /// Bounded per-shard queue depth (sharded mode); overflow surfaces
-    /// as typed `backpressure` errors.
-    pub queue_cap: usize,
     /// Idle-connection read timeout, ms; an idle connection is closed
     /// with a typed `timeout` error. 0 = never (loadgen and tests keep
     /// idle connections open deliberately).
@@ -107,8 +97,8 @@ pub struct ServeConfig {
     /// Slow-request threshold, ms: a request whose end-to-end handling
     /// (parse + dispatch + solve + encode + write) takes at least this
     /// long is logged to stderr as
-    /// `[rip-serve] slow request id=… cmd=… total_ms=… queue_wait_ms=…
-    /// solve_ms=…`. 0 (the default) disables the log.
+    /// `[rip-serve] slow request id=… cmd=… total_ms=… solve_ms=…`.
+    /// 0 (the default) disables the log.
     pub log_slow_ms: u64,
     /// Deterministic fault-injection schedule (chaos testing only;
     /// [`FaultPlan::none`] in production).
@@ -127,9 +117,7 @@ impl Default for ServeConfig {
             // while keeping memory flat on unbounded request streams.
             cache_cap: 512,
             value_cache_cap: 4096,
-            shards: 0,
             max_conns: 0,
-            queue_cap: 64,
             read_timeout_ms: 0,
             write_timeout_ms: 30_000,
             max_line_bytes: MAX_LINE_BYTES,
@@ -142,17 +130,17 @@ impl Default for ServeConfig {
 
 /// The edge's request-tracing instruments: one registry (cleared by
 /// `reset_stats`, merged into `metrics` responses) plus pre-resolved
-/// handles for the per-request spans. Lives at the edge — not in any
+/// handles for the per-request spans. Lives at the edge — not in the
 /// engine — so its history survives engine respawns trivially.
 #[derive(Debug)]
 struct EdgeMetrics {
     registry: Arc<MetricsRegistry>,
-    /// Shard-queue wait per request line, ns (0 for direct-mode,
-    /// control-plane and rejected requests; a fan-out reports its
-    /// slowest slice).
+    /// Server-side queue wait per request line, ns. There is no
+    /// server-side queue, so every observation is 0; the histogram
+    /// stays so its count keeps matching the `stats` request counter.
     queue_wait: Arc<Histogram>,
-    /// Dispatch-to-response span per request line, ns (includes queue
-    /// wait and engine solve time).
+    /// Dispatch-to-response span per request line, ns (engine solve
+    /// time included).
     solve: Arc<Histogram>,
     /// Response encode + socket write span per connection-served line,
     /// ns.
@@ -169,80 +157,42 @@ impl EdgeMetrics {
             registry,
         }
     }
+
+    /// Records one request line's spans.
+    fn observe(&self, solve_ns: u64) {
+        self.queue_wait.observe(0);
+        self.solve.observe(solve_ns);
+    }
 }
 
-/// Edge-level counters, shared by every connection worker.
-#[derive(Debug, Default)]
-struct EdgeCounters {
-    requests: AtomicU64,
-    connections: AtomicU64,
+/// Everything a connection worker needs: the supervised engine slot,
+/// the edge's own counters and instruments, and the hardening knobs.
+/// Requests and connections are counted in the live [`ServeState`].
+#[derive(Debug)]
+struct Shared {
+    engine: EngineSlot,
+    metrics: EdgeMetrics,
+    faults: Arc<FaultInjector>,
     rejected: AtomicU64,
     active: AtomicUsize,
     stop: AtomicBool,
     draining: AtomicBool,
-    panics: AtomicU64,
-    respawns: AtomicU64,
-}
-
-/// Direct mode's supervised engine slot: the shared state (swapped on
-/// respawn after a caught panic) plus the recipe that rebuilds it.
-#[derive(Debug)]
-struct DirectState {
-    slot: Mutex<Arc<ServeState>>,
-    template: EngineTemplate,
-}
-
-impl DirectState {
-    /// The live state (post-respawn reads see the replacement).
-    fn state(&self) -> Arc<ServeState> {
-        Arc::clone(
-            &self
-                .slot
-                .lock()
-                .expect("direct slot lock is never poisoned"),
-        )
-    }
-
-    fn respawn(&self, fresh: Arc<ServeState>) {
-        *self
-            .slot
-            .lock()
-            .expect("direct slot lock is never poisoned") = fresh;
-    }
-}
-
-/// The request back end behind the connection workers.
-#[derive(Debug)]
-enum Backend {
-    /// One shared engine state (every worker solves in-place). Boxed:
-    /// the respawn template inside is much larger than the pool handle.
-    Direct(Box<DirectState>),
-    /// N private engines behind bounded queues.
-    Sharded(ShardPool),
-}
-
-/// Everything a connection worker needs: the back end, the edge
-/// counters, and the hardening knobs.
-#[derive(Debug)]
-struct Shared {
-    backend: Backend,
-    edge: EdgeCounters,
-    metrics: EdgeMetrics,
     max_conns: usize,
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
     max_line_bytes: usize,
     drain_deadline: Duration,
     log_slow: Option<Duration>,
-    faults: Arc<FaultInjector>,
 }
 
-/// Per-connection counters (single-threaded: one worker per
-/// connection), rendered into that connection's `stats` responses.
+/// Per-connection state (single-threaded: one worker per connection):
+/// the counters rendered into that connection's `stats` responses and
+/// its fault ordinals.
 #[derive(Debug, Default, Clone, Copy)]
 struct ConnCounters {
     requests: u64,
     errors: u64,
+    faults: FaultOrdinals,
 }
 
 /// What the connection loop must do after writing one response.
@@ -267,92 +217,36 @@ struct HandledLine {
     cmd: &'static str,
     /// The request id, echoed in the slow-request log.
     id: Json,
-    /// Measured shard-queue wait, ns (0 in direct mode).
-    queue_wait_ns: u64,
     /// Dispatch-to-response span, ns.
     solve_ns: u64,
 }
 
 impl Shared {
     fn stopping(&self) -> bool {
-        if self.edge.stop.load(Ordering::SeqCst) {
-            return true;
-        }
-        match &self.backend {
-            Backend::Direct(direct) => direct.state().stopping(),
-            Backend::Sharded(_) => false,
-        }
+        self.stop.load(Ordering::SeqCst)
     }
 
     fn request_stop(&self) {
-        self.edge.stop.store(true, Ordering::SeqCst);
-        if let Backend::Direct(direct) = &self.backend {
-            direct.state().request_stop();
-        }
+        self.stop.store(true, Ordering::SeqCst);
     }
 
     /// `true` once a `drain` was accepted: no new connections or work.
     fn draining(&self) -> bool {
-        self.edge.draining.load(Ordering::SeqCst)
+        self.draining.load(Ordering::SeqCst)
     }
 
-    /// Requests seen at the edge (sharded mode counts here; direct mode
-    /// counts in the shared state).
-    fn requests_total(&self) -> u64 {
-        match &self.backend {
-            Backend::Direct(direct) => direct.state().requests(),
-            Backend::Sharded(_) => self.edge.requests.load(Ordering::Relaxed),
-        }
-    }
-
-    fn connections_total(&self) -> u64 {
-        match &self.backend {
-            Backend::Direct(direct) => direct.state().connections(),
-            Backend::Sharded(_) => self.edge.connections.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Every live engine state: one in direct mode, one per shard
-    /// otherwise (by value — a respawn swaps states out underneath).
-    fn live_states(&self) -> Vec<Arc<ServeState>> {
-        match &self.backend {
-            Backend::Direct(direct) => vec![direct.state()],
-            Backend::Sharded(pool) => (0..pool.shards()).map(|i| pool.shard_state(i)).collect(),
-        }
-    }
-
-    /// Server-wide supervision tallies: `(panics, respawns)`.
-    fn supervision_totals(&self) -> (u64, u64) {
-        match &self.backend {
-            Backend::Direct(_) => (
-                self.edge.panics.load(Ordering::Relaxed),
-                self.edge.respawns.load(Ordering::Relaxed),
-            ),
-            Backend::Sharded(pool) => pool.supervision_totals(),
-        }
-    }
-
-    /// Handles one request line at the edge: parse, route (directly or
-    /// through the shard pool, intercepting control-plane commands and
+    /// Handles one request line at the edge: parse, dispatch under
+    /// supervision (intercepting the edge's own commands and
     /// drain-mode rejections), augment `stats` with the edge/connection
     /// view, render.
     fn handle_line(&self, line: &str, conn: &mut ConnCounters) -> HandledLine {
         conn.requests += 1;
-        let (id, parsed) = match &self.backend {
-            Backend::Direct(direct) => {
-                direct.state().count_request();
-                parse_line(line)
-            }
-            Backend::Sharded(_) => {
-                self.edge.requests.fetch_add(1, Ordering::Relaxed);
-                parse_line(line)
-            }
-        };
+        self.engine.state().count_request();
+        let (id, parsed) = parse_line(line);
         let cmd = match &parsed {
             Ok(request) => request.cmd(),
             Err(_) => "invalid",
         };
-        let mut queue_wait_ns = 0u64;
         let mut solve_ns = 0u64;
         // Every counted line observes the queue-wait and solve
         // histograms exactly once, so their counts always equal the
@@ -374,9 +268,9 @@ impl Shared {
                 PostAction::None,
                 false,
             ),
-            // Drain is answered at the edge in both modes — the drain
-            // machinery (connection gate + stop watcher) lives here, not
-            // in the engine states.
+            // Drain is answered at the edge — the drain machinery
+            // (connection gate + stop watcher) lives here, not in the
+            // engine state.
             Ok(Request::Drain { deadline_ms }) => {
                 let deadline = deadline_ms
                     .map(Duration::from_millis)
@@ -389,20 +283,14 @@ impl Shared {
                     false,
                 )
             }
-            // Metrics is answered at the edge in both modes: the edge's
-            // request-tracing registry merged with every live engine's
+            // Metrics is answered at the edge: the edge's
+            // request-tracing registry merged with the engine's
             // stage/cache registry.
             Ok(Request::Metrics) => {
-                self.metrics.queue_wait.observe(0);
-                self.metrics.solve.observe(0);
+                self.metrics.observe(0);
                 observed = true;
                 let mut snapshot = self.metrics.registry.snapshot();
-                match &self.backend {
-                    Backend::Direct(direct) => {
-                        snapshot.merge(&direct.state().engine().metrics_registry().snapshot());
-                    }
-                    Backend::Sharded(pool) => snapshot.merge(&pool.metrics_snapshot()),
-                }
+                snapshot.merge(&self.engine.state().engine().metrics_registry().snapshot());
                 (Response::Metrics { snapshot }, PostAction::None, false)
             }
             Ok(request) => {
@@ -411,30 +299,19 @@ impl Shared {
                 } else {
                     PostAction::None
                 };
-                let fault_eligible = !request.is_control();
-                let reset = matches!(request, Request::ResetStats);
                 let t_solve = Instant::now();
-                let response = match &self.backend {
-                    Backend::Direct(direct) => self.handle_direct(direct, &request),
-                    Backend::Sharded(pool) => {
-                        let (response, wait_ns) = self.handle_sharded(pool, request);
-                        queue_wait_ns = wait_ns;
-                        response
-                    }
-                };
+                let response = self.engine.handle(&request, &self.faults, &mut conn.faults);
                 solve_ns = u64::try_from(t_solve.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                if reset {
+                if matches!(request, Request::ResetStats) {
                     // Pre-reset values are already rendered into the
-                    // response; the post-reset edge reads as zero in
-                    // both modes — the request-tracing histograms
-                    // included.
-                    self.edge.rejected.store(0, Ordering::Relaxed);
-                    self.edge.panics.store(0, Ordering::Relaxed);
-                    self.edge.respawns.store(0, Ordering::Relaxed);
+                    // response; the post-reset edge reads as zero — the
+                    // request-tracing histograms included.
+                    self.rejected.store(0, Ordering::Relaxed);
+                    self.engine.reset_tallies();
                     self.metrics.registry.reset();
                     observed = true;
                 }
-                (response, action, fault_eligible)
+                (response, action, !request.is_control())
             }
             Err(e) => (
                 Response::Error {
@@ -446,8 +323,7 @@ impl Shared {
             ),
         };
         if !observed {
-            self.metrics.queue_wait.observe(queue_wait_ns);
-            self.metrics.solve.observe(solve_ns);
+            self.metrics.observe(solve_ns);
         }
         self.augment_stats(&mut response, conn);
         if response.is_error() {
@@ -459,80 +335,7 @@ impl Shared {
             fault_eligible,
             cmd,
             id,
-            queue_wait_ns,
             solve_ns,
-        }
-    }
-
-    /// Direct-mode dispatch under supervision: a caught panic answers
-    /// with a typed `internal` error and the shared state respawns from
-    /// its recipe (cold caches, counters carried over).
-    fn handle_direct(&self, direct: &DirectState, request: &Request) -> Response {
-        let state = direct.state();
-        match supervised_handle(&state, request, &self.faults) {
-            Ok(response) => response,
-            Err(panic_msg) => {
-                self.edge.panics.fetch_add(1, Ordering::Relaxed);
-                direct.respawn(direct.template.respawn_state(&state));
-                self.edge.respawns.fetch_add(1, Ordering::Relaxed);
-                internal_error(request.cmd(), &panic_msg)
-            }
-        }
-    }
-
-    /// Sharded routing: control-plane commands are answered at the
-    /// front (the pool never sees them); everything else dispatches by
-    /// cache key. Returns the response and the measured shard-queue
-    /// wait, ns (0 for control-plane answers).
-    fn handle_sharded(&self, pool: &ShardPool, request: Request) -> (Response, u64) {
-        match request {
-            // Shard 0's state carries the server info; answering from
-            // it directly keeps hello off the queues.
-            Request::Hello => (pool.shard_state(0).handle_request(&Request::Hello), 0),
-            Request::Stats => (self.sharded_stats(pool, false), 0),
-            Request::ResetStats => {
-                let response = self.sharded_stats(pool, true);
-                pool.reset_stats();
-                self.edge.requests.store(0, Ordering::Relaxed);
-                self.edge.connections.store(0, Ordering::Relaxed);
-                self.edge.rejected.store(0, Ordering::Relaxed);
-                (response, 0)
-            }
-            Request::Shutdown => (Response::Shutdown, 0),
-            other => pool.dispatch_traced(other),
-        }
-    }
-
-    /// The sharded `stats` rendering: the direct mode's counter fields
-    /// aggregated over every shard, plus a per-shard `shards` array
-    /// (requests, errors, queue depth + high-water, hit rate).
-    fn sharded_stats(&self, pool: &ShardPool, reset: bool) -> Response {
-        let (hits, misses, promotions, evictions, nets_solved, trees_solved) = pool.engine_totals();
-        let lookups = hits + misses;
-        let hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
-        };
-        let state0 = pool.shard_state(0);
-        let engine = state0.engine();
-        let shards = pool.snapshots().iter().map(render_shard_snapshot).collect();
-        Response::Stats {
-            fields: vec![
-                ("requests", Json::from(self.requests_total())),
-                ("connections", Json::from(self.connections_total())),
-                ("nets_solved", Json::from(nets_solved)),
-                ("trees_solved", Json::from(trees_solved)),
-                ("hits", Json::from(hits)),
-                ("misses", Json::from(misses)),
-                ("hit_rate", Json::Num(hit_rate)),
-                ("promotions", Json::from(promotions)),
-                ("evictions", Json::from(evictions)),
-                ("cache_cap", Json::from(engine.cache_cap())),
-                ("value_cache_cap", Json::from(engine.value_cache_cap())),
-                ("shards", Json::Arr(shards)),
-            ],
-            reset,
         }
     }
 
@@ -543,9 +346,9 @@ impl Shared {
         if let Response::Stats { fields, .. } = response {
             fields.push((
                 "rejected_conns",
-                Json::from(self.edge.rejected.load(Ordering::Relaxed)),
+                Json::from(self.rejected.load(Ordering::Relaxed)),
             ));
-            let (panics, respawns) = self.supervision_totals();
+            let (panics, respawns) = self.engine.tallies();
             fields.push(("panics", Json::from(panics)));
             fields.push(("respawns", Json::from(respawns)));
             fields.push((
@@ -557,18 +360,6 @@ impl Shared {
             ));
         }
     }
-}
-
-fn render_shard_snapshot(snapshot: &ShardSnapshot) -> Json {
-    Json::obj([
-        ("requests", Json::from(snapshot.requests)),
-        ("errors", Json::from(snapshot.errors)),
-        ("queue_depth", Json::from(snapshot.queue_depth)),
-        ("queue_high_water", Json::from(snapshot.queue_high_water)),
-        ("hit_rate", Json::Num(snapshot.hit_rate)),
-        ("panics", Json::from(snapshot.panics)),
-        ("respawns", Json::from(snapshot.respawns)),
-    ])
 }
 
 /// A running server: join it, read its address, or stop it.
@@ -585,88 +376,32 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The first *live* engine state (the only one in direct mode;
-    /// shard 0 in sharded mode) — mainly for tests and the in-process
+    /// The live engine state — mainly for tests and the in-process
     /// benchmark harness. By value, because a post-panic respawn swaps
-    /// the state out. Sharded aggregates live on
-    /// [`ServerHandle::requests_total`] /
-    /// [`ServerHandle::engine_totals`].
+    /// the state out.
     pub fn state(&self) -> Arc<ServeState> {
-        self.shared.live_states().remove(0)
-    }
-
-    /// Every live engine state: one in direct mode, one per shard
-    /// otherwise.
-    pub fn states(&self) -> Vec<Arc<ServeState>> {
-        self.shared.live_states()
-    }
-
-    /// Number of engine shards (0 = direct mode).
-    pub fn shards(&self) -> usize {
-        match &self.shared.backend {
-            Backend::Direct(_) => 0,
-            Backend::Sharded(pool) => pool.shards(),
-        }
-    }
-
-    /// Requests handled across the whole server.
-    pub fn requests_total(&self) -> u64 {
-        self.shared.requests_total()
-    }
-
-    /// Connections accepted across the whole server.
-    pub fn connections_total(&self) -> u64 {
-        self.shared.connections_total()
+        self.shared.engine.state()
     }
 
     /// Connections rejected over the `max_conns` limit.
     pub fn rejected_conns(&self) -> u64 {
-        self.shared.edge.rejected.load(Ordering::Relaxed)
+        self.monitor().rejected_conns()
     }
 
     /// Panics caught by supervised handlers, server-wide.
     pub fn panics_total(&self) -> u64 {
-        self.shared.supervision_totals().0
+        self.monitor().panics_total()
     }
 
     /// Engine respawns after caught panics, server-wide.
     pub fn respawns_total(&self) -> u64 {
-        self.shared.supervision_totals().1
-    }
-
-    /// `true` once a `drain` was accepted.
-    pub fn draining(&self) -> bool {
-        self.shared.draining()
+        self.monitor().respawns_total()
     }
 
     /// The server's fault injector (chaos tests disarm it mid-run and
     /// reconcile its tallies against `stats`).
     pub fn faults(&self) -> &Arc<FaultInjector> {
         &self.shared.faults
-    }
-
-    /// Aggregate engine counters over every live state: `(hits, misses,
-    /// promotions, evictions, nets_solved, trees_solved)`.
-    pub fn engine_totals(&self) -> (u64, u64, u64, u64, u64, u64) {
-        engine_totals_of(&self.shared.live_states())
-    }
-
-    /// Aggregate cache hit rate over every live state.
-    pub fn hit_rate(&self) -> f64 {
-        let (hits, misses, ..) = self.engine_totals();
-        if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        }
-    }
-
-    /// Per-shard monitoring snapshots (empty in direct mode).
-    pub fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        match &self.shared.backend {
-            Backend::Direct(_) => Vec::new(),
-            Backend::Sharded(pool) => pool.snapshots(),
-        }
     }
 
     /// A cheap counter handle that outlives [`ServerHandle::join`] —
@@ -677,15 +412,11 @@ impl ServerHandle {
         }
     }
 
-    /// Blocks until the server stops (a client sent `shutdown`), then
-    /// joins every connection worker and — in sharded mode — drains and
-    /// joins the shard workers.
+    /// Blocks until the server stops (a client sent `shutdown`, or a
+    /// drain concluded), then joins every connection worker.
     pub fn join(self) {
         for worker in self.workers {
             let _ = worker.join();
-        }
-        if let Backend::Sharded(pool) = &self.shared.backend {
-            pool.shutdown();
         }
     }
 
@@ -705,83 +436,39 @@ pub struct ServerMonitor {
 }
 
 impl ServerMonitor {
+    /// The live engine state (its engine carries the cache counters).
+    pub fn state(&self) -> Arc<ServeState> {
+        self.shared.engine.state()
+    }
+
     /// Requests handled across the whole server.
     pub fn requests_total(&self) -> u64 {
-        self.shared.requests_total()
+        self.state().requests()
     }
 
     /// Connections accepted across the whole server.
     pub fn connections_total(&self) -> u64 {
-        self.shared.connections_total()
+        self.state().connections()
     }
 
     /// Connections rejected over the `max_conns` limit.
     pub fn rejected_conns(&self) -> u64 {
-        self.shared.edge.rejected.load(Ordering::Relaxed)
+        self.shared.rejected.load(Ordering::Relaxed)
     }
 
     /// Panics caught by supervised handlers, server-wide.
     pub fn panics_total(&self) -> u64 {
-        self.shared.supervision_totals().0
+        self.shared.engine.tallies().0
     }
 
     /// Engine respawns after caught panics, server-wide.
     pub fn respawns_total(&self) -> u64 {
-        self.shared.supervision_totals().1
-    }
-
-    /// `true` once a `drain` was accepted.
-    pub fn draining(&self) -> bool {
-        self.shared.draining()
-    }
-
-    /// Aggregate engine counters over every live state: `(hits, misses,
-    /// promotions, evictions, nets_solved, trees_solved)`.
-    pub fn engine_totals(&self) -> (u64, u64, u64, u64, u64, u64) {
-        engine_totals_of(&self.shared.live_states())
-    }
-
-    /// Aggregate cache hit rate over every live state.
-    pub fn hit_rate(&self) -> f64 {
-        let (hits, misses, ..) = self.engine_totals();
-        if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        }
-    }
-
-    /// Number of engine shards (0 = direct mode).
-    pub fn shards(&self) -> usize {
-        match &self.shared.backend {
-            Backend::Direct(_) => 0,
-            Backend::Sharded(pool) => pool.shards(),
-        }
+        self.shared.engine.tallies().1
     }
 }
 
-/// Aggregate engine counters over `states`: `(hits, misses, promotions,
-/// evictions, nets_solved, trees_solved)`.
-fn engine_totals_of(states: &[Arc<ServeState>]) -> (u64, u64, u64, u64, u64, u64) {
-    let mut totals = (0, 0, 0, 0, 0, 0);
-    for state in states {
-        let stats = state.engine().stats();
-        totals.0 += stats.hits();
-        totals.1 += stats.misses();
-        totals.2 += stats.promotions;
-        totals.3 += stats.evictions;
-        totals.4 += stats.nets_solved;
-        totals.5 += stats.trees_solved;
-    }
-    totals
-}
-
-/// Binds the listener and spawns the connection workers over the
-/// configured back end: a fresh shared [`ServeState`] wrapping `engine`
-/// (direct mode), or a [`ShardPool`] seeded from it
-/// ([`ServeConfig::shards`] > 0 — shard 0 owns `engine`, the others get
-/// private engines with the same technology, configuration and cache
-/// caps).
+/// Binds the listener and spawns the connection workers over one
+/// supervised [`ServeState`] wrapping `engine`.
 ///
 /// The engine's cache bounds and scratch pool are set from `config`
 /// before the first worker starts.
@@ -797,7 +484,7 @@ fn engine_totals_of(states: &[Arc<ServeState>]) -> (u64, u64, u64, u64, u64, u64
 /// use rip_serve::{Client, Json, ServeConfig, start_server};
 /// use rip_tech::Technology;
 ///
-/// let config = ServeConfig { workers: 2, shards: 2, ..ServeConfig::default() };
+/// let config = ServeConfig { workers: 2, ..ServeConfig::default() };
 /// let server = start_server(Engine::paper(Technology::generic_180nm()), &config).unwrap();
 /// let mut client = Client::connect(server.addr()).unwrap();
 /// let response = client.request_value(&rip_serve::parse_json(r#"{"cmd":"stats"}"#).unwrap()).unwrap();
@@ -806,46 +493,23 @@ fn engine_totals_of(states: &[Arc<ServeState>]) -> (u64, u64, u64, u64, u64, u64
 /// server.join();
 /// ```
 pub fn start_server(engine: Engine, config: &ServeConfig) -> io::Result<ServerHandle> {
+    let workers = config.workers.max(1);
     engine.set_cache_cap(config.cache_cap);
     engine.set_value_cache_cap(config.value_cache_cap);
-    let info = ServerInfo {
-        shards: config.shards,
-        workers: config.workers.max(1),
+    engine.set_scratch_cap(workers);
+    let state = ServeState::new(engine);
+    state.set_server_info(ServerInfo {
+        workers,
         max_conns: config.max_conns,
-        queue_cap: if config.shards > 0 {
-            config.queue_cap.max(1)
-        } else {
-            0
-        },
-    };
-    let faults = Arc::new(FaultInjector::new(config.faults));
-    let backend = if config.shards > 0 {
-        let pool = ShardPool::start_with_faults(
-            engine,
-            config.shards,
-            config.queue_cap,
-            Arc::clone(&faults),
-        );
-        for i in 0..pool.shards() {
-            pool.shard_state(i).set_server_info(info);
-        }
-        Backend::Sharded(pool)
-    } else {
-        engine.set_scratch_cap(config.workers.max(1));
-        // Capture the respawn recipe before the state consumes the
-        // engine.
-        let template = EngineTemplate::of(&engine, config.workers.max(1));
-        let state = Arc::new(ServeState::new(engine));
-        state.set_server_info(info);
-        Backend::Direct(Box::new(DirectState {
-            slot: Mutex::new(state),
-            template,
-        }))
-    };
+    });
     let shared = Arc::new(Shared {
-        backend,
-        edge: EdgeCounters::default(),
+        engine: EngineSlot::new(state, workers),
         metrics: EdgeMetrics::new(),
+        faults: Arc::new(FaultInjector::new(config.faults)),
+        rejected: AtomicU64::new(0),
+        active: AtomicUsize::new(0),
+        stop: AtomicBool::new(false),
+        draining: AtomicBool::new(false),
         max_conns: config.max_conns,
         read_timeout: (config.read_timeout_ms > 0)
             .then(|| Duration::from_millis(config.read_timeout_ms)),
@@ -854,16 +518,15 @@ pub fn start_server(engine: Engine, config: &ServeConfig) -> io::Result<ServerHa
         max_line_bytes: config.max_line_bytes.max(1),
         drain_deadline: Duration::from_secs(config.drain_deadline_secs),
         log_slow: (config.log_slow_ms > 0).then(|| Duration::from_millis(config.log_slow_ms)),
-        faults,
     });
     let listener = TcpListener::bind(config.addr.as_str())?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let mut workers = Vec::with_capacity(config.workers.max(1));
-    for i in 0..config.workers.max(1) {
+    let mut handles = Vec::with_capacity(workers);
+    for i in 0..workers {
         let listener = listener.try_clone()?;
         let shared = Arc::clone(&shared);
-        workers.push(
+        handles.push(
             std::thread::Builder::new()
                 .name(format!("rip-serve-{i}"))
                 .spawn(move || worker_loop(&listener, &shared))?,
@@ -872,7 +535,7 @@ pub fn start_server(engine: Engine, config: &ServeConfig) -> io::Result<ServerHa
     Ok(ServerHandle {
         addr,
         shared,
-        workers,
+        workers: handles,
     })
 }
 
@@ -890,10 +553,9 @@ fn worker_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     );
                     continue;
                 }
-                if shared.max_conns > 0
-                    && shared.edge.active.load(Ordering::SeqCst) >= shared.max_conns
+                if shared.max_conns > 0 && shared.active.load(Ordering::SeqCst) >= shared.max_conns
                 {
-                    shared.edge.rejected.fetch_add(1, Ordering::Relaxed);
+                    shared.rejected.fetch_add(1, Ordering::Relaxed);
                     let _ = reject_with(
                         stream,
                         ErrorCode::Busy,
@@ -904,17 +566,12 @@ fn worker_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     );
                     continue;
                 }
-                shared.edge.active.fetch_add(1, Ordering::SeqCst);
-                match &shared.backend {
-                    Backend::Direct(direct) => direct.state().count_connection(),
-                    Backend::Sharded(_) => {
-                        shared.edge.connections.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                shared.active.fetch_add(1, Ordering::SeqCst);
+                shared.engine.state().count_connection();
                 // A broken connection only ends that connection; the
                 // worker goes back to accepting.
                 let _ = serve_connection(stream, shared);
-                shared.edge.active.fetch_sub(1, Ordering::SeqCst);
+                shared.active.fetch_sub(1, Ordering::SeqCst);
             }
             Err(e) if polling_retry(&e) => std::thread::sleep(POLL_INTERVAL),
             // Transient accept errors (e.g. aborted handshakes) —
@@ -949,7 +606,7 @@ fn reject_with(mut stream: TcpStream, code: ErrorCode, error: String) -> io::Res
 /// and new work are refused; once no connection is active — or the
 /// deadline passes — the server stops.
 fn begin_drain(shared: &Arc<Shared>, deadline: Duration) {
-    if shared.edge.draining.swap(true, Ordering::SeqCst) {
+    if shared.draining.swap(true, Ordering::SeqCst) {
         return;
     }
     let watcher = Arc::clone(shared);
@@ -957,7 +614,7 @@ fn begin_drain(shared: &Arc<Shared>, deadline: Duration) {
         .name("rip-serve-drain".to_string())
         .spawn(move || {
             let start = Instant::now();
-            while watcher.edge.active.load(Ordering::SeqCst) > 0 && start.elapsed() < deadline {
+            while watcher.active.load(Ordering::SeqCst) > 0 && start.elapsed() < deadline {
                 std::thread::sleep(POLL_INTERVAL);
             }
             watcher.request_stop();
@@ -1003,7 +660,10 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
             // truncated (unparseable) reply and an EOF, never a line
             // that parses but lies.
             if handled.fault_eligible {
-                if let Some(cut) = shared.faults.drop_response(rendered.len()) {
+                if let Some(cut) = shared
+                    .faults
+                    .drop_response(&mut conn.faults, rendered.len())
+                {
                     writer.write_all(&rendered.as_bytes()[..cut])?;
                     writer.flush()?;
                     return Ok(());
@@ -1016,12 +676,10 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
                 let total = t_line.elapsed();
                 if total >= limit {
                     eprintln!(
-                        "[rip-serve] slow request id={} cmd={} total_ms={:.3} \
-                         queue_wait_ms={:.3} solve_ms={:.3}",
+                        "[rip-serve] slow request id={} cmd={} total_ms={:.3} solve_ms={:.3}",
                         handled.id,
                         handled.cmd,
                         total.as_secs_f64() * 1e3,
-                        handled.queue_wait_ns as f64 / 1e6,
                         handled.solve_ns as f64 / 1e6,
                     );
                 }

@@ -5,9 +5,10 @@
 //! converge to byte-identical answers under every fault kind, and the
 //! `stats` wire view must account for the injected faults exactly.
 //!
-//! Every fault fires from a seeded [`FaultPlan`], so each test sees the
-//! same schedule on every run — chaos here is an input, not a dice
-//! roll.
+//! Every fault fires from a seeded [`FaultPlan`] whose ordinals count
+//! per connection, so each test sees the same schedule on every run,
+//! however the connections interleave — chaos here is an input, not a
+//! dice roll.
 
 use rip_core::Engine;
 use rip_net::{NetGenerator, RandomNetConfig};
@@ -25,7 +26,6 @@ fn engine() -> Engine {
 fn injected_panics_become_typed_internal_errors_and_respawns_restore_capacity() {
     let config = ServeConfig {
         workers: 2,
-        shards: 2,
         faults: FaultPlan {
             panic_every: 3,
             ..FaultPlan::none()
@@ -94,7 +94,6 @@ fn injected_panics_become_typed_internal_errors_and_respawns_restore_capacity() 
 fn client_retries_converge_to_byte_identical_answers_under_panic_faults() {
     let config = ServeConfig {
         workers: 2,
-        shards: 2,
         faults: FaultPlan {
             panic_every: 4,
             ..FaultPlan::none()
@@ -134,8 +133,7 @@ fn client_retries_converge_to_byte_identical_answers_under_panic_faults() {
 
 #[test]
 fn delay_and_drop_faults_are_transparent_behind_retries() {
-    // Direct mode this time, with the other two fault kinds: injected
-    // delays slow requests without corrupting them, and injected
+    // The other two fault kinds: injected delays slow requests without corrupting them, and injected
     // connection drops cut responses mid-line — which retries must turn
     // back into clean byte-identical answers.
     let config = ServeConfig {
@@ -182,7 +180,7 @@ fn delay_and_drop_faults_are_transparent_behind_retries() {
 #[test]
 fn a_panicked_worker_answers_the_next_request_on_the_same_connection() {
     // The smallest possible supervision story, on one sequential
-    // connection in direct mode: request 1 succeeds, request 2 hits the
+    // connection: request 1 succeeds, request 2 hits the
     // injected panic and gets a typed `internal` error with its id
     // echoed, request 3 — same connection, same bytes as request 1 —
     // succeeds again off the respawned engine.
@@ -242,13 +240,13 @@ fn a_panicked_worker_answers_the_next_request_on_the_same_connection() {
 
 #[test]
 fn metrics_histograms_survive_injected_panics_and_respawns() {
-    // Observability under chaos: stage timings and queue-wait histograms
-    // live in an `Arc`-shared registry that respawned workers adopt, so
-    // counts observed before a panic must still be visible afterwards —
-    // and must only ever grow across respawns.
+    // Observability under chaos: the edge's request histograms live at
+    // the edge and the engine's stage timings in an `Arc`-shared
+    // registry that respawned engines adopt, so counts observed before
+    // a panic must still be visible afterwards — and must only ever
+    // grow across respawns.
     let config = ServeConfig {
         workers: 2,
-        shards: 2,
         faults: FaultPlan {
             panic_every: 3,
             ..FaultPlan::none()
@@ -283,16 +281,13 @@ fn metrics_histograms_survive_injected_panics_and_respawns() {
             .and_then(Json::as_f64)
             .unwrap_or(0.0)
     };
-    let shard_waits = |client: &mut Client| -> f64 {
-        (0..2)
-            .map(|s| histogram_count(client, &format!("serve_shard{s}_queue_wait_ns")))
-            .sum()
-    };
+    let waits =
+        |client: &mut Client| -> f64 { histogram_count(client, "serve_request_queue_wait_ns") };
 
-    // Every dispatched attempt — including the ones that panicked after
-    // being popped — observed its shard queue wait, and those
-    // observations survived the respawns that followed.
-    let waits_after_first = shard_waits(&mut client);
+    // Every request line — including the attempts that panicked —
+    // observed its queue wait, and those observations survived the
+    // respawns that followed.
+    let waits_after_first = waits(&mut client);
     assert!(
         waits_after_first >= first.requests as f64,
         "queue-wait observations must survive respawn: saw {waits_after_first}, \
@@ -314,7 +309,7 @@ fn metrics_histograms_survive_injected_panics_and_respawns() {
         server.respawns_total() > respawns_after_first,
         "the second round must force more respawns"
     );
-    let waits_after_second = shard_waits(&mut client);
+    let waits_after_second = waits(&mut client);
     assert!(
         waits_after_second >= waits_after_first + second.requests as f64,
         "histograms must grow monotonically across respawns: \

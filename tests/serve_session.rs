@@ -10,8 +10,8 @@
 use rip_core::Engine;
 use rip_net::{NetGenerator, RandomNetConfig};
 use rip_serve::{
-    net_to_json, parse_json, run_loadgen, start_server, tree_pool, tree_to_json, Client, Json,
-    LoadgenConfig, ServeConfig, ServeState,
+    net_to_json, parse_json, run_loadgen, start_server, tree_pool, tree_to_json, Client, FaultPlan,
+    Json, LoadgenConfig, ServeConfig, ServeState,
 };
 use rip_tech::Technology;
 
@@ -234,45 +234,6 @@ fn tight_lru_caps_change_hit_rates_but_never_answers() {
     server.shutdown();
 }
 
-#[test]
-fn sharded_server_answers_byte_identically_to_a_single_engine() {
-    // The sharding-equivalence claim end to end: a sharded server under
-    // a mixed net + masked-tree load answers byte-identically to the
-    // sequential in-process reference — which is exactly what the
-    // direct server is held to, so the two topologies are
-    // interchangeable on the wire.
-    let config = ServeConfig {
-        workers: 4,
-        shards: 2,
-        ..ServeConfig::default()
-    };
-    let server = start_server(engine(), &config).unwrap();
-    assert_eq!(server.shards(), 2);
-    let reference = ServeState::new(engine());
-    let loadgen = LoadgenConfig {
-        connections: 4,
-        requests_per_conn: 12,
-        nets: 5,
-        trees: 3,
-        ..LoadgenConfig::default()
-    };
-    let outcome = run_loadgen(server.addr(), Some(&reference), &loadgen).unwrap();
-    assert_eq!(outcome.errors, 0, "some sharded responses were not ok");
-    assert_eq!(
-        outcome.mismatches, 0,
-        "sharded responses diverged from the single in-process engine"
-    );
-    // The cache-key router actually spread the pool across both shards,
-    // and the per-shard accounting saw the traffic.
-    let snapshots = server.shard_snapshots();
-    assert_eq!(snapshots.len(), 2);
-    assert!(
-        snapshots.iter().all(|s| s.requests > 0),
-        "both shards must take traffic ({snapshots:?})"
-    );
-    server.shutdown();
-}
-
 /// Pulls one histogram's count out of a rendered `metrics` response.
 fn histogram_count(metrics: &Json, name: &str) -> u64 {
     metrics
@@ -285,94 +246,79 @@ fn histogram_count(metrics: &Json, name: &str) -> u64 {
 }
 
 #[test]
-fn metrics_histogram_counts_exactly_match_request_counters_in_both_modes() {
+fn metrics_histogram_counts_exactly_match_request_counters() {
     // The tentpole's exactness claim: the edge observes its queue-wait
     // and solve histograms once per request line, `metrics` counts
     // itself before snapshotting, and `reset_stats` is skipped (its
     // counter increment is zeroed during handling) — so the histogram
     // counts always equal the `stats` request counter, in every reset
-    // epoch, in both topologies.
-    for shards in [0usize, 2] {
-        let config = ServeConfig {
-            workers: 2,
-            shards,
-            ..ServeConfig::default()
-        };
-        let server = start_server(engine(), &config).unwrap();
-        let mut client = Client::connect(server.addr()).unwrap();
-        let nets = NetGenerator::suite(RandomNetConfig::default(), 21, 3).unwrap();
-        for (i, net) in nets.iter().enumerate() {
-            let line = format!(
-                r#"{{"id":{i},"cmd":"solve","net":{},"target_mult":1.4}}"#,
-                net_to_json(net)
-            );
-            let response = parse_json(&client.request_line(&line).unwrap()).unwrap();
-            assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
-        }
-
-        // 3 solves + this metrics line itself = 4 observed lines.
-        let metrics =
-            parse_json(&client.request_line(r#"{"id":10,"cmd":"metrics"}"#).unwrap()).unwrap();
-        assert_eq!(metrics.get("ok"), Some(&Json::Bool(true)));
-        let queue_count = histogram_count(&metrics, "serve_request_queue_wait_ns");
-        let solve_count = histogram_count(&metrics, "serve_request_solve_ns");
-        assert_eq!(queue_count, 4, "shards={shards}");
-        assert_eq!(solve_count, 4, "shards={shards}");
-        // The engine-side stage histograms rode along in the merge.
-        assert!(
-            histogram_count(&metrics, "engine_chain_coarse_dp_ns") >= 3,
-            "shards={shards}: {metrics:?}"
+    // epoch.
+    let config = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let server = start_server(engine(), &config).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let nets = NetGenerator::suite(RandomNetConfig::default(), 21, 3).unwrap();
+    for (i, net) in nets.iter().enumerate() {
+        let line = format!(
+            r#"{{"id":{i},"cmd":"solve","net":{},"target_mult":1.4}}"#,
+            net_to_json(net)
         );
-        if shards > 0 {
-            // Every dispatched (non-control) request crossed exactly one
-            // shard queue; the per-shard histograms must account for all
-            // 3 solves and nothing else.
-            let per_shard: u64 = (0..shards)
-                .map(|s| {
-                    metrics
-                        .get("histograms")
-                        .and_then(|h| h.get(&format!("serve_shard{s}_queue_wait_ns")))
-                        .and_then(|h| h.get("count"))
-                        .and_then(Json::as_f64)
-                        .unwrap_or(0.0) as u64
-                })
-                .sum();
-            assert_eq!(
-                per_shard, 3,
-                "shard queue-wait counts must sum to the solves"
-            );
-        }
-
-        // The stats line right after sees the metrics line + itself.
-        let stats =
-            parse_json(&client.request_line(r#"{"id":11,"cmd":"stats"}"#).unwrap()).unwrap();
-        assert_eq!(
-            stats.get("requests").unwrap().as_f64(),
-            Some((queue_count + 1) as f64),
-            "stats must lead the last metrics snapshot by exactly its own line"
-        );
-
-        // Across a reset epoch the equality holds from zero again.
-        let reset = parse_json(
-            &client
-                .request_line(r#"{"id":12,"cmd":"reset_stats"}"#)
-                .unwrap(),
-        )
-        .unwrap();
-        assert_eq!(reset.get("ok"), Some(&Json::Bool(true)));
-        let metrics =
-            parse_json(&client.request_line(r#"{"id":13,"cmd":"metrics"}"#).unwrap()).unwrap();
-        assert_eq!(
-            histogram_count(&metrics, "serve_request_queue_wait_ns"),
-            1,
-            "shards={shards}: post-reset counts restart at this metrics line"
-        );
-        assert_eq!(histogram_count(&metrics, "serve_request_solve_ns"), 1);
-        let stats =
-            parse_json(&client.request_line(r#"{"id":14,"cmd":"stats"}"#).unwrap()).unwrap();
-        assert_eq!(stats.get("requests").unwrap().as_f64(), Some(2.0));
-        server.shutdown();
+        let response = parse_json(&client.request_line(&line).unwrap()).unwrap();
+        assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
     }
+
+    // 3 solves + this metrics line itself = 4 observed lines.
+    let metrics =
+        parse_json(&client.request_line(r#"{"id":10,"cmd":"metrics"}"#).unwrap()).unwrap();
+    assert_eq!(metrics.get("ok"), Some(&Json::Bool(true)));
+    let queue_count = histogram_count(&metrics, "serve_request_queue_wait_ns");
+    let solve_count = histogram_count(&metrics, "serve_request_solve_ns");
+    assert_eq!(queue_count, 4);
+    assert_eq!(solve_count, 4);
+    // There is no server-side queue: every observed wait is zero.
+    assert_eq!(
+        metrics
+            .get("histograms")
+            .and_then(|h| h.get("serve_request_queue_wait_ns"))
+            .and_then(|h| h.get("sum"))
+            .and_then(Json::as_f64),
+        Some(0.0)
+    );
+    // The engine-side stage histograms rode along in the merge.
+    assert!(
+        histogram_count(&metrics, "engine_chain_coarse_dp_ns") >= 3,
+        "{metrics:?}"
+    );
+
+    // The stats line right after sees the metrics line + itself.
+    let stats = parse_json(&client.request_line(r#"{"id":11,"cmd":"stats"}"#).unwrap()).unwrap();
+    assert_eq!(
+        stats.get("requests").unwrap().as_f64(),
+        Some((queue_count + 1) as f64),
+        "stats must lead the last metrics snapshot by exactly its own line"
+    );
+
+    // Across a reset epoch the equality holds from zero again.
+    let reset = parse_json(
+        &client
+            .request_line(r#"{"id":12,"cmd":"reset_stats"}"#)
+            .unwrap(),
+    )
+    .unwrap();
+    assert_eq!(reset.get("ok"), Some(&Json::Bool(true)));
+    let metrics =
+        parse_json(&client.request_line(r#"{"id":13,"cmd":"metrics"}"#).unwrap()).unwrap();
+    assert_eq!(
+        histogram_count(&metrics, "serve_request_queue_wait_ns"),
+        1,
+        "post-reset counts restart at this metrics line"
+    );
+    assert_eq!(histogram_count(&metrics, "serve_request_solve_ns"), 1);
+    let stats = parse_json(&client.request_line(r#"{"id":14,"cmd":"stats"}"#).unwrap()).unwrap();
+    assert_eq!(stats.get("requests").unwrap().as_f64(), Some(2.0));
+    server.shutdown();
 }
 
 #[test]
@@ -505,83 +451,6 @@ fn over_limit_connections_get_a_typed_busy_rejection() {
 }
 
 #[test]
-fn full_shard_queues_surface_typed_backpressure_errors() {
-    // One shard with a one-slot queue behind many connection workers:
-    // concurrent expensive requests must overflow the queue, and the
-    // overflow must surface as a typed `backpressure` error — never a
-    // hang, a dropped connection, or a wrong answer.
-    let config = ServeConfig {
-        workers: 6,
-        shards: 1,
-        queue_cap: 1,
-        ..ServeConfig::default()
-    };
-    let server = start_server(engine(), &config).unwrap();
-    let addr = server.addr();
-
-    let mut backpressured = 0u64;
-    for round in 0..10u64 {
-        let lines: Vec<String> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..6u64)
-                .map(|k| {
-                    let seed = 100 + round * 10 + k;
-                    scope.spawn(move || {
-                        // Fresh nets every round so nothing is cached
-                        // and every batch really occupies the shard.
-                        let nets = NetGenerator::suite(RandomNetConfig::default(), seed, 3)
-                            .unwrap()
-                            .iter()
-                            .map(|n| net_to_json(n).to_string())
-                            .collect::<Vec<_>>()
-                            .join(",");
-                        let request = format!(
-                            r#"{{"id":{seed},"cmd":"batch","nets":[{nets}],"target_mult":1.4}}"#
-                        );
-                        let mut client = Client::connect(addr).unwrap();
-                        client.request_line(&request).unwrap()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for line in lines {
-            let response = parse_json(&line).unwrap();
-            if response.get("ok") == Some(&Json::Bool(true)) {
-                continue;
-            }
-            assert_eq!(
-                response.get("code"),
-                Some(&Json::from("backpressure")),
-                "the only acceptable failure under overload is backpressure: {line}"
-            );
-            let error = response.get("error").and_then(Json::as_str).unwrap();
-            assert!(
-                error.contains("queue is full"),
-                "the backpressure line must say what overflowed: {line}"
-            );
-            assert!(
-                error.contains("cap 1"),
-                "the backpressure line must name the queue cap: {line}"
-            );
-            backpressured += 1;
-        }
-        if backpressured > 0 {
-            break;
-        }
-    }
-    assert!(
-        backpressured > 0,
-        "6 concurrent cold batches against a 1-slot queue never overflowed"
-    );
-    // The per-shard accounting saw the overflow too.
-    let snapshots = server.shard_snapshots();
-    assert_eq!(snapshots.len(), 1);
-    assert!(snapshots[0].errors >= backpressured);
-    assert!(snapshots[0].queue_high_water >= 1);
-    server.shutdown();
-}
-
-#[test]
 fn host_initiated_shutdown_drains_idle_workers() {
     let config = ServeConfig {
         workers: 3,
@@ -629,16 +498,25 @@ fn over_long_request_lines_get_a_typed_bad_request_before_close() {
 
 #[test]
 fn drain_finishes_in_flight_work_and_rejects_new_requests() {
+    // Every eligible request is held in flight by an injected delay far
+    // longer than the pause below, so the batch is still running when
+    // the drain lands however fast the solver is. Control requests and
+    // drain-rejected work are never delayed.
     let config = ServeConfig {
         workers: 4,
         drain_deadline_secs: 30,
+        faults: FaultPlan {
+            delay_every: 1,
+            delay_ms: 2_000,
+            ..FaultPlan::none()
+        },
         ..ServeConfig::default()
     };
     let server = start_server(engine(), &config).unwrap();
     let addr = server.addr();
 
-    // An expensive in-flight batch on its own connection: drain must
-    // let it finish, not cut it off.
+    // An in-flight batch on its own connection: drain must let it
+    // finish, not cut it off.
     let in_flight = std::thread::spawn(move || {
         let nets = NetGenerator::suite(RandomNetConfig::default(), 77, 4)
             .unwrap()
@@ -696,6 +574,11 @@ fn drain_finishes_in_flight_work_and_rejects_new_requests() {
         response.get("ok"),
         Some(&Json::Bool(true)),
         "drain must not cut in-flight work"
+    );
+    assert_eq!(
+        server.faults().injected_delays(),
+        1,
+        "only the batch may have been delayed"
     );
 
     // With every connection gone, the drain concludes well before its
