@@ -84,8 +84,9 @@ pub struct TreeBenchReport {
     pub library_widths: usize,
     /// Tree nodes solved per full DP pass (after subdivision).
     pub nodes_per_pass: u64,
-    /// Options created per full DP pass (both sides create identical
-    /// counts — pinned by the byte-identical check).
+    /// Options created per full DP pass by the production engine. The
+    /// reference creates as many, but this is a work counter, so the
+    /// equivalence check does not compare it.
     pub options_per_pass: u64,
     /// Run-time summary of the production (SoA frontier) tree DP.
     pub frontier: StatSummary,
@@ -108,8 +109,11 @@ pub struct TreeBenchReport {
     /// binding end to end (fresh engine per run, byte-identity-checked
     /// against per-tree sequential masked solves).
     pub masked_batch: StatSummary,
-    /// Whether both DP sides produced byte-identical solutions on every
-    /// tree — unmasked *and* masked (checked during warm-up).
+    /// Whether both DP sides gave the same answer on every tree,
+    /// unmasked *and* masked — the same buffer widths, delay and width
+    /// bits, as judged by [`reference::same_tree_solution`] (checked
+    /// during warm-up; work counters are not compared) — and the masked
+    /// batch matched sequential masked solves byte for byte.
     pub byte_identical: bool,
 }
 
@@ -278,7 +282,7 @@ pub fn run_tree_bench(config: TreeBenchConfig) -> TreeBenchReport {
         if pass == 0 {
             options_per_pass = a.iter().map(|s| s.stats.options_created).sum();
             for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                if format!("{x:?}") != format!("{y:?}") {
+                if !reference::same_tree_solution(x, y) {
                     eprintln!("tree {i}: frontier solution differs from reference!");
                     byte_identical = false;
                 }
@@ -337,11 +341,11 @@ pub fn run_tree_bench(config: TreeBenchConfig) -> TreeBenchReport {
     };
     {
         // Warm-up pass doubling as the masked equivalence + legality
-        // check: byte-identical solutions, no buffer on a blocked node.
+        // check: the same answers, no buffer on a blocked node.
         let a = solve_masked_frontier(&mut scratch);
         let b = solve_masked_reference();
         for (i, ((x, y), mask)) in a.iter().zip(&b).zip(&masks).enumerate() {
-            if format!("{x:?}") != format!("{y:?}") {
+            if !reference::same_tree_solution(x, y) {
                 eprintln!("masked tree {i}: frontier solution differs from reference!");
                 byte_identical = false;
             }

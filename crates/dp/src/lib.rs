@@ -21,10 +21,6 @@
 //!   chain engines on path topologies; like the chain sweep it runs on
 //!   the sorted struct-of-arrays frontier with a reusable
 //!   [`TreeScratch`] (`_with` entry points for batch callers);
-//! * [`Solver`] — the object-safe interface unifying all of the above
-//!   ([`ChainDpSolver`], [`TreeDpSolver`], [`BruteForceSolver`]), selected
-//!   by [`SolverKind`]. `rip_core`'s batch `Engine` and the
-//!   cross-validation suites drive engines through this trait;
 //! * [`DpScratch`] and the `_with` entry points
 //!   ([`solve_min_power_with`] etc.) — caller-managed scratch memory so
 //!   batch workloads allocate nothing after warm-up (the plain free
@@ -32,8 +28,9 @@
 //! * [`mod@reference`] — the seed chain sweep and the pre-SoA tree
 //!   engine ([`mod@reference::tree`]), kept verbatim so the sorted
 //!   struct-of-arrays frontiers that now power the production engines
-//!   stay pinned to byte-identical solutions and honestly measured
-//!   speedups (`BENCH_dp_frontier.json`, `BENCH_tree.json`).
+//!   stay pinned to the same answers ([`reference::same_solution`],
+//!   [`reference::same_tree_solution`]) and honestly measured speedups
+//!   (`BENCH_dp_frontier.json`, `BENCH_tree.json`).
 //!
 //! # Example
 //!
@@ -68,7 +65,6 @@ mod error;
 mod frontier;
 mod options;
 pub mod reference;
-mod solver;
 mod tree;
 
 pub use brute::{brute_min_delay, brute_min_power, brute_tree_min_delay, brute_tree_min_power};
@@ -79,9 +75,6 @@ pub use chain::{
 };
 pub use error::DpError;
 pub use frontier::DpScratch;
-pub use solver::{
-    solver_panel, BruteForceSolver, ChainDpSolver, SolveRequest, Solver, SolverKind, TreeDpSolver,
-};
 pub use tree::{
     tree_min_delay, tree_min_delay_with, tree_min_power, tree_min_power_with, TreeScratch,
     TreeSolution,

@@ -7,9 +7,8 @@
 //! candidate — for two jobs:
 //!
 //! * **equivalence**: `tests/frontier_equivalence.rs` pins the
-//!   production solver to byte-identical [`DpSolution`]s (assignments,
-//!   delays, widths *and* work counters) against this implementation on
-//!   a 50-net corpus;
+//!   production solver to the same answers as this implementation on a
+//!   50-net corpus, as judged by [`same_solution`];
 //! * **benchmarking**: `bench_dp_frontier` measures the production
 //!   solver against this one in the same process, so the recorded
 //!   speedup in `BENCH_dp_frontier.json` is machine-independent and
@@ -20,6 +19,9 @@
 //! clone+sort cross-merges) as the fixed point behind
 //! `tests/tree_frontier_equivalence.rs` and `BENCH_tree.json`.
 //!
+//! [`same_solution`] and [`same_tree_solution`] are the one definition
+//! of "same answer" that every equivalence test and bench gate uses.
+//!
 //! Do not "optimize" this module — its value is being the fixed point.
 
 pub mod tree;
@@ -28,9 +30,39 @@ use crate::candidates::CandidateSet;
 use crate::chain::{DpSolution, DpStats, Objective};
 use crate::error::DpError;
 use crate::options::{prune_2d, prune_3d, TraceArena, TRACE_ROOT};
+use crate::tree::TreeSolution;
 use rip_delay::{buffer_added_delay, wire_added_delay, Repeater, RepeaterAssignment};
 use rip_net::TwoPinNet;
 use rip_tech::{RepeaterDevice, RepeaterLibrary};
+
+/// Whether two chain solutions give the same answer: the same repeaters
+/// (positions and widths), delay and total width, bit for bit.
+///
+/// The work counters ([`DpStats`]) are not compared: they measure how an
+/// engine reached the answer, and a faster engine is meant to change
+/// them.
+pub fn same_solution(a: &DpSolution, b: &DpSolution) -> bool {
+    let (ra, rb) = (a.assignment.repeaters(), b.assignment.repeaters());
+    ra.len() == rb.len()
+        && ra.iter().zip(rb).all(|(x, y)| {
+            x.position.to_bits() == y.position.to_bits() && x.width.to_bits() == y.width.to_bits()
+        })
+        && a.delay_fs.to_bits() == b.delay_fs.to_bits()
+        && a.total_width.to_bits() == b.total_width.to_bits()
+}
+
+/// Whether two tree solutions give the same answer: the same buffer
+/// width on every node, delay and total width, bit for bit. Like
+/// [`same_solution`], it ignores the work counters.
+pub fn same_tree_solution(a: &TreeSolution, b: &TreeSolution) -> bool {
+    a.buffer_widths.len() == b.buffer_widths.len()
+        && a.buffer_widths
+            .iter()
+            .zip(&b.buffer_widths)
+            .all(|(x, y)| x.map(f64::to_bits) == y.map(f64::to_bits))
+        && a.delay_fs.to_bits() == b.delay_fs.to_bits()
+        && a.total_width.to_bits() == b.total_width.to_bits()
+}
 
 /// An in-flight DP option (internal to the reference sweep).
 #[derive(Debug, Clone, Copy)]
@@ -236,21 +268,59 @@ mod tests {
 
         let ref_fast = solve_min_delay(&net, tech.device(), &lib, &cands);
         let new_fast = crate::solve_min_delay(&net, tech.device(), &lib, &cands);
-        assert_eq!(
-            format!("{ref_fast:?}"),
-            format!("{new_fast:?}"),
-            "min-delay solutions must be byte-identical"
+        assert!(
+            same_solution(&ref_fast, &new_fast),
+            "min-delay solutions must be identical"
         );
 
         for mult in [1.1, 1.4, 2.0] {
             let target = ref_fast.delay_fs * mult;
             let a = solve_min_power(&net, tech.device(), &lib, &cands, target).unwrap();
             let b = crate::solve_min_power(&net, tech.device(), &lib, &cands, target).unwrap();
-            assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "mult {mult}: min-power solutions must be byte-identical"
+            assert!(
+                same_solution(&a, &b),
+                "mult {mult}: min-power solutions must be identical"
             );
         }
+    }
+
+    #[test]
+    fn same_answer_ignores_counters_but_not_one_ulp_or_a_moved_buffer() {
+        let bump = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let sol = DpSolution {
+            assignment: RepeaterAssignment::new(vec![Repeater::new(1000.0, 120.0)]).unwrap(),
+            delay_fs: 5.0e5,
+            total_width: 120.0,
+            stats: DpStats::default(),
+        };
+        let mut other = sol.clone();
+        other.stats.trace_nodes = 7;
+        assert!(same_solution(&sol, &other), "counters are not the answer");
+        other.delay_fs = bump(sol.delay_fs);
+        assert!(!same_solution(&sol, &other), "one-ulp delay change");
+        let mut moved = sol.clone();
+        moved.assignment = RepeaterAssignment::new(vec![Repeater::new(1200.0, 120.0)]).unwrap();
+        assert!(!same_solution(&sol, &moved), "repeater moved");
+
+        let tree = TreeSolution {
+            buffer_widths: vec![None, Some(120.0), None],
+            delay_fs: 5.0e5,
+            total_width: 120.0,
+            stats: DpStats::default(),
+        };
+        let mut other = tree.clone();
+        other.stats.options_created = 42;
+        assert!(
+            same_tree_solution(&tree, &other),
+            "counters are not the answer"
+        );
+        other.delay_fs = bump(tree.delay_fs);
+        assert!(!same_tree_solution(&tree, &other), "one-ulp delay change");
+        let mut moved = tree.clone();
+        moved.buffer_widths = vec![None, None, Some(120.0)];
+        assert!(
+            !same_tree_solution(&tree, &moved),
+            "buffer moved to another node"
+        );
     }
 }

@@ -7,9 +7,9 @@
 //! (`prune_2d`/`prune_3d`) cross-merges — for two jobs:
 //!
 //! * **equivalence**: `tests/tree_frontier_equivalence.rs` pins the
-//!   production tree solver to byte-identical
-//!   [`TreeSolution`]s (buffer assignments, delays, widths *and* work
-//!   counters) against this implementation on a 50-tree corpus;
+//!   production tree solver to the same [`TreeSolution`]s as this
+//!   implementation on a 50-tree corpus, as judged by
+//!   [`same_tree_solution`](super::same_tree_solution);
 //! * **benchmarking**: `bench_tree` measures the production solver
 //!   against this one in the same process, so the recorded speedup in
 //!   `BENCH_tree.json` is machine-independent and reproducible
@@ -463,20 +463,18 @@ mod tests {
 
         let ref_fast = tree_min_delay(&tree, tech.device(), 120.0, &lib, None).unwrap();
         let new_fast = crate::tree_min_delay(&tree, tech.device(), 120.0, &lib, None).unwrap();
-        assert_eq!(
-            format!("{ref_fast:?}"),
-            format!("{new_fast:?}"),
-            "min-delay tree solutions must be byte-identical"
+        assert!(
+            crate::reference::same_tree_solution(&ref_fast, &new_fast),
+            "min-delay tree solutions must be identical"
         );
 
         for mult in [1.1, 1.4, 2.0] {
             let target = ref_fast.delay_fs * mult;
             let a = tree_min_power(&tree, tech.device(), 120.0, &lib, None, target).unwrap();
             let b = crate::tree_min_power(&tree, tech.device(), 120.0, &lib, None, target).unwrap();
-            assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "mult {mult}: min-power tree solutions must be byte-identical"
+            assert!(
+                crate::reference::same_tree_solution(&a, &b),
+                "mult {mult}: min-power tree solutions must be identical"
             );
         }
     }

@@ -19,22 +19,27 @@
 //!   columns (the child frontier is consumed exactly once, by its
 //!   parent, so it can be lifted where it lies);
 //! * branch cross-merges stage the products in a reusable buffer and
-//!   prune with an in-place unstable sort on the full key plus a
-//!   generation sequence number (order-equivalent to the reference's
-//!   clone + stable sort, without either allocation) followed by a
-//!   single binary-search [`Staircase`] dominance sweep;
+//!   prune with an in-place unstable sort on the full key plus the
+//!   product's source indices `(a, b)` (generation order, so the sort is
+//!   order-equivalent to the reference's clone + stable sort, without
+//!   either allocation) followed by a single binary-search [`Staircase`]
+//!   dominance sweep;
 //! * the buffer-insert step reuses the chain engine's width buckets
 //!   ([`BucketItem`], `reduce_bucket_2d`/`_3d`) and the node combine is
 //!   the chain engine's linear `merge_prune_2d`/`_3d`.
 //!
+//! Traces are lazy, as in the chain sweep: a staged product carries only
+//! its source indices and a fresh insertion only its pending width, and
+//! the trace arena records a join or a buffer only for options that
+//! survive pruning.
+//!
 //! The previous engine survives verbatim as [`crate::reference::tree`]
-//! and `tests/tree_frontier_equivalence.rs` pins both to byte-identical
-//! [`TreeSolution`]s (assignments, float bits, work counters): the trace
-//! arena is still filled eagerly in generation order and every float
-//! expression matches the reference, so only the work to compute the
-//! same survivors changes.
+//! and `tests/tree_frontier_equivalence.rs` pins both to the same
+//! answers ([`crate::reference::same_tree_solution`]: buffer widths,
+//! delay and width bits). Every float expression matches the reference,
+//! so only the work to compute the same survivors changes.
 
-use crate::chain::DpStats;
+use crate::chain::{DpStats, Objective};
 use crate::error::DpError;
 use crate::frontier::{
     cmp_f64, merge_prune_2d, merge_prune_3d, reduce_bucket_2d, reduce_bucket_3d, BucketItem,
@@ -123,25 +128,24 @@ impl TArena {
     }
 }
 
-/// Tree objective selector (mirrors the chain [`crate::Objective`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum TreeMode {
-    MinDelay,
-    MinPower { target_fs: f64 },
-}
-
-/// One staged cross-merge product before pruning. `seq` records
-/// generation order so an in-place unstable sort on the full
-/// `(cap, delay[, width], seq)` key reproduces the reference pruner's
-/// stable sort without its clone or temporary allocation.
+/// One staged cross-merge product before pruning: accumulator option `a`
+/// joined with child store option `b`. Products are generated a-outer,
+/// b-inner, so an in-place unstable sort on the full
+/// `(cap, delay[, width], a, b)` key reproduces the reference pruner's
+/// stable sort without its clone or temporary allocation, and the trace
+/// join can wait until the product survives.
 #[derive(Debug, Clone, Copy)]
 struct CrossItem {
     cap: f64,
     delay: f64,
     width: f64,
-    trace: u32,
-    seq: u32,
+    a: u32,
+    b: u32,
 }
+
+// The staging buffer holds the largest allocation of a paper-scale
+// solve; the lazy trace must not widen it.
+const _: () = assert!(std::mem::size_of::<CrossItem>() == 32);
 
 /// Reusable working memory for the tree DP: the per-node frontier store
 /// (one append-only SoA arena plus `(start, len)` ranges), the running
@@ -194,7 +198,8 @@ pub struct TreeScratch {
     products: Vec<CrossItem>,
     /// Fresh buffer-insertion options (bucketed, sorted).
     fresh: OptionBuf,
-    /// Merge output buffer for `merge_prune_2d`/`_3d`.
+    /// Output buffer for the cross-merge survivors and for
+    /// `merge_prune_2d`/`_3d`.
     merged: OptionBuf,
     /// Per-width generation bucket.
     bucket: Vec<BucketItem>,
@@ -235,45 +240,45 @@ thread_local! {
 }
 
 /// Prunes the staged cross-merge products to their non-dominated
-/// frontier and writes the survivors (sorted, reference order) into
-/// `acc`: an in-place unstable sort on `(cap, delay[, width], seq)` —
+/// frontier and emits the survivors in sorted, reference order: an
+/// in-place unstable sort on `(cap, delay[, width], a, b)` —
 /// order-equivalent to the reference's stable `prune_2d`/`prune_3d`
 /// sort — followed by one linear dominance sweep (min-delay record in
 /// 2D, binary-search [`Staircase`] in 3D).
 fn cross_merge_prune(
     products: &mut [CrossItem],
-    acc: &mut OptionBuf,
-    mode: TreeMode,
+    objective: Objective,
     stairs: &mut Staircase,
+    mut emit: impl FnMut(&CrossItem),
 ) {
-    acc.clear();
-    match mode {
-        TreeMode::MinDelay => {
-            products.sort_unstable_by(|a, b| {
-                cmp_f64(a.cap, b.cap)
-                    .then_with(|| cmp_f64(a.delay, b.delay))
-                    .then_with(|| a.seq.cmp(&b.seq))
+    let generation = |x: &CrossItem, y: &CrossItem| (x.a, x.b).cmp(&(y.a, y.b));
+    match objective {
+        Objective::MinDelay => {
+            products.sort_unstable_by(|x, y| {
+                cmp_f64(x.cap, y.cap)
+                    .then_with(|| cmp_f64(x.delay, y.delay))
+                    .then_with(|| generation(x, y))
             });
             let mut best_delay = f64::INFINITY;
             for p in products.iter() {
                 if p.delay < best_delay {
                     best_delay = p.delay;
-                    acc.push(p.cap, p.delay, p.width, p.trace, f64::NAN);
+                    emit(p);
                 }
             }
         }
-        TreeMode::MinPower { .. } => {
-            products.sort_unstable_by(|a, b| {
-                cmp_f64(a.cap, b.cap)
-                    .then_with(|| cmp_f64(a.delay, b.delay))
-                    .then_with(|| cmp_f64(a.width, b.width))
-                    .then_with(|| a.seq.cmp(&b.seq))
+        Objective::MinPowerUnderDelay { .. } => {
+            products.sort_unstable_by(|x, y| {
+                cmp_f64(x.cap, y.cap)
+                    .then_with(|| cmp_f64(x.delay, y.delay))
+                    .then_with(|| cmp_f64(x.width, y.width))
+                    .then_with(|| generation(x, y))
             });
             stairs.clear();
             for p in products.iter() {
                 if !stairs.dominates(p.delay, p.width) {
                     stairs.insert(p.delay, p.width);
-                    acc.push(p.cap, p.delay, p.width, p.trace, f64::NAN);
+                    emit(p);
                 }
             }
         }
@@ -354,7 +359,7 @@ pub fn tree_min_delay_with(
         driver_width,
         library,
         allowed,
-        TreeMode::MinDelay,
+        Objective::MinDelay,
     )
 }
 
@@ -414,7 +419,7 @@ pub fn tree_min_power_with(
         driver_width,
         library,
         allowed,
-        TreeMode::MinPower { target_fs },
+        Objective::MinPowerUnderDelay { target_fs },
     )
 }
 
@@ -425,7 +430,7 @@ fn solve_tree(
     driver_width: f64,
     library: &RepeaterLibrary,
     allowed: Option<&[bool]>,
-    mode: TreeMode,
+    objective: Objective,
 ) -> Result<TreeSolution, DpError> {
     if let Some(mask) = allowed {
         if mask.len() != tree.len() {
@@ -436,9 +441,9 @@ fn solve_tree(
         }
     }
     let buffer_ok = |v: usize| v != 0 && allowed.map_or(true, |m| m[v]);
-    let target = match mode {
-        TreeMode::MinDelay => None,
-        TreeMode::MinPower { target_fs } => Some(target_fs),
+    let target = match objective {
+        Objective::MinDelay => None,
+        Objective::MinPowerUnderDelay { target_fs } => Some(target_fs),
     };
 
     scratch.reset(tree.len());
@@ -486,8 +491,7 @@ fn solve_tree(
                     store.cap[i] = c + wire.capacitance;
                 }
                 // Stage the cross products in generation order (acc
-                // outer, child inner — identical to the reference, so
-                // the eager trace arena fills identically too).
+                // outer, child inner — identical to the reference).
                 products.clear();
                 for a in 0..acc.len() {
                     for b in start..end {
@@ -495,18 +499,24 @@ fn solve_tree(
                         if target.is_some_and(|t| delay > t) {
                             continue;
                         }
-                        let seq = products.len() as u32;
                         products.push(CrossItem {
                             cap: acc.cap[a] + store.cap[b],
                             delay,
                             width: acc.width[a] + store.width[b],
-                            trace: arena.join(acc.trace[a], store.trace[b]),
-                            seq,
+                            a: a as u32,
+                            b: b as u32,
                         });
                     }
                 }
                 stats.options_created += products.len() as u64;
-                cross_merge_prune(products, acc, mode, stairs);
+                // Join traces for survivors only; they go to `merged`
+                // so `acc.trace` stays readable until the swap.
+                merged.clear();
+                cross_merge_prune(products, objective, stairs, |p| {
+                    let trace = arena.join(acc.trace[p.a as usize], store.trace[p.b as usize]);
+                    merged.push(p.cap, p.delay, p.width, trace, f64::NAN);
+                });
+                std::mem::swap(acc, merged);
             }
 
             if v == 0 {
@@ -523,8 +533,8 @@ fn solve_tree(
             // Buffered at v: the buffer drives the merged subtree;
             // upstream sees tap + buffer input cap. Generated per width
             // bucket (each bucket shares its cap and is reduced to its
-            // sub-frontier), with the traceback allocated eagerly as the
-            // reference engine does.
+            // sub-frontier), carrying the parent trace and the width as a
+            // pending insert.
             let tap = tree.sink_cap(v);
             fresh.clear();
             let mut created = acc.len() as u64;
@@ -543,17 +553,17 @@ fn solve_tree(
                         bucket.push(BucketItem {
                             delay,
                             width: acc.width[i] + w,
-                            trace: arena.buffer(v, w, acc.trace[i]),
+                            trace: acc.trace[i],
                             seq,
                         });
                     }
                     created += bucket.len() as u64;
-                    match mode {
-                        TreeMode::MinDelay => reduce_bucket_2d(bucket, |item| {
-                            fresh.push(new_cap, item.delay, item.width, item.trace, f64::NAN);
+                    match objective {
+                        Objective::MinDelay => reduce_bucket_2d(bucket, |item| {
+                            fresh.push(new_cap, item.delay, item.width, item.trace, w);
                         }),
-                        TreeMode::MinPower { .. } => reduce_bucket_3d(bucket, |item| {
-                            fresh.push(new_cap, item.delay, item.width, item.trace, f64::NAN);
+                        Objective::MinPowerUnderDelay { .. } => reduce_bucket_3d(bucket, |item| {
+                            fresh.push(new_cap, item.delay, item.width, item.trace, w);
                         }),
                     }
                 }
@@ -565,9 +575,17 @@ fn solve_tree(
             for i in 0..acc.len() {
                 acc.cap[i] += tap;
             }
-            match mode {
-                TreeMode::MinDelay => merge_prune_2d(acc, fresh, merged),
-                TreeMode::MinPower { .. } => merge_prune_3d(acc, fresh, merged, stairs),
+            match objective {
+                Objective::MinDelay => merge_prune_2d(acc, fresh, merged),
+                Objective::MinPowerUnderDelay { .. } => merge_prune_3d(acc, fresh, merged, stairs),
+            }
+            // Materialize traces only for surviving fresh insertions.
+            for i in 0..acc.len() {
+                let pending = acc.pending[i];
+                if !pending.is_nan() {
+                    acc.trace[i] = arena.buffer(v, pending, acc.trace[i]);
+                    acc.pending[i] = f64::NAN;
+                }
             }
             stats.options_peak = stats.options_peak.max(acc.len());
             // Park the finished frontier in the store arena.
@@ -578,8 +596,8 @@ fn solve_tree(
         // Final selection over the root frontier, with the reference's
         // exact comparator and `min_by` tie semantics.
         let finals = acc;
-        match mode {
-            TreeMode::MinDelay => (0..finals.len()).min_by(|&a, &b| {
+        match objective {
+            Objective::MinDelay => (0..finals.len()).min_by(|&a, &b| {
                 finals.delay[a]
                     .partial_cmp(&finals.delay[b])
                     .expect("finite delays")
@@ -589,7 +607,7 @@ fn solve_tree(
                             .expect("finite widths"),
                     )
             }),
-            TreeMode::MinPower { target_fs } => (0..finals.len())
+            Objective::MinPowerUnderDelay { target_fs } => (0..finals.len())
                 .filter(|&i| finals.delay[i] <= target_fs)
                 .min_by(|&a, &b| {
                     finals.width[a]
@@ -615,7 +633,7 @@ fn solve_tree(
                 driver_width,
                 library,
                 allowed,
-                TreeMode::MinDelay,
+                Objective::MinDelay,
             )?;
             return Err(DpError::InfeasibleTarget {
                 target_fs: target.expect("only the power mode can be infeasible"),
@@ -870,6 +888,8 @@ mod tests {
         ((*state >> 33) as f64 / (1u64 << 31) as f64 * 8.0).round()
     }
 
+    const POWER: Objective = Objective::MinPowerUnderDelay { target_fs: 1.0 };
+
     fn naive_pareto_2d(items: &[(f64, f64)]) -> Vec<(f64, f64)> {
         let mut out: Vec<(f64, f64)> = items
             .iter()
@@ -903,7 +923,6 @@ mod tests {
         // set-identical to the naive oracle — mirroring the chain
         // engine's prune_2d/prune_3d fuzz suites.
         let mut state = 0xC0FFEEu64;
-        let mut acc = OptionBuf::default();
         let mut stairs = Staircase::new();
         for round in 0..50 {
             let n = 1 + (round * 5) % 80;
@@ -912,13 +931,15 @@ mod tests {
                     cap: lcg(&mut state),
                     delay: lcg(&mut state),
                     width: 0.0,
-                    trace: s,
-                    seq: s,
+                    a: s / 8,
+                    b: s % 8,
                 })
                 .collect();
             let items: Vec<(f64, f64)> = products.iter().map(|p| (p.cap, p.delay)).collect();
-            cross_merge_prune(&mut products, &mut acc, TreeMode::MinDelay, &mut stairs);
-            let got: Vec<(f64, f64)> = (0..acc.len()).map(|i| (acc.cap[i], acc.delay[i])).collect();
+            let mut got: Vec<(f64, f64)> = Vec::new();
+            cross_merge_prune(&mut products, Objective::MinDelay, &mut stairs, |p| {
+                got.push((p.cap, p.delay));
+            });
             assert!(
                 got.windows(2).all(|w| w[0] <= w[1]),
                 "round {round}: survivors not sorted"
@@ -941,7 +962,6 @@ mod tests {
     #[test]
     fn cross_merge_fuzz_matches_naive_oracle_min_power() {
         let mut state = 0xBEEFu64;
-        let mut acc = OptionBuf::default();
         let mut stairs = Staircase::new();
         for round in 0..50 {
             let n = 1 + (round * 7) % 100;
@@ -950,17 +970,16 @@ mod tests {
                     cap: lcg(&mut state),
                     delay: lcg(&mut state),
                     width: lcg(&mut state),
-                    trace: s,
-                    seq: s,
+                    a: s / 8,
+                    b: s % 8,
                 })
                 .collect();
             let items: Vec<(f64, f64, f64)> =
                 products.iter().map(|p| (p.cap, p.delay, p.width)).collect();
-            let mode = TreeMode::MinPower { target_fs: 1.0 };
-            cross_merge_prune(&mut products, &mut acc, mode, &mut stairs);
-            let got: Vec<(f64, f64, f64)> = (0..acc.len())
-                .map(|i| (acc.cap[i], acc.delay[i], acc.width[i]))
-                .collect();
+            let mut got: Vec<(f64, f64, f64)> = Vec::new();
+            cross_merge_prune(&mut products, POWER, &mut stairs, |p| {
+                got.push((p.cap, p.delay, p.width));
+            });
             assert!(
                 got.windows(2).all(|w| w[0] <= w[1]),
                 "round {round}: survivors not sorted"
@@ -982,27 +1001,27 @@ mod tests {
 
     #[test]
     fn cross_merge_collapses_duplicates_to_the_earliest_record() {
-        let mut acc = OptionBuf::default();
         let mut stairs = Staircase::new();
-        let mut products = vec![
-            CrossItem {
-                cap: 1.0,
-                delay: 2.0,
-                width: 3.0,
-                trace: 7,
-                seq: 0,
-            },
-            CrossItem {
-                cap: 1.0,
-                delay: 2.0,
-                width: 3.0,
-                trace: 9,
-                seq: 1,
-            },
-        ];
-        let mode = TreeMode::MinPower { target_fs: 1.0 };
-        cross_merge_prune(&mut products, &mut acc, mode, &mut stairs);
-        assert_eq!(acc.len(), 1);
-        assert_eq!(acc.trace, vec![7], "generation-earliest duplicate survives");
+        let item = |a, b| CrossItem {
+            cap: 1.0,
+            delay: 2.0,
+            width: 3.0,
+            a,
+            b,
+        };
+        // Staged out of generation order: the (a, b) key, not the slot,
+        // decides which duplicate survives.
+        let mut products = vec![item(1, 0), item(0, 5), item(0, 2)];
+        for objective in [Objective::MinDelay, POWER] {
+            let mut survivors = Vec::new();
+            cross_merge_prune(&mut products, objective, &mut stairs, |p| {
+                survivors.push((p.a, p.b));
+            });
+            assert_eq!(
+                survivors,
+                vec![(0, 2)],
+                "{objective:?}: generation-earliest duplicate survives"
+            );
+        }
     }
 }

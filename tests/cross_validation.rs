@@ -2,17 +2,60 @@
 //!
 //! * chain DP vs the exhaustive brute-force oracle;
 //! * tree DP vs chain DP on path-shaped trees;
+//! * both on a zoned net too, and on infeasible and invalid targets;
 //! * RC-profile interval algebra vs the paper's pi-ladder double sum;
 //! * analytic sensitivities vs finite differences (random nets).
 
 use rip_core::prelude::*;
 use rip_delay::{evaluate, stage_delay, ChainView};
-use rip_dp::{brute_min_delay, brute_min_power, solve_min_delay, solve_min_power};
+use rip_dp::{brute_min_delay, brute_min_power, solve_min_delay, solve_min_power, DpError};
 use rip_net::Side;
 use rip_tech::{RepeaterLibrary, Technology};
 
 fn tech() -> Technology {
     Technology::generic_180nm()
+}
+
+/// A 6 mm two-layer net whose middle third forbids repeaters.
+fn zoned_net() -> TwoPinNet {
+    NetBuilder::new()
+        .segment(Segment::new(3000.0, 0.08, 0.20))
+        .segment(Segment::new(3000.0, 0.06, 0.18))
+        .forbidden_zone(2000.0, 4000.0)
+        .unwrap()
+        .build()
+        .unwrap()
+}
+
+/// Power-mode target multiples of `τ_min`: feasible ones, an
+/// infeasible one, and an invalid (negative) one.
+const TARGET_MULTS: [f64; 5] = [1.1, 1.5, 2.0, 0.5, -1.0];
+
+/// Both engines answered alike: the same width, or the same error kind,
+/// and a solution exactly when the target is at least `τ_min`.
+fn assert_same_power_outcome(
+    what: &str,
+    a: Result<f64, DpError>,
+    b: Result<f64, DpError>,
+    mult: f64,
+) {
+    assert_eq!(
+        a.is_ok(),
+        mult >= 1.0,
+        "{what}: feasibility at {mult}: {a:?}"
+    );
+    match (a, b) {
+        (Ok(a), Ok(b)) => assert!(
+            (a - b).abs() < 1e-9,
+            "{what}: min-power width mismatch at {mult}: {a} vs {b}"
+        ),
+        (Err(a), Err(b)) => assert_eq!(
+            std::mem::discriminant(&a),
+            std::mem::discriminant(&b),
+            "{what}: error kinds differ at {mult}: {a:?} vs {b:?}"
+        ),
+        (a, b) => panic!("{what}: feasibility disagreement at {mult}: {a:?} vs {b:?}"),
+    }
 }
 
 #[test]
@@ -23,7 +66,8 @@ fn chain_dp_equals_brute_force_on_random_tiny_instances() {
         segment_length_um: (800.0, 1500.0),
         ..RandomNetConfig::default()
     };
-    let nets = NetGenerator::suite(config, 31, 4).unwrap();
+    let mut nets = NetGenerator::suite(config, 31, 4).unwrap();
+    nets.push(zoned_net());
     let lib = RepeaterLibrary::from_widths([60.0, 160.0, 320.0]).unwrap();
     for net in &nets {
         // <= 5 candidates keeps brute force tractable: (3+1)^5 = 1024.
@@ -39,21 +83,16 @@ fn chain_dp_equals_brute_force_on_random_tiny_instances() {
             dp.delay_fs,
             brute.delay_fs
         );
+        dp.assignment.validate_on(net).unwrap();
 
-        for mult in [1.1, 1.5, 2.0] {
+        for mult in TARGET_MULTS {
             let target = brute.delay_fs * mult;
-            let dp = solve_min_power(net, tech.device(), &lib, &cands, target);
-            let bf = brute_min_power(net, tech.device(), &lib, &cands, target);
-            match (dp, bf) {
-                (Ok(a), Ok(b)) => assert!(
-                    (a.total_width - b.total_width).abs() < 1e-9,
-                    "min-power mismatch at {mult}: dp {} vs brute {}",
-                    a.total_width,
-                    b.total_width
-                ),
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!("feasibility disagreement at {mult}: {a:?} vs {b:?}"),
-            }
+            assert_same_power_outcome(
+                "chain dp vs brute",
+                solve_min_power(net, tech.device(), &lib, &cands, target).map(|s| s.total_width),
+                brute_min_power(net, tech.device(), &lib, &cands, target).map(|s| s.total_width),
+                mult,
+            );
         }
     }
 }
@@ -61,7 +100,8 @@ fn chain_dp_equals_brute_force_on_random_tiny_instances() {
 #[test]
 fn tree_dp_agrees_with_chain_dp_on_path_topologies() {
     let tech = tech();
-    let nets = NetGenerator::suite(RandomNetConfig::default(), 33, 3).unwrap();
+    let mut nets = NetGenerator::suite(RandomNetConfig::default(), 33, 3).unwrap();
+    nets.push(zoned_net());
     let lib = RepeaterLibrary::from_widths([50.0, 120.0, 250.0]).unwrap();
     for net in &nets {
         let cands = CandidateSet::uniform(net, 1000.0);
@@ -89,17 +129,23 @@ fn tree_dp_agrees_with_chain_dp_on_path_topologies() {
             tree_sol.delay_fs
         );
 
-        let target = chain.delay_fs * 1.5;
-        let chain_p = solve_min_power(net, tech.device(), &lib, &cands, target).unwrap();
-        let tree_p =
-            rip_dp::tree_min_power(&tree, tech.device(), net.driver_width(), &lib, None, target)
-                .unwrap();
-        assert!(
-            (chain_p.total_width - tree_p.total_width).abs() < 1e-9,
-            "path-tree min-power mismatch: {} vs {}",
-            chain_p.total_width,
-            tree_p.total_width
-        );
+        for mult in TARGET_MULTS {
+            let target = chain.delay_fs * mult;
+            assert_same_power_outcome(
+                "chain dp vs path tree dp",
+                solve_min_power(net, tech.device(), &lib, &cands, target).map(|s| s.total_width),
+                rip_dp::tree_min_power(
+                    &tree,
+                    tech.device(),
+                    net.driver_width(),
+                    &lib,
+                    None,
+                    target,
+                )
+                .map(|s| s.total_width),
+                mult,
+            );
+        }
     }
 }
 

@@ -1,12 +1,14 @@
-//! The SoA tree DP must be *byte-identical* to the frozen pre-SoA
-//! engine (`rip_dp::reference::tree`) — same buffer assignments, same
-//! float bits, same work counters — across a 50-tree determinism
-//! corpus.
+//! The SoA tree DP must give the same answers as the frozen pre-SoA
+//! engine (`rip_dp::reference::tree`) across a 50-tree determinism
+//! corpus: the same buffer on every node, delay and width, bit for bit
+//! (`reference::same_tree_solution`).
 //!
-//! The `Debug` rendering pins every float bit: if any pruning decision,
-//! tie-break, or counter diverges, these tests name the tree and target
-//! that exposed it. Trees are generated from the paper-distribution
-//! tree suite, subdivided into candidate buffer sites, and solved both
+//! Work counters are not compared for equality: they measure how an
+//! engine reached the answer, and the production engine's lazy traces
+//! are meant to record fewer trace nodes. If any pruning decision or
+//! tie-break diverges, these tests name the tree and target that
+//! exposed it. Trees are generated from the paper-distribution tree
+//! suite, subdivided into candidate buffer sites, and solved both
 //! unmasked and under each net's forbidden-node mask (on the raw
 //! topology, where the mask indices align).
 
@@ -29,10 +31,9 @@ fn min_delay_is_byte_identical_to_reference_on_50_tree_corpus() {
         let old =
             reference::tree::tree_min_delay(&sites, tech.device(), net.driver_width(), &lib, None)
                 .unwrap();
-        assert_eq!(
-            format!("{new:?}"),
-            format!("{old:?}"),
-            "tree {i}: min-delay solution diverged from the reference engine"
+        assert!(
+            reference::same_tree_solution(&new, &old),
+            "tree {i}: min-delay solution diverged from the reference engine:\n{new:?}\n{old:?}"
         );
     }
 }
@@ -41,6 +42,7 @@ fn min_delay_is_byte_identical_to_reference_on_50_tree_corpus() {
 fn min_power_is_byte_identical_to_reference_on_50_tree_corpus() {
     let tech = Technology::generic_180nm();
     let lib = RepeaterLibrary::paper_coarse();
+    let mut fewer_trace_nodes = false;
     for (i, net) in corpus().iter().enumerate() {
         let (sites, _) = RcTree::from_tree_net(net, tech.device()).subdivided(200.0);
         let tau_min =
@@ -67,13 +69,25 @@ fn min_power_is_byte_identical_to_reference_on_50_tree_corpus() {
                 target,
             )
             .unwrap();
-            assert_eq!(
-                format!("{new:?}"),
-                format!("{old:?}"),
-                "tree {i} mult {mult}: min-power solution diverged from the reference engine"
+            assert!(
+                reference::same_tree_solution(&new, &old),
+                "tree {i} mult {mult}: min-power solution diverged from the reference engine:\n{new:?}\n{old:?}"
             );
+            // Traces are joined only for survivors, never more often
+            // than the reference's eager arena.
+            assert!(
+                new.stats.trace_nodes <= old.stats.trace_nodes,
+                "tree {i} mult {mult}: {} trace nodes vs the reference's {}",
+                new.stats.trace_nodes,
+                old.stats.trace_nodes
+            );
+            fewer_trace_nodes |= new.stats.trace_nodes < old.stats.trace_nodes;
         }
     }
+    assert!(
+        fewer_trace_nodes,
+        "lazy traces saved no trace node on any tree"
+    );
 }
 
 #[test]
@@ -95,10 +109,9 @@ fn masked_solves_stay_byte_identical() {
             Some(&mask),
         )
         .unwrap();
-        assert_eq!(
-            format!("{new:?}"),
-            format!("{old:?}"),
-            "tree {i}: masked min-delay diverged from the reference engine"
+        assert!(
+            reference::same_tree_solution(&new, &old),
+            "tree {i}: masked min-delay diverged from the reference engine:\n{new:?}\n{old:?}"
         );
         for (v, ok) in mask.iter().enumerate() {
             assert!(
