@@ -35,10 +35,8 @@ pub struct TreeBenchConfig {
     pub target_mult: f64,
     /// Timed `Engine::solve_tree_batch` runs (each on a fresh engine).
     pub batch_runs: usize,
-    /// Trees fed to the batch-pipeline leg (a prefix of the corpus).
-    /// The full hybrid pipeline is orders of magnitude heavier per tree
-    /// than the raw DP (fine 50 µm subdivision, enriched libraries), so
-    /// the batch leg samples rather than sweeps.
+    /// Trees fed to the batch-pipeline leg (a prefix of the corpus; the
+    /// full preset sweeps the whole corpus).
     pub batch_trees: usize,
     /// Trees fed to the **masked** batch-pipeline leg (a prefix of the
     /// corpus, each tree's paper-distribution forbidden-node mask in
@@ -67,9 +65,9 @@ impl TreeBenchConfig {
                 warmup: 2,
                 step_um: 200.0,
                 target_mult: 1.3,
-                batch_runs: 1,
-                batch_trees: 6,
-                masked_batch_trees: 6,
+                batch_runs: 3,
+                batch_trees: 30,
+                masked_batch_trees: 30,
             }
         }
     }
@@ -84,9 +82,10 @@ pub struct TreeBenchReport {
     pub library_widths: usize,
     /// Tree nodes solved per full DP pass (after subdivision).
     pub nodes_per_pass: u64,
-    /// Options created per full DP pass by the production engine. The
-    /// reference creates as many, but this is a work counter, so the
-    /// equivalence check does not compare it.
+    /// Options created per full DP pass by the production engine (at
+    /// most the reference's count, since the bound and the merge walks
+    /// only skip work; a work counter, so the equivalence check does not
+    /// compare it).
     pub options_per_pass: u64,
     /// Run-time summary of the production (SoA frontier) tree DP.
     pub frontier: StatSummary,

@@ -762,9 +762,26 @@ pub struct ProfileStage {
     pub total_ns: u64,
 }
 
+/// One fine tree-DP work counter in a profile run (a count per fine
+/// solve, not a time).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProfileWork {
+    /// The metric name in the engine registry
+    /// (e.g. `engine_tree_fine_options`).
+    pub metric: String,
+    /// Human-readable label.
+    pub label: String,
+    /// Fine solves observed.
+    pub solves: u64,
+    /// Sum over those solves.
+    pub total: u64,
+    /// p99 over those solves (log2-bucket upper bound).
+    pub p99: u64,
+}
+
 /// The measured result behind `rip profile`: per-stage totals of the
 /// hybrid tree pipeline over a seeded corpus, against the wall clock of
-/// the timed loop.
+/// the timed loop, plus the fine tree DP's work counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
     /// Trees solved in the timed loop.
@@ -775,6 +792,8 @@ pub struct ProfileReport {
     pub wall_ns: u64,
     /// Per-stage totals, pipeline order.
     pub stages: Vec<ProfileStage>,
+    /// Fine tree-DP work per solve.
+    pub dp_work: Vec<ProfileWork>,
     /// Engine cache hits during the timed loop (latency nested inside
     /// the stage timers, so not part of [`Self::coverage`]).
     pub cache_hits: u64,
@@ -819,6 +838,16 @@ impl ProfileReport {
             self.cache_hits,
             self.cache_misses,
         );
+        let mut work = TextTable::new(vec!["Fine DP work", "Solves", "Mean", "p99 (<=)"]);
+        for w in &self.dp_work {
+            work.row(vec![
+                w.label.clone(),
+                format!("{}", w.solves),
+                format!("{:.0}", w.total as f64 / w.solves.max(1) as f64),
+                format!("{}", w.p99),
+            ]);
+        }
+        out.push_str(&work.to_string());
         out
     }
 }
@@ -831,6 +860,16 @@ const PROFILE_STAGES: [(&str, &str); 5] = [
     ("engine_tree_trim_ns", "window trim"),
     ("engine_tree_window_gen_ns", "window-set generation"),
     ("engine_tree_fine_dp_ns", "fine DP re-solves"),
+];
+
+/// The fine tree-DP work histograms `rip profile` reports after the
+/// stages (counts per fine solve, not part of the wall-clock coverage).
+const PROFILE_DP_WORK: [(&str, &str); 2] = [
+    ("engine_tree_fine_options", "options created"),
+    (
+        "engine_tree_merge_products_max",
+        "largest branch-merge staging",
+    ),
 ];
 
 /// Runs the profile workload: a seeded compact masked-tree corpus
@@ -887,11 +926,25 @@ pub fn run_profile(opts: &ProfileOptions) -> Result<ProfileReport, CliError> {
             }
         })
         .collect();
+    let dp_work = PROFILE_DP_WORK
+        .iter()
+        .map(|(metric, label)| {
+            let h = snapshot.histogram(metric).copied().unwrap_or_default();
+            ProfileWork {
+                metric: (*metric).to_string(),
+                label: (*label).to_string(),
+                solves: h.count,
+                total: h.sum,
+                p99: h.quantile(0.99),
+            }
+        })
+        .collect();
     Ok(ProfileReport {
         trees: count,
         seed,
         wall_ns: wall_ns.max(1),
         stages,
+        dp_work,
         cache_hits: snapshot
             .histogram("engine_cache_hit_ns")
             .map(|h| h.count)
@@ -1208,9 +1261,14 @@ node 2 0.08 0.20 1400 sink 50 blocked
             "stage timers must explain >= 90% of profile wall time, got {:.1}%",
             report.coverage() * 100.0
         );
+        for work in &report.dp_work {
+            assert_eq!(work.solves, 2, "{} per fine solve", work.metric);
+            assert!(work.total > 0, "{} counted no work", work.metric);
+        }
         let table = report.render();
         assert!(table.contains("fine DP"), "{table}");
         assert!(table.contains("% of wall"), "{table}");
+        assert!(table.contains("largest branch-merge staging"), "{table}");
     }
 
     #[test]

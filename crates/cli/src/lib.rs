@@ -37,7 +37,7 @@ mod treefile;
 pub use commands::{
     cmd_baseline, cmd_batch, cmd_batch_tree, cmd_bench, cmd_generate, cmd_generate_trees,
     cmd_profile, cmd_solve, cmd_solve_tree, cmd_tmin, run_profile, usage, BenchOptions, CliError,
-    ProfileOptions, ProfileReport, ProfileStage, Target,
+    ProfileOptions, ProfileReport, ProfileStage, ProfileWork, Target,
 };
 pub use netfile::{format_net, parse_net, ParseError};
 pub use serve_cmd::{cmd_client, cmd_serve, ClientOptions, ServeOptions};

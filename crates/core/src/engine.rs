@@ -56,7 +56,7 @@ use crate::tree_pipeline::{TreeRipConfig, TreeRipOutcome};
 use rip_delay::RcTree;
 use rip_dp::{
     solve_min_delay_with, solve_min_power_with, tree_min_delay_with, tree_min_power_with,
-    CandidateSet, DpError, DpScratch, DpSolution, TreeScratch,
+    CandidateSet, DpError, DpScratch, DpSolution, DpStats, TreeScratch,
 };
 use rip_net::TwoPinNet;
 use rip_obs::{Histogram, MetricsRegistry};
@@ -556,6 +556,8 @@ struct EngineMetrics {
     tree_trim: Arc<Histogram>,
     tree_window_gen: Arc<Histogram>,
     tree_fine_dp: Arc<Histogram>,
+    tree_fine_options: Arc<Histogram>,
+    tree_merge_products_max: Arc<Histogram>,
     cache_hit: Arc<Histogram>,
     cache_miss: Arc<Histogram>,
 }
@@ -574,6 +576,8 @@ impl EngineMetrics {
             tree_trim: registry.histogram("engine_tree_trim_ns"),
             tree_window_gen: registry.histogram("engine_tree_window_gen_ns"),
             tree_fine_dp: registry.histogram("engine_tree_fine_dp_ns"),
+            tree_fine_options: registry.histogram("engine_tree_fine_options"),
+            tree_merge_products_max: registry.histogram("engine_tree_merge_products_max"),
             cache_hit: registry.histogram("engine_cache_hit_ns"),
             cache_miss: registry.histogram("engine_cache_miss_ns"),
             registry,
@@ -700,7 +704,10 @@ impl Engine {
     /// The engine's metrics registry: per-stage latency histograms for
     /// the chain pipeline (`engine_chain_*_ns`), the tree pipeline
     /// (`engine_tree_*_ns`), and cache lookup latency
-    /// (`engine_cache_{hit,miss}_ns`). All values are nanoseconds.
+    /// (`engine_cache_{hit,miss}_ns`), all in nanoseconds; plus the fine
+    /// tree DP's work per solve, as counts: options created
+    /// (`engine_tree_fine_options`) and the largest branch-merge staging
+    /// (`engine_tree_merge_products_max`).
     /// Observation never changes solver results — the determinism suite
     /// pins that solve bytes are identical with metrics read or reset at
     /// any point.
@@ -1526,6 +1533,16 @@ impl Engine {
         })
     }
 
+    /// Records the work of one successful fine tree DP.
+    fn observe_fine_work(&self, stats: &DpStats) {
+        self.metrics
+            .tree_fine_options
+            .observe(stats.options_created);
+        self.metrics
+            .tree_merge_products_max
+            .observe(stats.merge_products_max);
+    }
+
     /// [`Engine::solve_tree_masked`] against one checked-out scratch.
     /// `allowed` must already be validated/normalized
     /// ([`effective_mask`]).
@@ -1621,6 +1638,7 @@ impl Engine {
                 target_fs,
             )?;
             self.metrics.tree_fine_dp.observe_since(t2);
+            self.observe_fine_work(&unbuffered.stats);
             runtime.fine = t2.elapsed();
             return Ok(TreeRipOutcome {
                 solution: unbuffered,
@@ -1719,6 +1737,7 @@ impl Engine {
             }
             Err(e) => return Err(e.into()),
         };
+        self.observe_fine_work(&solution.stats);
 
         Ok(TreeRipOutcome {
             solution,

@@ -63,6 +63,9 @@ pub struct DpStats {
     /// Traceback nodes materialized (options that survived pruning with a
     /// fresh insertion decision).
     pub trace_nodes: usize,
+    /// Largest number of products one tree branch merge staged before
+    /// pruning (0 for chains, which have no branch merges).
+    pub merge_products_max: u64,
 }
 
 /// Result of a DP run.

@@ -90,9 +90,15 @@ impl OptionBuf {
     /// Drops every option whose delay exceeds `target_fs`, preserving
     /// order (in-place compaction across all columns).
     pub(crate) fn retain_delay_le(&mut self, target_fs: f64) {
+        self.retain_by(|_, delay| delay <= target_fs);
+    }
+
+    /// Keeps the options for which `keep(cap, delay)` holds, preserving
+    /// order (in-place compaction across all columns).
+    pub(crate) fn retain_by(&mut self, keep: impl Fn(f64, f64) -> bool) {
         let mut w = 0;
         for i in 0..self.len() {
-            if self.delay[i] <= target_fs {
+            if keep(self.cap[i], self.delay[i]) {
                 if w != i {
                     self.cap[w] = self.cap[i];
                     self.delay[w] = self.delay[i];

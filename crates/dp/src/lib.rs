@@ -20,7 +20,9 @@
 //!   announced in the paper's conclusion, cross-validated against the
 //!   chain engines on path topologies; like the chain sweep it runs on
 //!   the sorted struct-of-arrays frontier with a reusable
-//!   [`TreeScratch`] (`_with` entry points for batch callers);
+//!   [`TreeScratch`] (`_with` entry points for batch callers), drops
+//!   options that a target-aware bound proves infeasible, and merges
+//!   branches with per-width two-pointer walks;
 //! * [`DpScratch`] and the `_with` entry points
 //!   ([`solve_min_power_with`] etc.) — caller-managed scratch memory so
 //!   batch workloads allocate nothing after warm-up (the plain free

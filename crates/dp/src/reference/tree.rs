@@ -323,6 +323,7 @@ fn solve_tree(
                 }
             }
             stats.options_created += next.len() as u64;
+            stats.merge_products_max = stats.merge_products_max.max(next.len() as u64);
             prune(&mut next, mode);
             acc = next;
         }

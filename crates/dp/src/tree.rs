@@ -18,7 +18,7 @@
 //! * edge propagation is a linear **in-place** pass over the store's
 //!   columns (the child frontier is consumed exactly once, by its
 //!   parent, so it can be lifted where it lies);
-//! * branch cross-merges stage the products in a reusable buffer and
+//! * branch cross-merges stage only the products that can survive, then
 //!   prune with an in-place unstable sort on the full key plus the
 //!   product's source indices `(a, b)` (generation order, so the sort is
 //!   order-equivalent to the reference's clone + stable sort, without
@@ -27,6 +27,33 @@
 //! * the buffer-insert step reuses the chain engine's width buckets
 //!   ([`BucketItem`], `reduce_bucket_2d`/`_3d`) and the node combine is
 //!   the chain engine's linear `merge_prune_2d`/`_3d`.
+//!
+//! Two rules keep the staged products few without changing a survivor:
+//!
+//! * **Target-aware bound (power objective).** Every option below the
+//!   root still has a driving stage above it — a buffer or the driver —
+//!   which adds at least `intrinsic + r_min·cap`, where `r_min` is the
+//!   smallest output resistance over the library and the driver. An
+//!   option (staged product, fresh insertion or unbuffered survivor)
+//!   whose `delay + intrinsic + r_min·cap` exceeds the target can never
+//!   become feasible, so it is dropped; at the root the exact driver
+//!   term `delay + (intrinsic + R_drv·(cap + tap))` is used. The bound
+//!   repeats the stage delay's float operations, so it is monotone in
+//!   `(cap, delay)`: whatever an option dominates fails the bound too,
+//!   and the surviving feasible options and their order are unchanged.
+//! * **Per-width two-pointer merges.** Once the accumulator holds more
+//!   than the unit option, both sides of a branch merge are regrouped
+//!   into runs of exactly equal width (one run in the min-delay
+//!   objective, whose prune ignores width), each in index — hence
+//!   non-decreasing cap — order. Each run pair is walked with two
+//!   pointers: stage `(i, j)`, advance `i` if `d_a ≥ d_b` and `j` if
+//!   `d_b ≥ d_a` (van Ginneken's linear merge; Lillis, Cheng & Lin,
+//!   IEEE JSSC 1996). Every product the walk skips has the width of a
+//!   staged product, no smaller cap or delay, and a later `(a, b)`, so
+//!   it sorts after that product and the sweep would have dropped it:
+//!   the pruner emits the same survivors in the same order as if all
+//!   `|A|×|B|` products had been staged. The unit accumulator (each
+//!   node's first child) stages in order, without regrouping.
 //!
 //! Traces are lazy, as in the chain sweep: a staged product carries only
 //! its source indices and a fresh insertion only its pending width, and
@@ -49,6 +76,7 @@ use crate::options::Staircase;
 use rip_delay::RcTree;
 use rip_tech::{RepeaterDevice, RepeaterLibrary};
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// A buffered-tree solution.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,9 +177,9 @@ const _: () = assert!(std::mem::size_of::<CrossItem>() == 32);
 
 /// Reusable working memory for the tree DP: the per-node frontier store
 /// (one append-only SoA arena plus `(start, len)` ranges), the running
-/// cross-merge accumulator, the staged cross-merge products, the fresh
-/// insertion buffer, the width bucket, the dominance staircase, and the
-/// trace arena.
+/// cross-merge accumulator, the width runs of both merge sides, the
+/// staged cross-merge products, the fresh insertion buffer, the width
+/// bucket, the dominance staircase, and the trace arena.
 ///
 /// A scratch is plain reusable memory — it carries no configuration and
 /// never influences results. Solvers reset it on entry, so a single
@@ -194,6 +222,10 @@ pub struct TreeScratch {
     ranges: Vec<(u32, u32)>,
     /// Running cross-merge accumulator (a sorted frontier).
     acc: OptionBuf,
+    /// The accumulator side of a branch merge, grouped by width.
+    runs_a: WidthRuns,
+    /// The child side of a branch merge, grouped by width.
+    runs_b: WidthRuns,
     /// Staged cross-merge products, pruned in place.
     products: Vec<CrossItem>,
     /// Fresh buffer-insertion options (bucketed, sorted).
@@ -223,12 +255,156 @@ impl TreeScratch {
         self.ranges.clear();
         self.ranges.resize(nodes, (0, 0));
         self.acc.clear();
+        self.runs_a.clear();
+        self.runs_b.clear();
         self.products.clear();
         self.fresh.clear();
         self.merged.clear();
         self.bucket.clear();
         self.stairs.clear();
         self.arena.reset();
+    }
+}
+
+/// One side of a branch merge regrouped into runs of exactly equal
+/// width. Within a run the options keep their index order, so their caps
+/// stay non-decreasing.
+#[derive(Debug, Default)]
+struct WidthRuns {
+    /// `(width, option index)`, sorted by width, then index.
+    keys: Vec<(f64, u32)>,
+    /// Offset of each run in `keys`, then `keys.len()`.
+    starts: Vec<u32>,
+}
+
+impl WidthRuns {
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.starts.clear();
+    }
+
+    /// Groups the options `range` of a frontier by `widths`, or keeps
+    /// them as one run when `by_width` is off.
+    fn group(&mut self, widths: &[f64], range: Range<usize>, by_width: bool) {
+        self.clear();
+        self.keys
+            .extend(range.map(|i| (if by_width { widths[i] } else { 0.0 }, i as u32)));
+        if by_width {
+            self.keys
+                .sort_unstable_by(|x, y| cmp_f64(x.0, y.0).then(x.1.cmp(&y.1)));
+        }
+        for (k, key) in self.keys.iter().enumerate() {
+            if k == 0 || key.0 != self.keys[k - 1].0 {
+                self.starts.push(k as u32);
+            }
+        }
+        self.starts.push(self.keys.len() as u32);
+    }
+
+    fn runs(&self) -> impl Iterator<Item = &[(f64, u32)]> {
+        self.starts
+            .windows(2)
+            .map(|w| &self.keys[w[0] as usize..w[1] as usize])
+    }
+}
+
+/// The target-aware lower bound on the final delay of any solution built
+/// on an option (see the module docs). With an infinite target (the
+/// min-delay objective) it admits everything.
+#[derive(Debug, Clone, Copy)]
+struct Bound {
+    target: f64,
+    intrinsic: f64,
+    /// Smallest output resistance over the library and the driver.
+    r_min: f64,
+    r_driver: f64,
+    /// Tap capacitance at the root, loading the driver.
+    root_tap: f64,
+}
+
+impl Bound {
+    /// Whether an option `(delay, cap)` below the root may still meet
+    /// the target. The next driving stage is either a buffer,
+    /// `(delay + intrinsic) + R·cap`, or the driver,
+    /// `delay + (intrinsic + R·(cap + tap))`; the bound takes the
+    /// smaller of the two roundings.
+    #[inline]
+    fn admits(&self, delay: f64, cap: f64) -> bool {
+        let rc = self.r_min * cap;
+        (delay + self.intrinsic) + rc <= self.target || delay + (self.intrinsic + rc) <= self.target
+    }
+
+    /// Whether a root option `(delay, cap)` may still meet the target:
+    /// the exact driver stage, which only grows as more children merge.
+    #[inline]
+    fn admits_at_root(&self, delay: f64, cap: f64) -> bool {
+        delay + (self.intrinsic + self.r_driver * (cap + self.root_tap)) <= self.target
+    }
+}
+
+/// Stages the product of accumulator option `a` and store option `b`
+/// when the bound admits it.
+#[inline]
+fn stage(
+    products: &mut Vec<CrossItem>,
+    acc: &OptionBuf,
+    store: &OptionBuf,
+    a: usize,
+    b: usize,
+    admits: &impl Fn(f64, f64) -> bool,
+) {
+    let delay = acc.delay[a].max(store.delay[b]);
+    let cap = acc.cap[a] + store.cap[b];
+    if admits(delay, cap) {
+        products.push(CrossItem {
+            cap,
+            delay,
+            width: acc.width[a] + store.width[b],
+            a: a as u32,
+            b: b as u32,
+        });
+    }
+}
+
+/// Stages every admitted product of `acc` with `store[range]`, in
+/// generation order (acc outer, child inner).
+fn stage_all(
+    products: &mut Vec<CrossItem>,
+    acc: &OptionBuf,
+    store: &OptionBuf,
+    range: Range<usize>,
+    admits: &impl Fn(f64, f64) -> bool,
+) {
+    for a in 0..acc.len() {
+        for b in range.clone() {
+            stage(products, acc, store, a, b, admits);
+        }
+    }
+}
+
+/// Stages the admitted products of each run pair with the two-pointer
+/// walk. A skipped product has the width of the staged product it
+/// passed, no smaller cap or delay, and a later `(a, b)`, so
+/// [`cross_merge_prune`] would drop it anyway.
+fn stage_walk(
+    products: &mut Vec<CrossItem>,
+    acc: &OptionBuf,
+    store: &OptionBuf,
+    runs_a: &WidthRuns,
+    runs_b: &WidthRuns,
+    admits: &impl Fn(f64, f64) -> bool,
+) {
+    for ra in runs_a.runs() {
+        for rb in runs_b.runs() {
+            let (mut i, mut j) = (0, 0);
+            while i < ra.len() && j < rb.len() {
+                let (a, b) = (ra[i].1 as usize, rb[j].1 as usize);
+                stage(products, acc, store, a, b, admits);
+                let (da, db) = (acc.delay[a], store.delay[b]);
+                i += usize::from(da >= db);
+                j += usize::from(db >= da);
+            }
+        }
     }
 }
 
@@ -441,9 +617,21 @@ fn solve_tree(
         }
     }
     let buffer_ok = |v: usize| v != 0 && allowed.map_or(true, |m| m[v]);
-    let target = match objective {
-        Objective::MinDelay => None,
-        Objective::MinPowerUnderDelay { target_fs } => Some(target_fs),
+    let by_width = matches!(objective, Objective::MinPowerUnderDelay { .. });
+    let r_driver = device.output_resistance(driver_width);
+    let bound = Bound {
+        target: match objective {
+            Objective::MinDelay => f64::INFINITY,
+            Objective::MinPowerUnderDelay { target_fs } => target_fs,
+        },
+        intrinsic: device.intrinsic_delay(),
+        r_min: library
+            .widths()
+            .iter()
+            .map(|&w| device.output_resistance(w))
+            .fold(r_driver, f64::min),
+        r_driver,
+        root_tap: tree.sink_cap(0),
     };
 
     scratch.reset(tree.len());
@@ -460,6 +648,8 @@ fn solve_tree(
             store,
             ranges,
             acc,
+            runs_a,
+            runs_b,
             products,
             fresh,
             merged,
@@ -477,7 +667,14 @@ fn solve_tree(
             // Cross-merge the children (lifted across their edges).
             acc.clear();
             acc.push(0.0, 0.0, 0.0, 0, f64::NAN);
-            for &u in tree.children(v) {
+            let admits = |delay: f64, cap: f64| {
+                if v == 0 {
+                    bound.admits_at_root(delay, cap)
+                } else {
+                    bound.admits(delay, cap)
+                }
+            };
+            for (k, &u) in tree.children(v).iter().enumerate() {
                 let wire = tree.wire(u);
                 // Lift the child frontier across its edge, in place: it
                 // is consumed exactly once, right here. The constant cap
@@ -490,25 +687,18 @@ fn solve_tree(
                     store.delay[i] = store.delay[i] + wire.elmore + wire.resistance * c;
                     store.cap[i] = c + wire.capacitance;
                 }
-                // Stage the cross products in generation order (acc
-                // outer, child inner — identical to the reference).
+                // The unit accumulator stages in order; later merges
+                // walk each pair of equal-width runs.
                 products.clear();
-                for a in 0..acc.len() {
-                    for b in start..end {
-                        let delay = acc.delay[a].max(store.delay[b]);
-                        if target.is_some_and(|t| delay > t) {
-                            continue;
-                        }
-                        products.push(CrossItem {
-                            cap: acc.cap[a] + store.cap[b],
-                            delay,
-                            width: acc.width[a] + store.width[b],
-                            a: a as u32,
-                            b: b as u32,
-                        });
-                    }
+                if k == 0 {
+                    stage_all(products, acc, store, start..end, &admits);
+                } else {
+                    runs_a.group(&acc.width, 0..acc.len(), by_width);
+                    runs_b.group(&store.width, start..end, by_width);
+                    stage_walk(products, acc, store, runs_a, runs_b, &admits);
                 }
                 stats.options_created += products.len() as u64;
+                stats.merge_products_max = stats.merge_products_max.max(products.len() as u64);
                 // Join traces for survivors only; they go to `merged`
                 // so `acc.trace` stays readable until the swap.
                 merged.clear();
@@ -546,7 +736,7 @@ fn solve_tree(
                         let delay = acc.delay[i]
                             + device.intrinsic_delay()
                             + device.output_resistance(w) * acc.cap[i];
-                        if target.is_some_and(|t| delay > t) {
+                        if !bound.admits(delay, new_cap) {
                             continue;
                         }
                         let seq = bucket.len() as u32;
@@ -575,6 +765,7 @@ fn solve_tree(
             for i in 0..acc.len() {
                 acc.cap[i] += tap;
             }
+            acc.retain_by(|cap, delay| bound.admits(delay, cap));
             match objective {
                 Objective::MinDelay => merge_prune_2d(acc, fresh, merged),
                 Objective::MinPowerUnderDelay { .. } => merge_prune_3d(acc, fresh, merged, stairs),
@@ -626,6 +817,9 @@ fn solve_tree(
     let (delay_fs, total_width, trace) = match best {
         Some(parts) => parts,
         None => {
+            let Objective::MinPowerUnderDelay { target_fs } = objective else {
+                unreachable!("only the power mode can be infeasible");
+            };
             let fastest = solve_tree(
                 scratch,
                 tree,
@@ -636,7 +830,7 @@ fn solve_tree(
                 Objective::MinDelay,
             )?;
             return Err(DpError::InfeasibleTarget {
-                target_fs: target.expect("only the power mode can be infeasible"),
+                target_fs,
                 achievable_fs: fastest.delay_fs,
             });
         }
@@ -997,6 +1191,73 @@ mod tests {
             sorted.dedup();
             assert_eq!(sorted, naive_pareto_3d(&items), "round {round}");
         }
+    }
+
+    /// A random cap-sorted frontier of `n` options with quantised keys, so
+    /// equal caps, exact duplicates and many width classes occur.
+    fn random_frontier(state: &mut u64, n: usize) -> OptionBuf {
+        let mut rows: Vec<(f64, f64, f64)> = (0..n)
+            .map(|_| (lcg(state), lcg(state), lcg(state) * 10.0))
+            .collect();
+        rows.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        let mut buf = OptionBuf::default();
+        for (cap, delay, width) in rows {
+            buf.push(cap, delay, width, 0, f64::NAN);
+        }
+        buf
+    }
+
+    #[test]
+    fn walk_staging_prunes_to_the_all_pairs_survivors() {
+        // The two-pointer walk may skip products, but cross_merge_prune
+        // must emit exactly the (a, b) sequence it emits when every
+        // product is staged — with and without a finite bound.
+        let mut state = 0x5EEDu64;
+        let mut stairs = Staircase::new();
+        let (mut runs_a, mut runs_b) = (WidthRuns::default(), WidthRuns::default());
+        let mut skipped = 0;
+        for round in 0..200 {
+            let acc = random_frontier(&mut state, 1 + round % 23);
+            let store = random_frontier(&mut state, 1 + (round * 7) % 31);
+            let limit = if round % 3 == 0 { f64::INFINITY } else { 10.0 };
+            let admits = |delay: f64, cap: f64| delay + cap <= limit;
+            for objective in [Objective::MinDelay, POWER] {
+                let by_width = objective != Objective::MinDelay;
+                let emitted = |products: &mut Vec<CrossItem>, stairs: &mut Staircase| {
+                    let mut out = Vec::new();
+                    cross_merge_prune(products, objective, stairs, |p| out.push((p.a, p.b)));
+                    out
+                };
+                let mut all = Vec::new();
+                stage_all(&mut all, &acc, &store, 0..store.len(), &admits);
+                let mut walked = Vec::new();
+                runs_a.group(&acc.width, 0..acc.len(), by_width);
+                runs_b.group(&store.width, 0..store.len(), by_width);
+                stage_walk(&mut walked, &acc, &store, &runs_a, &runs_b, &admits);
+                assert!(walked.len() <= all.len());
+                skipped += all.len() - walked.len();
+                assert_eq!(
+                    emitted(&mut walked, &mut stairs),
+                    emitted(&mut all, &mut stairs),
+                    "round {round} {objective:?}"
+                );
+            }
+        }
+        assert!(skipped > 0, "the walk never skipped a product");
+    }
+
+    #[test]
+    fn width_runs_group_equal_widths_in_index_order() {
+        let widths = [30.0, 10.0, 30.0, 20.0, 10.0, 30.0];
+        let mut runs = WidthRuns::default();
+        runs.group(&widths, 1..6, true);
+        let grouped: Vec<Vec<u32>> = runs
+            .runs()
+            .map(|r| r.iter().map(|&(_, i)| i).collect())
+            .collect();
+        assert_eq!(grouped, vec![vec![1, 4], vec![3], vec![2, 5]]);
+        runs.group(&widths, 0..3, false);
+        assert_eq!(runs.runs().count(), 1);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! (`reference::same_tree_solution`).
 //!
 //! Work counters are not compared for equality: they measure how an
-//! engine reached the answer, and the production engine's lazy traces
-//! are meant to record fewer trace nodes. If any pruning decision or
+//! engine reached the answer, and the production engine's lazy traces,
+//! target-aware bound and per-width merge walks are meant to do less
+//! work — so they are only checked never to exceed the reference's. If any pruning decision or
 //! tie-break diverges, these tests name the tree and target that
 //! exposed it. Trees are generated from the paper-distribution tree
 //! suite, subdivided into candidate buffer sites, and solved both
@@ -43,13 +44,16 @@ fn min_power_is_byte_identical_to_reference_on_50_tree_corpus() {
     let tech = Technology::generic_180nm();
     let lib = RepeaterLibrary::paper_coarse();
     let mut fewer_trace_nodes = false;
+    let mut fewer_options = false;
     for (i, net) in corpus().iter().enumerate() {
         let (sites, _) = RcTree::from_tree_net(net, tech.device()).subdivided(200.0);
         let tau_min =
             reference::tree::tree_min_delay(&sites, tech.device(), net.driver_width(), &lib, None)
                 .unwrap()
                 .delay_fs;
-        for mult in [1.25, 1.6] {
+        // 1.0 is the tightest feasible target (the exact τ_min bits): an
+        // unsound bound would reject the optimum there.
+        for mult in [1.0, 1.25, 1.6] {
             let target = tau_min * mult;
             let new = tree_min_power(
                 &sites,
@@ -82,11 +86,29 @@ fn min_power_is_byte_identical_to_reference_on_50_tree_corpus() {
                 old.stats.trace_nodes
             );
             fewer_trace_nodes |= new.stats.trace_nodes < old.stats.trace_nodes;
+            // The bound and the merge walks only ever skip work.
+            assert!(
+                new.stats.options_created <= old.stats.options_created,
+                "tree {i} mult {mult}: {} options created vs the reference's {}",
+                new.stats.options_created,
+                old.stats.options_created
+            );
+            assert!(
+                new.stats.merge_products_max <= old.stats.merge_products_max,
+                "tree {i} mult {mult}: largest merge staged {} products vs the reference's {}",
+                new.stats.merge_products_max,
+                old.stats.merge_products_max
+            );
+            fewer_options |= new.stats.options_created < old.stats.options_created;
         }
     }
     assert!(
         fewer_trace_nodes,
         "lazy traces saved no trace node on any tree"
+    );
+    assert!(
+        fewer_options,
+        "the bound and the merge walks saved no option on any tree"
     );
 }
 
@@ -119,6 +141,30 @@ fn masked_solves_stay_byte_identical() {
                 "tree {i}: buffer placed on forbidden node {v}"
             );
         }
+        // Min-power at 1.3× the masked τ_min, the paper-scale target.
+        let target = old.delay_fs * 1.3;
+        let new = tree_min_power(
+            &tree,
+            tech.device(),
+            net.driver_width(),
+            &lib,
+            Some(&mask),
+            target,
+        )
+        .unwrap();
+        let old = reference::tree::tree_min_power(
+            &tree,
+            tech.device(),
+            net.driver_width(),
+            &lib,
+            Some(&mask),
+            target,
+        )
+        .unwrap();
+        assert!(
+            reference::same_tree_solution(&new, &old),
+            "tree {i}: masked min-power diverged from the reference engine:\n{new:?}\n{old:?}"
+        );
     }
 }
 
