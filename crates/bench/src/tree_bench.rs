@@ -4,7 +4,8 @@
 //! trees, and **masked** on the raw topologies (where each net's
 //! forbidden-node run aligns index-for-index), making masked floorplans
 //! a measured, byte-identity-gated scenario — plus cold-session
-//! `Engine::solve_tree_batch` throughput over the full tree pipeline.
+//! `Engine::solve_tree_batch_masked` throughput over the full tree
+//! pipeline, unmasked and masked.
 //!
 //! Like the frontier bench, both DP sides run in the same process on the
 //! same trees, so the recorded `speedup_vs_reference` is
@@ -13,7 +14,7 @@
 //! alongside the absolute throughput baselines.
 
 use crate::stats::{summarize, JsonObject, StatSummary};
-use rip_core::{BatchTarget, Engine, RipConfig, TreeRipConfig};
+use rip_core::{BatchTarget, Engine, RipConfig, TreeRipConfig, TreeRipOutcome};
 use rip_delay::RcTree;
 use rip_dp::{reference, tree_min_power_with, TreeScratch, TreeSolution};
 use rip_net::{RandomTreeConfig, TreeNetGenerator};
@@ -33,7 +34,8 @@ pub struct TreeBenchConfig {
     pub step_um: f64,
     /// Timing target as a multiple of each tree's min-delay.
     pub target_mult: f64,
-    /// Timed `Engine::solve_tree_batch` runs (each on a fresh engine).
+    /// Timed `Engine::solve_tree_batch_masked` runs per batch leg (each
+    /// on a fresh engine).
     pub batch_runs: usize,
     /// Trees fed to the batch-pipeline leg (a prefix of the corpus; the
     /// full preset sweeps the whole corpus).
@@ -100,8 +102,8 @@ pub struct TreeBenchReport {
     pub masked_reference: StatSummary,
     /// `masked_reference.median_s / masked.median_s`.
     pub masked_speedup_vs_reference: f64,
-    /// Summary of the timed `Engine::solve_tree_batch` runs (full
-    /// hybrid pipeline, fresh engine per run).
+    /// Summary of the timed unmasked `Engine::solve_tree_batch_masked`
+    /// runs (`None` masks; full hybrid pipeline, fresh engine per run).
     pub batch: StatSummary,
     /// Summary of the timed `Engine::solve_tree_batch_masked` runs:
     /// the full hybrid pipeline with each tree's forbidden-node mask
@@ -371,94 +373,55 @@ pub fn run_tree_bench(config: TreeBenchConfig) -> TreeBenchReport {
         std::hint::black_box(&b);
     }
 
-    // Batch pipeline side: fresh engine sessions, one parallel tree
-    // batch each over a prefix of the raw (unsubdivided) trees,
-    // mirroring `run_batch_bench`'s cold-session convention.
-    let batch_corpus = &raw[..config.batch_trees.min(raw.len())];
+    // Batch pipeline legs over prefixes of the raw (unsubdivided)
+    // trees: unmasked, then with every tree's paper-distribution
+    // forbidden-node mask binding through the whole hybrid pipeline.
+    let batch_corpus = |count: usize, masked: bool| -> Vec<(RcTree, f64, Option<Vec<bool>>)> {
+        raw.iter()
+            .zip(&masks)
+            .take(count)
+            .map(|((tree, driver), mask)| (tree.clone(), *driver, masked.then(|| mask.clone())))
+            .collect()
+    };
+    let (batch_samples, ..) = time_cold_tree_batches(
+        &tech,
+        &batch_corpus(config.batch_trees, false),
+        config.target_mult,
+        config.batch_runs,
+    );
+    let masked_batch_corpus = batch_corpus(config.masked_batch_trees, true);
+    let (masked_batch_samples, masked_batch_targets, outcomes) = time_cold_tree_batches(
+        &tech,
+        &masked_batch_corpus,
+        config.target_mult,
+        config.batch_runs,
+    );
+    // The masked leg's first run doubles as the equivalence check: the
+    // batch solutions must be byte-identical to per-tree sequential
+    // masked solves on a fresh engine, and legal under the mask.
     let tree_config = TreeRipConfig::paper();
-    let probe = Engine::new(tech.clone(), RipConfig::paper());
-    let batch_targets: Vec<f64> = batch_corpus
+    let sequential = Engine::new(tech.clone(), RipConfig::paper());
+    for (i, (((tree, driver, mask), batch_sol), &target_fs)) in masked_batch_corpus
         .iter()
-        .map(|(tree, driver)| config.target_mult * probe.tree_tau_min(tree, *driver, &tree_config))
-        .collect();
-    drop(probe);
-    let mut batch_samples = Vec::with_capacity(config.batch_runs.max(1));
-    for _ in 0..config.batch_runs.max(1) {
-        let engine = Engine::new(tech.clone(), RipConfig::paper());
-        let t = Instant::now();
-        let outcomes = engine.solve_tree_batch(
-            batch_corpus,
-            &BatchTarget::PerNetFs(batch_targets.clone()),
-            &tree_config,
-        );
-        batch_samples.push(t.elapsed().as_secs_f64());
-        for (i, out) in outcomes.iter().enumerate() {
-            assert!(out.is_ok(), "tree {i}: pipeline failed in the bench");
+        .zip(&outcomes)
+        .zip(&masked_batch_targets)
+        .enumerate()
+    {
+        let reference = sequential
+            .solve_tree_masked(tree, *driver, target_fs, &tree_config, mask.as_deref())
+            .expect("the batch run proved the target feasible");
+        if format!("{:?}", batch_sol.solution) != format!("{:?}", reference.solution) {
+            eprintln!("masked batch tree {i}: batch solution differs from sequential!");
+            byte_identical = false;
         }
-    }
-
-    // Masked batch pipeline side: the same cold-session convention with
-    // every tree's paper-distribution forbidden-node mask binding
-    // through the whole hybrid pipeline
-    // (`Engine::solve_tree_batch_masked`). The first run doubles as the
-    // equivalence check: the batch solutions must be byte-identical to
-    // per-tree sequential masked solves on a fresh engine.
-    let masked_batch_corpus: Vec<(RcTree, f64, Option<Vec<bool>>)> = raw
-        .iter()
-        .zip(&masks)
-        .take(config.masked_batch_trees.min(raw.len()))
-        .map(|((tree, driver), mask)| (tree.clone(), *driver, Some(mask.clone())))
-        .collect();
-    let masked_probe = Engine::new(tech.clone(), RipConfig::paper());
-    let masked_batch_targets: Vec<f64> = masked_batch_corpus
-        .iter()
-        .map(|(tree, driver, mask)| {
-            config.target_mult
-                * masked_probe
-                    .tree_tau_min_masked(tree, *driver, &tree_config, mask.as_deref())
-                    .expect("aligned masks cannot fail the masked min-delay")
-        })
-        .collect();
-    drop(masked_probe);
-    let mut masked_batch_samples = Vec::with_capacity(config.batch_runs.max(1));
-    for run in 0..config.batch_runs.max(1) {
-        let engine = Engine::new(tech.clone(), RipConfig::paper());
-        let t = Instant::now();
-        let outcomes = engine.solve_tree_batch_masked(
-            &masked_batch_corpus,
-            &BatchTarget::PerNetFs(masked_batch_targets.clone()),
-            &tree_config,
-        );
-        masked_batch_samples.push(t.elapsed().as_secs_f64());
-        for (i, out) in outcomes.iter().enumerate() {
-            assert!(out.is_ok(), "masked tree {i}: pipeline failed in the bench");
-        }
-        if run == 0 {
-            let sequential = Engine::new(tech.clone(), RipConfig::paper());
-            for (i, ((tree, driver, mask), (outcome, &target_fs))) in masked_batch_corpus
-                .iter()
-                .zip(outcomes.iter().zip(&masked_batch_targets))
-                .enumerate()
-            {
-                let reference = sequential
-                    .solve_tree_masked(tree, *driver, target_fs, &tree_config, mask.as_deref())
-                    .expect("the batch run proved the target feasible");
-                let batch_sol = outcome.as_ref().expect("checked ok above");
-                if format!("{:?}", batch_sol.solution) != format!("{:?}", reference.solution) {
-                    eprintln!("masked batch tree {i}: batch solution differs from sequential!");
-                    byte_identical = false;
-                }
-                if let Some(mask) = mask {
-                    if mask
-                        .iter()
-                        .zip(&batch_sol.solution.buffer_widths)
-                        .any(|(&ok, w)| !ok && w.is_some())
-                    {
-                        eprintln!("masked batch tree {i}: buffer on a blocked node!");
-                        byte_identical = false;
-                    }
-                }
-            }
+        if mask
+            .iter()
+            .flatten()
+            .zip(&batch_sol.solution.buffer_widths)
+            .any(|(&ok, w)| !ok && w.is_some())
+        {
+            eprintln!("masked batch tree {i}: buffer on a blocked node!");
+            byte_identical = false;
         }
     }
 
@@ -481,6 +444,52 @@ pub fn run_tree_bench(config: TreeBenchConfig) -> TreeBenchReport {
         masked_batch: summarize(&masked_batch_samples),
         byte_identical,
     }
+}
+
+/// One cold-session batch leg, mirroring `run_batch_bench`'s
+/// convention: fixes each entry's target at `target_mult ×` its (masked)
+/// tree `τ_min` on a probe engine, then times `runs` (at least one)
+/// `Engine::solve_tree_batch_masked` calls, each on a fresh engine.
+/// Returns the run times, the targets and the first run's outcomes.
+fn time_cold_tree_batches(
+    tech: &Technology,
+    corpus: &[(RcTree, f64, Option<Vec<bool>>)],
+    target_mult: f64,
+    runs: usize,
+) -> (Vec<f64>, Vec<f64>, Vec<TreeRipOutcome>) {
+    let tree_config = TreeRipConfig::paper();
+    let probe = Engine::new(tech.clone(), RipConfig::paper());
+    let targets: Vec<f64> = corpus
+        .iter()
+        .map(|(tree, driver, mask)| {
+            target_mult
+                * probe
+                    .tree_tau_min_masked(tree, *driver, &tree_config, mask.as_deref())
+                    .expect("aligned masks cannot fail the tree min-delay")
+        })
+        .collect();
+    drop(probe);
+    let mut samples = Vec::with_capacity(runs.max(1));
+    let mut first = Vec::new();
+    for run in 0..runs.max(1) {
+        let engine = Engine::new(tech.clone(), RipConfig::paper());
+        let t = Instant::now();
+        let outcomes = engine.solve_tree_batch_masked(
+            corpus,
+            &BatchTarget::PerNetFs(targets.clone()),
+            &tree_config,
+        );
+        samples.push(t.elapsed().as_secs_f64());
+        let outcomes: Vec<TreeRipOutcome> = outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(i, out)| out.unwrap_or_else(|e| panic!("tree {i}: pipeline failed: {e}")))
+            .collect();
+        if run == 0 {
+            first = outcomes;
+        }
+    }
+    (samples, targets, first)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use crate::commands::{CliError, Target};
 use rip_core::Engine;
 use rip_serve::{
     net_to_json, parse_json, start_server, Client, FaultPlan, Json, Request, RetryPolicy,
-    ServeConfig, ServerHandle,
+    ServeConfig, ServerHandle, TreeEntry,
 };
 use rip_tech::units::fs_from_ns;
 use rip_tech::Technology;
@@ -233,9 +233,11 @@ pub fn file_request_line(path: &str, target: Option<Target>) -> Result<String, C
     let text = std::fs::read_to_string(path)?;
     let request = if path.ends_with(".tree") {
         Request::SolveTree {
-            tree: crate::treefile::parse_tree_file(&text)?,
+            entry: TreeEntry {
+                tree: crate::treefile::parse_tree_file(&text)?,
+                allowed: None,
+            },
             target,
-            allowed: None,
         }
     } else {
         Request::Solve {

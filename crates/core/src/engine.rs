@@ -22,15 +22,16 @@
 //!   chains *and* trees — so a warm batch allocates nothing per solve;
 //! * tree workloads get the same treatment: per-topology edge
 //!   subdivisions (the tree analogue of the candidate grids) are cached,
-//!   tree `τ_min` is memoized, and [`Engine::solve_tree_batch`] runs
-//!   many trees in parallel with deterministic, input-ordered output;
-//! * blocked tree nodes are binding: the masked entry points
+//!   tree `τ_min` is memoized, and [`Engine::solve_tree_batch_masked`]
+//!   runs many trees in parallel with deterministic, input-ordered output;
+//! * blocked tree nodes are binding: every tree entry point
 //!   ([`Engine::solve_tree_masked`], [`Engine::solve_tree_batch_masked`],
-//!   [`Engine::tree_tau_min_masked`]) thread a buffer-legality mask
-//!   through every stage, the subdivision cache stores the mask
-//!   projected onto each subdivided topology under mask-extended keys
-//!   (masked and unmasked variants never alias), and a `None`/all-true
-//!   mask is byte-identical to the unmasked entry points;
+//!   [`Engine::tree_tau_min_masked`], [`Engine::tree_baseline_masked`])
+//!   takes an optional buffer-legality mask and threads it through every
+//!   stage, the subdivision cache stores the mask projected onto each
+//!   subdivided topology under mask-extended keys (masked and unmasked
+//!   variants never alias), and an all-true mask normalizes to `None`,
+//!   the unmasked pipeline, byte for byte;
 //! * independent nets run on all available cores with deterministic,
 //!   input-ordered output ([`Engine::solve_batch`]).
 //!
@@ -1394,28 +1395,22 @@ impl Engine {
 
     /// The minimum achievable delay of a tree under `config`'s coarse
     /// sites with the paper's fine-granularity width range, computed at
-    /// most once per `(topology, driver, config)` per session — the tree
-    /// analogue of [`Engine::tau_min`], and what
+    /// most once per `(topology, driver, config, mask)` per session — the
+    /// tree analogue of [`Engine::tau_min`], and what
     /// [`BatchTarget::TauMinMultiple`] resolves against in
-    /// [`Engine::solve_tree_batch`].
-    pub fn tree_tau_min(&self, tree: &RcTree, driver_width: f64, config: &TreeRipConfig) -> f64 {
-        self.tree_tau_min_masked(tree, driver_width, config, None)
-            .expect("the unmasked tree tau_min cannot fail")
-    }
-
-    /// [`Engine::tree_tau_min`] under an optional buffer-legality mask
-    /// aligned to `tree`'s node indexing (the indexing
-    /// [`RcTree::from_tree_net`] preserves, so a
-    /// [`rip_net::TreeNet::allowed_mask`] can be passed straight
-    /// through): the minimum achievable delay when buffers may only
-    /// occupy allowed coarse sites. A `None` or all-true mask is
-    /// byte-identical to [`Engine::tree_tau_min`] and shares its cache
-    /// entry.
+    /// [`Engine::solve_tree_batch_masked`].
+    ///
+    /// `allowed` is an optional buffer-legality mask aligned to `tree`'s
+    /// node indexing (the indexing [`RcTree::from_tree_net`] preserves,
+    /// so a [`rip_net::TreeNet::allowed_mask`] can be passed straight
+    /// through): buffers may only occupy allowed coarse sites. A `None`
+    /// or all-true mask is the unmasked `τ_min`, and both share one
+    /// cache entry.
     ///
     /// # Errors
     ///
     /// Returns [`RipError::Dp`] ([`DpError::BadAllowedMask`]) when the
-    /// mask length does not match the tree.
+    /// mask length does not match the tree; a `None` mask cannot fail.
     pub fn tree_tau_min_masked(
         &self,
         tree: &RcTree,
@@ -1473,28 +1468,12 @@ impl Engine {
     /// subdivisions) come from the session cache, and every tree DP
     /// stage draws its working memory from the pooled [`TreeScratch`]es.
     ///
-    /// # Errors
-    ///
-    /// * [`RipError::Infeasible`] when even min-delay buffering over the
-    ///   coarse sites cannot meet the target;
-    /// * other [`RipError`] variants for invalid inputs.
-    pub fn solve_tree(
-        &self,
-        tree: &RcTree,
-        driver_width: f64,
-        target_fs: f64,
-        config: &TreeRipConfig,
-    ) -> Result<TreeRipOutcome, RipError> {
-        self.solve_tree_masked(tree, driver_width, target_fs, config, None)
-    }
-
-    /// [`Engine::solve_tree`] under a buffer-legality mask: `allowed[v]`
-    /// says whether a buffer may occupy node `v` of the **original**
-    /// tree indexing (the indexing [`RcTree::from_tree_net`] preserves,
-    /// so a [`rip_net::TreeNet::allowed_mask`] — e.g. the `blocked`
-    /// attributes of a `.tree` file — passes straight through).
-    ///
-    /// The mask is binding end to end:
+    /// `allowed` is an optional buffer-legality mask: `allowed[v]` says
+    /// whether a buffer may occupy node `v` of the **original** tree
+    /// indexing (the indexing [`RcTree::from_tree_net`] preserves, so a
+    /// [`rip_net::TreeNet::allowed_mask`] — e.g. the `blocked`
+    /// attributes of a `.tree` file — passes straight through). The
+    /// mask is binding end to end:
     ///
     /// * the coarse DP (stage 1) and its min-delay fallback only see
     ///   coarse sites whose projection is legal — inserted Steiner
@@ -1505,19 +1484,18 @@ impl Engine {
     /// * the fine DP (stage 4) intersects its windowed candidate sites
     ///   with the projected fine mask before solving.
     ///
-    /// A `None` or all-true mask is **byte-identical** to
-    /// [`Engine::solve_tree`] (it normalizes away and shares the
-    /// unmasked cache entries); a real mask never places a buffer on a
-    /// blocked node — the masked-tree conformance suite pins both.
+    /// An all-true mask normalizes to `None`: the same cache entries and
+    /// **byte-identical** answers. A real mask never places a buffer on
+    /// a blocked node — the masked-tree conformance suite pins both.
     ///
     /// # Errors
     ///
     /// * [`RipError::Dp`] ([`DpError::BadAllowedMask`]) when the mask
     ///   length does not match the tree;
-    /// * [`RipError::Infeasible`] when the target cannot be met over
-    ///   the legal sites — an all-blocked region degrades to bufferless
-    ///   buffering and surfaces here as a typed infeasibility, never a
-    ///   panic;
+    /// * [`RipError::Infeasible`] when even min-delay buffering over the
+    ///   legal coarse sites cannot meet the target — an all-blocked
+    ///   region degrades to bufferless buffering and surfaces here as a
+    ///   typed infeasibility, never a panic;
     /// * other [`RipError`] variants for invalid inputs.
     pub fn solve_tree_masked(
         &self,
@@ -1750,15 +1728,19 @@ impl Engine {
         })
     }
 
-    /// Solves a batch of `(tree, driver width)` pairs in parallel over
-    /// the available cores — the tree counterpart of
-    /// [`Engine::solve_batch`].
+    /// Solves a batch of `(tree, driver width, allowed)` entries in
+    /// parallel over the available cores — the tree counterpart of
+    /// [`Engine::solve_batch`]. `allowed` follows
+    /// [`Engine::solve_tree_masked`]'s conventions (`None` = unmasked;
+    /// aligned to the tree's original indexing), and one batch may mix
+    /// masked and unmasked entries.
     ///
     /// The output is input-ordered and deterministic: entry `i` is
-    /// exactly what `self.solve_tree(&trees[i].0, trees[i].1, target_i,
-    /// config)` returns, regardless of thread interleaving.
+    /// exactly what `self.solve_tree_masked(..)` returns for that entry,
+    /// regardless of thread interleaving.
     /// [`BatchTarget::TauMinMultiple`] resolves against each tree's
-    /// cached [`Engine::tree_tau_min`].
+    /// cached **masked** `τ_min` ([`Engine::tree_tau_min_masked`]), so
+    /// relative targets stay achievable under the mask.
     ///
     /// # Panics
     ///
@@ -1776,50 +1758,17 @@ impl Engine {
     /// let engine = Engine::new(Technology::generic_180nm(), RipConfig::paper());
     /// let config = TreeRipConfig::paper();
     /// let nets = TreeNetGenerator::suite(RandomTreeConfig::default(), 7, 3).unwrap();
-    /// let trees: Vec<(RcTree, f64)> = nets
+    /// let trees: Vec<(RcTree, f64, Option<Vec<bool>>)> = nets
     ///     .iter()
-    ///     .map(|n| (RcTree::from_tree_net(n, engine.technology().device()), n.driver_width()))
+    ///     .map(|n| {
+    ///         let tree = RcTree::from_tree_net(n, engine.technology().device());
+    ///         (tree, n.driver_width(), Some(n.allowed_mask()))
+    ///     })
     ///     .collect();
-    /// let outcomes = engine.solve_tree_batch(&trees, &BatchTarget::TauMinMultiple(1.4), &config);
+    /// let target = BatchTarget::TauMinMultiple(1.4);
+    /// let outcomes = engine.solve_tree_batch_masked(&trees, &target, &config);
     /// assert_eq!(outcomes.len(), trees.len());
     /// ```
-    pub fn solve_tree_batch(
-        &self,
-        trees: &[(RcTree, f64)],
-        target: &BatchTarget,
-        config: &TreeRipConfig,
-    ) -> Vec<Result<TreeRipOutcome, RipError>> {
-        if let BatchTarget::PerNetFs(all) = target {
-            assert_eq!(all.len(), trees.len(), "one target per tree");
-        }
-        par_map(trees, |i, (tree, driver_width)| {
-            let target_fs = match target {
-                BatchTarget::AbsoluteFs(fs) => *fs,
-                BatchTarget::TauMinMultiple(mult) => {
-                    mult * self.tree_tau_min(tree, *driver_width, config)
-                }
-                BatchTarget::PerNetFs(all) => all[i],
-            };
-            self.solve_tree(tree, *driver_width, target_fs, config)
-        })
-    }
-
-    /// [`Engine::solve_tree_batch`] with a per-tree buffer-legality
-    /// mask: each entry is `(tree, driver width, allowed)` where
-    /// `allowed` follows [`Engine::solve_tree_masked`]'s conventions
-    /// (`None` = unmasked; aligned to the tree's original indexing).
-    ///
-    /// The output is input-ordered and deterministic: entry `i` is
-    /// exactly what `self.solve_tree_masked(..)` returns for that
-    /// entry, regardless of thread interleaving.
-    /// [`BatchTarget::TauMinMultiple`] resolves against each tree's
-    /// cached **masked** `τ_min` ([`Engine::tree_tau_min_masked`]), so
-    /// relative targets stay achievable under the mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a [`BatchTarget::PerNetFs`] list length differs from
-    /// `trees.len()`.
     #[allow(clippy::type_complexity)]
     pub fn solve_tree_batch_masked(
         &self,
@@ -2108,14 +2057,39 @@ mod tests {
     fn tree_batch_is_deterministic_and_reuses_the_session_caches() {
         let engine = engine();
         let config = crate::TreeRipConfig::paper();
-        let trees = trees(5, 3);
+        // One batch mixing an unmasked entry, an all-true mask (which
+        // normalizes to the unmasked pipeline) and a real mask.
+        let mut jobs: Vec<(RcTree, f64, Option<Vec<bool>>)> = trees(5, 3)
+            .into_iter()
+            .map(|(tree, driver)| (tree, driver, None))
+            .collect();
+        jobs[1].2 = Some(vec![true; jobs[1].0.len()]);
+        let mut real = vec![true; jobs[2].0.len()];
+        real[1] = false;
+        jobs[2].2 = Some(real);
         let target = BatchTarget::TauMinMultiple(1.4);
-        let a = engine.solve_tree_batch(&trees, &target, &config);
+        let a = engine.solve_tree_batch_masked(&jobs, &target, &config);
         let first = engine.stats();
         assert!(first.tree_grid_misses > 0);
-        let b = engine.solve_tree_batch(&trees, &target, &config);
+        assert_eq!(a.len(), jobs.len());
+        // Entry i is exactly the one-at-a-time solve.
+        for (i, ((tree, driver, allowed), out)) in jobs.iter().zip(&a).enumerate() {
+            let allowed = allowed.as_deref();
+            let solo_target = 1.4
+                * engine
+                    .tree_tau_min_masked(tree, *driver, &config, allowed)
+                    .unwrap();
+            let solo = engine
+                .solve_tree_masked(tree, *driver, solo_target, &config, allowed)
+                .unwrap();
+            assert_eq!(
+                format!("{:?}", solo.solution),
+                format!("{:?}", out.as_ref().unwrap().solution),
+                "tree {i}: batch diverged from the sequential solve"
+            );
+        }
+        let b = engine.solve_tree_batch_masked(&jobs, &target, &config);
         let second = engine.stats();
-        assert_eq!(a.len(), trees.len());
         for (i, (x, y)) in a.iter().zip(&b).enumerate() {
             assert_eq!(
                 format!("{:?}", x.as_ref().unwrap().solution),
@@ -2126,24 +2100,10 @@ mod tests {
         assert_eq!(
             second.misses(),
             first.misses(),
-            "a second identical tree batch must not recompute anything"
+            "sequential re-solves and a second identical tree batch must not recompute anything"
         );
         assert!(second.tree_grid_hits > first.tree_grid_hits);
-        assert_eq!(second.trees_solved, 2 * trees.len() as u64);
-        // Entry i is exactly the one-at-a-time solve.
-        let (tree, driver) = &trees[1];
-        let solo = engine
-            .solve_tree(
-                tree,
-                *driver,
-                1.4 * engine.tree_tau_min(tree, *driver, &config),
-                &config,
-            )
-            .unwrap();
-        assert_eq!(
-            format!("{:?}", solo.solution),
-            format!("{:?}", b[1].as_ref().unwrap().solution)
-        );
+        assert_eq!(second.trees_solved, 3 * jobs.len() as u64);
     }
 
     #[test]
@@ -2151,8 +2111,11 @@ mod tests {
         let engine = engine();
         let config = crate::TreeRipConfig::paper();
         let (tree, driver) = trees(5, 1).remove(0);
-        let target = 1.4 * engine.tree_tau_min(&tree, driver, &config);
-        let unmasked = engine.solve_tree(&tree, driver, target, &config).unwrap();
+        let tmin = engine.tree_tau_min_masked(&tree, driver, &config, None);
+        let target = 1.4 * tmin.unwrap();
+        let unmasked = engine
+            .solve_tree_masked(&tree, driver, target, &config, None)
+            .unwrap();
         // All-true mask (and one that only blocks the ignored root
         // entry) normalize away entirely: same cache keys, same bytes.
         let before = engine.stats();
@@ -2173,7 +2136,10 @@ mod tests {
                     .tree_tau_min_masked(&tree, driver, &config, Some(&mask))
                     .unwrap()
                     .to_bits(),
-                engine.tree_tau_min(&tree, driver, &config).to_bits()
+                engine
+                    .tree_tau_min_masked(&tree, driver, &config, None)
+                    .unwrap()
+                    .to_bits()
             );
         }
         let after = engine.stats();
@@ -2191,8 +2157,11 @@ mod tests {
         let (tree, driver) = trees(9, 1).remove(0);
         let mut mask = vec![true; tree.len()];
         mask[1] = false;
-        let target = 1.5 * engine.tree_tau_min(&tree, driver, &config);
-        let _ = engine.solve_tree(&tree, driver, target, &config).unwrap();
+        let tmin = engine.tree_tau_min_masked(&tree, driver, &config, None);
+        let target = 1.5 * tmin.unwrap();
+        let _ = engine
+            .solve_tree_masked(&tree, driver, target, &config, None)
+            .unwrap();
         let misses_unmasked = engine.stats().tree_grid_misses;
         // The masked solve must build its own (projected) subdivisions…
         let masked_target = 1.5
@@ -2208,7 +2177,9 @@ mod tests {
             "a real mask must not be served from the unmasked subdivision entries"
         );
         // …and a repeat of both is fully warm.
-        let _ = engine.solve_tree(&tree, driver, target, &config).unwrap();
+        let _ = engine
+            .solve_tree_masked(&tree, driver, target, &config, None)
+            .unwrap();
         let _ = engine
             .solve_tree_masked(&tree, driver, masked_target, &config, Some(&mask))
             .unwrap();
@@ -2246,43 +2217,6 @@ mod tests {
             .unwrap();
         assert!(out.solution.buffer_widths.iter().all(Option::is_none));
         assert_eq!(out.solution.total_width, 0.0);
-    }
-
-    #[test]
-    fn masked_batch_matches_sequential_masked_solves() {
-        let engine = engine();
-        let config = crate::TreeRipConfig::paper();
-        let jobs: Vec<(RcTree, f64, Option<Vec<bool>>)> = {
-            let device = *Technology::generic_180nm().device();
-            rip_net::TreeNetGenerator::suite(rip_net::RandomTreeConfig::compact(), 21, 3)
-                .unwrap()
-                .iter()
-                .map(|net| {
-                    (
-                        RcTree::from_tree_net(net, &device),
-                        net.driver_width(),
-                        Some(net.allowed_mask()),
-                    )
-                })
-                .collect()
-        };
-        let target = BatchTarget::TauMinMultiple(1.4);
-        let batch = engine.solve_tree_batch_masked(&jobs, &target, &config);
-        for (i, ((tree, driver, allowed), out)) in jobs.iter().zip(&batch).enumerate() {
-            let allowed = allowed.as_deref();
-            let solo_target = 1.4
-                * engine
-                    .tree_tau_min_masked(tree, *driver, &config, allowed)
-                    .unwrap();
-            let solo = engine
-                .solve_tree_masked(tree, *driver, solo_target, &config, allowed)
-                .unwrap();
-            assert_eq!(
-                format!("{:?}", solo.solution),
-                format!("{:?}", out.as_ref().unwrap().solution),
-                "tree {i}: masked batch diverged from the sequential masked solve"
-            );
-        }
     }
 
     #[test]

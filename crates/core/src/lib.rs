@@ -56,7 +56,7 @@
 //! (candidate grids, `τ_min`, synthesized fine libraries) across calls
 //! and runs batches in parallel over all cores with deterministic,
 //! input-ordered results ([`Engine::solve_batch`]). Multi-sink trees get
-//! the same treatment via [`Engine::solve_tree_batch`] (cached
+//! the same treatment via [`Engine::solve_tree_batch_masked`] (cached
 //! per-topology subdivisions, pooled tree scratch, cached tree `τ_min`).
 //!
 //! The re-exported substrate crates ([`rip_tech`], [`rip_net`],
@@ -84,7 +84,7 @@ pub use error::RipError;
 pub use pipeline::{rip, RipOutcome, RipRuntime};
 pub use rip_dp::{DpError, TreeSolution};
 pub use tmin::{tau_min, tau_min_paper};
-pub use tree_pipeline::{tree_rip, tree_rip_masked, TreeRipConfig, TreeRipOutcome};
+pub use tree_pipeline::{tree_rip, TreeRipConfig, TreeRipOutcome};
 
 /// Convenient bulk imports for applications.
 ///
@@ -96,9 +96,8 @@ pub use tree_pipeline::{tree_rip, tree_rip_masked, TreeRipConfig, TreeRipOutcome
 /// ```
 pub mod prelude {
     pub use crate::{
-        baseline_dp, power_saving_percent, rip, tau_min, tau_min_paper, tree_rip, tree_rip_masked,
-        BaselineConfig, BatchTarget, Engine, EngineStats, RipConfig, RipError, RipOutcome,
-        TreeRipConfig,
+        baseline_dp, power_saving_percent, rip, tau_min, tau_min_paper, tree_rip, BaselineConfig,
+        BatchTarget, Engine, EngineStats, RipConfig, RipError, RipOutcome, TreeRipConfig,
     };
     pub use rip_delay::{evaluate, Repeater, RepeaterAssignment};
     pub use rip_dp::{solve_min_delay, solve_min_power, CandidateSet, DpSolution};

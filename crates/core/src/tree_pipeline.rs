@@ -16,7 +16,7 @@
 //!    nodes within a path-distance window of the chosen buffers;
 //! 4. **Fine tree DP** over `(B, windowed sites)`.
 //!
-//! The implementation lives in [`crate::Engine::solve_tree`]; the
+//! The implementation lives in [`crate::Engine::solve_tree_masked`]; the
 //! [`tree_rip`] free function here is a one-shot convenience wrapper over
 //! a fresh engine.
 
@@ -127,36 +127,8 @@ pub fn tree_rip(
     target_fs: f64,
     config: &TreeRipConfig,
 ) -> Result<TreeRipOutcome, RipError> {
-    Engine::new(tech.clone(), config.base.clone()).solve_tree(tree, driver_width, target_fs, config)
-}
-
-/// [`tree_rip`] under a per-node buffer-legality mask (see
-/// [`Engine::solve_tree_masked`] for the binding semantics): blocked
-/// nodes — e.g. the `blocked` attributes of a `.tree` file, via
-/// [`rip_net::TreeNet::allowed_mask`] — never receive a buffer, in any
-/// stage. A `None` or all-true mask is byte-identical to [`tree_rip`].
-///
-/// # Errors
-///
-/// * [`RipError::Dp`] for a mask not aligned to the tree;
-/// * [`RipError::Infeasible`] when the target cannot be met over the
-///   legal sites;
-/// * other [`RipError`] variants for invalid inputs.
-pub fn tree_rip_masked(
-    tree: &RcTree,
-    tech: &Technology,
-    driver_width: f64,
-    target_fs: f64,
-    config: &TreeRipConfig,
-    allowed: Option<&[bool]>,
-) -> Result<TreeRipOutcome, RipError> {
-    Engine::new(tech.clone(), config.base.clone()).solve_tree_masked(
-        tree,
-        driver_width,
-        target_fs,
-        config,
-        allowed,
-    )
+    let engine = Engine::new(tech.clone(), config.base.clone());
+    engine.solve_tree_masked(tree, driver_width, target_fs, config, None)
 }
 
 #[cfg(test)]

@@ -228,14 +228,12 @@ pub enum Request {
     },
     /// `solve_tree`: hybrid tree pipeline on one (possibly masked) tree.
     SolveTree {
-        /// The tree to solve (`blocked` flags are binding).
-        tree: TreeNet,
+        /// The tree to solve and its optional mask override (the
+        /// tree's `blocked` flags are binding otherwise).
+        entry: TreeEntry,
         /// The timing target (`target_mult` resolves against the masked
         /// `τ_min`).
         target: Target,
-        /// Validated request-level mask override, or `None` for the
-        /// tree's own `blocked` flags.
-        allowed: Option<Vec<bool>>,
     },
     /// `batch`: many nets and/or trees, one target rule, per-item
     /// results.
@@ -338,18 +336,13 @@ impl Request {
             "tau_min" => Ok(Request::TauMin {
                 net: net_from_json(request.get("net").ok_or("tau_min needs a 'net'")?)?,
             }),
-            "solve_tree" => {
-                let tree = tree_from_json(request.get("tree").ok_or("solve_tree needs a 'tree'")?)?;
-                let allowed = match request.get("allowed") {
-                    None => None,
-                    Some(value) => Some(allowed_from_json(value, &tree)?),
-                };
-                Ok(Request::SolveTree {
-                    tree,
-                    target: parse_target(request)?,
-                    allowed,
-                })
-            }
+            "solve_tree" => Ok(Request::SolveTree {
+                entry: tree_entry_from_json(
+                    request.get("tree").ok_or("solve_tree needs a 'tree'")?,
+                    request.get("allowed"),
+                )?,
+                target: parse_target(request)?,
+            }),
             "batch" => {
                 let (nets, trees) = nets_and_trees(request, "batch")?;
                 Ok(Request::Batch {
@@ -419,14 +412,10 @@ impl Request {
                 push_target(&mut push, *target);
             }
             Request::TauMin { net } => push("net", net_to_json(net)),
-            Request::SolveTree {
-                tree,
-                target,
-                allowed,
-            } => {
-                push("tree", tree_to_json(tree));
+            Request::SolveTree { entry, target } => {
+                push("tree", tree_to_json(&entry.tree));
                 push_target(&mut push, *target);
-                if let Some(mask) = allowed {
+                if let Some(mask) = &entry.allowed {
                     push(
                         "allowed",
                         Json::Arr(mask.iter().copied().map(Json::Bool).collect()),
@@ -953,11 +942,7 @@ impl ServeState {
                 Ok(result) => Response::Solve(result),
                 Err(e) => Response::solve_error(e),
             },
-            Request::SolveTree {
-                tree,
-                target,
-                allowed,
-            } => match self.run_solve_tree(tree, *target, allowed.as_deref()) {
+            Request::SolveTree { entry, target } => match self.run_solve_tree(entry, *target) {
                 Ok(result) => Response::SolveTree(result),
                 Err(e) => Response::solve_error(e),
             },
@@ -1034,22 +1019,20 @@ impl ServeState {
         Ok(solve_result(target_fs, &outcome.solution))
     }
 
-    fn run_solve_tree(
+    /// Resolves one tree entry for the engine: the solver-side tree,
+    /// its driver width, the binding buffer-legality mask (the tree's
+    /// own `blocked` flags unless overridden by an explicit `allowed`
+    /// array) and the absolute target (`target_mult` against the masked
+    /// `τ_min`). An all-true mask normalizes away inside the engine, so
+    /// unblocked trees take the unmasked pipeline, byte for byte.
+    fn resolve_tree(
         &self,
-        tree_net: &TreeNet,
+        entry: &TreeEntry,
         target: Target,
-        overridden: Option<&[bool]>,
-    ) -> Result<TreeSolveResult, String> {
-        // The buffer-legality mask is binding: the tree's own `blocked`
-        // flags by default, overridden by an explicit `allowed` array.
-        // An all-true mask normalizes away inside the engine, so
-        // unblocked trees answer byte-identically to the pre-mask
-        // protocol.
-        let allowed = overridden
-            .map(<[bool]>::to_vec)
-            .unwrap_or_else(|| tree_net.allowed_mask());
-        let tree = RcTree::from_tree_net(tree_net, self.engine.technology().device());
-        let driver = tree_net.driver_width();
+    ) -> Result<(RcTree, f64, Vec<bool>, f64), String> {
+        let tree = RcTree::from_tree_net(&entry.tree, self.engine.technology().device());
+        let driver = entry.tree.driver_width();
+        let allowed = entry.mask();
         let target_fs = match target {
             Target::AbsoluteFs(fs) => fs,
             Target::TauMinMultiple(m) => {
@@ -1059,6 +1042,11 @@ impl ServeState {
                     .map_err(|e| e.to_string())?
             }
         };
+        Ok((tree, driver, allowed, target_fs))
+    }
+
+    fn run_solve_tree(&self, entry: &TreeEntry, target: Target) -> Result<TreeSolveResult, String> {
+        let (tree, driver, allowed, target_fs) = self.resolve_tree(entry, target)?;
         let outcome = self
             .engine
             .solve_tree_masked(&tree, driver, target_fs, &self.tree_config, Some(&allowed))
@@ -1113,27 +1101,12 @@ impl ServeState {
                 .solve_tree_batch_masked(&entries, &batch_target(target), &self.tree_config);
         outcomes
             .iter()
-            .zip(&entries)
-            .map(|(outcome, (tree, driver, allowed))| match outcome {
-                Ok(out) => {
-                    let target_fs = match target {
-                        Target::AbsoluteFs(fs) => fs,
-                        // Warm hit: resolved inside the batch already.
-                        Target::TauMinMultiple(m) => {
-                            m * self
-                                .engine
-                                .tree_tau_min_masked(
-                                    tree,
-                                    *driver,
-                                    &self.tree_config,
-                                    allowed.as_deref(),
-                                )
-                                .map_err(|e| e.to_string())?
-                        }
-                    };
-                    Ok(tree_solve_result(target_fs, &out.solution))
-                }
-                Err(e) => Err(e.to_string()),
+            .zip(trees)
+            .map(|(outcome, entry)| {
+                let out = outcome.as_ref().map_err(|e| e.to_string())?;
+                // A warm τ_min hit: the batch resolved it already.
+                let (.., target_fs) = self.resolve_tree(entry, target)?;
+                Ok(tree_solve_result(target_fs, &out.solution))
             })
             .collect()
     }
@@ -1173,21 +1146,9 @@ impl ServeState {
         target: Target,
         baseline: &BaselineConfig,
     ) -> Result<Vec<(Option<f64>, f64)>, String> {
-        let device = self.engine.technology().device();
         let mut rows = Vec::with_capacity(trees.len());
         for entry in trees {
-            let tree = RcTree::from_tree_net(&entry.tree, device);
-            let driver = entry.tree.driver_width();
-            let allowed = entry.mask();
-            let target_fs = match target {
-                Target::AbsoluteFs(fs) => fs,
-                Target::TauMinMultiple(m) => {
-                    m * self
-                        .engine
-                        .tree_tau_min_masked(&tree, driver, &self.tree_config, Some(&allowed))
-                        .map_err(|e| e.to_string())?
-                }
-            };
+            let (tree, driver, allowed, target_fs) = self.resolve_tree(entry, target)?;
             let rip = self
                 .engine
                 .solve_tree_masked(&tree, driver, target_fs, &self.tree_config, Some(&allowed))
@@ -1492,6 +1453,16 @@ fn nets_from_json(value: &Json) -> Result<Vec<TwoPinNet>, String> {
         .collect()
 }
 
+/// One tree plus its optional `allowed` override, validated against it.
+fn tree_entry_from_json(tree: &Json, allowed: Option<&Json>) -> Result<TreeEntry, String> {
+    let tree = tree_from_json(tree)?;
+    let allowed = match allowed {
+        None => None,
+        Some(value) => Some(allowed_from_json(value, &tree)?),
+    };
+    Ok(TreeEntry { tree, allowed })
+}
+
 fn tree_entries_from_json(value: &Json) -> Result<Vec<TreeEntry>, String> {
     let items = value.as_arr().ok_or("'trees' must be an array")?;
     if items.is_empty() {
@@ -1507,14 +1478,7 @@ fn tree_entries_from_json(value: &Json) -> Result<Vec<TreeEntry>, String> {
                 Some(tree) => (tree, item.get("allowed")),
                 None => (item, None),
             };
-            let tree = tree_from_json(tree_value).map_err(|e| format!("tree {i}: {e}"))?;
-            let allowed = match allowed_value {
-                None => None,
-                Some(value) => {
-                    Some(allowed_from_json(value, &tree).map_err(|e| format!("tree {i}: {e}"))?)
-                }
-            };
-            Ok(TreeEntry { tree, allowed })
+            tree_entry_from_json(tree_value, allowed_value).map_err(|e| format!("tree {i}: {e}"))
         })
         .collect::<Result<_, String>>()
         .map_err(RequestError::bad)
@@ -1584,14 +1548,12 @@ mod tests {
                 target: Target::AbsoluteFs(2.5e6),
             },
             Request::SolveTree {
-                tree: trees[0].clone(),
+                entry: entry(0, false),
                 target: Target::TauMinMultiple(1.2),
-                allowed: None,
             },
             Request::SolveTree {
-                tree: trees[1].clone(),
+                entry: entry(1, true),
                 target: Target::AbsoluteFs(3.0e6),
-                allowed: Some(trees[1].allowed_mask()),
             },
             Request::Batch {
                 nets: nets.clone(),
