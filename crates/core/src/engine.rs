@@ -552,6 +552,7 @@ struct EngineMetrics {
     chain_coarse_dp: Arc<Histogram>,
     chain_refine: Arc<Histogram>,
     chain_fine: Arc<Histogram>,
+    chain_fine_options: Arc<Histogram>,
     tree_subdivide_coarse: Arc<Histogram>,
     tree_coarse_dp: Arc<Histogram>,
     tree_trim: Arc<Histogram>,
@@ -572,6 +573,7 @@ impl EngineMetrics {
             chain_coarse_dp: registry.histogram("engine_chain_coarse_dp_ns"),
             chain_refine: registry.histogram("engine_chain_refine_ns"),
             chain_fine: registry.histogram("engine_chain_fine_ns"),
+            chain_fine_options: registry.histogram("engine_chain_fine_options"),
             tree_subdivide_coarse: registry.histogram("engine_tree_subdivide_coarse_ns"),
             tree_coarse_dp: registry.histogram("engine_tree_coarse_dp_ns"),
             tree_trim: registry.histogram("engine_tree_trim_ns"),
@@ -706,8 +708,9 @@ impl Engine {
     /// the chain pipeline (`engine_chain_*_ns`), the tree pipeline
     /// (`engine_tree_*_ns`), and cache lookup latency
     /// (`engine_cache_{hit,miss}_ns`), all in nanoseconds; plus the fine
-    /// tree DP's work per solve, as counts: options created
-    /// (`engine_tree_fine_options`) and the largest branch-merge staging
+    /// DPs' work per solve, as counts: options created
+    /// (`engine_chain_fine_options`, `engine_tree_fine_options`) and the
+    /// tree's largest branch-merge staging
     /// (`engine_tree_merge_products_max`).
     /// Observation never changes solver results — the determinism suite
     /// pins that solve bytes are identical with metrics read or reset at
@@ -1116,6 +1119,9 @@ impl Engine {
                 target_fs,
             )?;
             self.metrics.chain_fine.observe_since(t2);
+            self.metrics
+                .chain_fine_options
+                .observe(solution.stats.options_created);
             runtime.fine = t2.elapsed();
             return Ok(RipOutcome {
                 solution,
@@ -1180,6 +1186,11 @@ impl Engine {
             }
         }
         self.metrics.chain_fine.observe_since(t2);
+        if let Ok((solution, _, _)) = &best {
+            self.metrics
+                .chain_fine_options
+                .observe(solution.stats.options_created);
+        }
         runtime.fine = t2.elapsed();
 
         let (solution, final_lib, candidate_count) = match best {

@@ -13,31 +13,32 @@
 //! Section 2 discusses).
 //!
 //! Options live in the sorted struct-of-arrays frontier of
-//! [`crate::frontier`]: the surviving set stays sorted by capacitance,
-//! fresh insertion options arrive pre-bucketed by library width, and
-//! each prune is a single linear merge instead of a full re-sort. All
-//! working memory comes from a reusable [`DpScratch`], so the `_with`
-//! entry points ([`solve_min_power_with`] etc.) allocate nothing after
-//! warm-up; the plain free functions draw from a thread-local scratch.
+//! [`crate::frontier`]. Every candidate runs the buffer-insertion step
+//! that the tree DP runs at each node
+//! ([`InsertStep`](crate::frontier::InsertStep)); the chain supplies the
+//! load `C_in(w)`, the stage delay `d + (i + R·c)` of
+//! [`buffer_added_delay`], the admission test `delay ≤ target`, and a
+//! [`TraceArena`] record at the candidate's position. The surviving set
+//! stays sorted by capacitance, so each prune is a single linear merge
+//! instead of a full re-sort. All working memory comes from a reusable
+//! [`DpScratch`], so the `_with` entry points ([`solve_min_power_with`]
+//! etc.) allocate nothing after warm-up; the plain free functions draw
+//! from a thread-local scratch.
 //! The seed implementation survives in [`crate::reference`] and the
 //! test suite pins both to byte-identical solutions.
 
 use crate::candidates::CandidateSet;
 use crate::error::DpError;
-use crate::frontier::{
-    merge_prune_2d, merge_prune_3d, reduce_bucket_2d, reduce_bucket_3d, BucketItem, DpScratch,
-    OptionBuf,
-};
+use crate::frontier::{select, DpScratch, OptionBuf};
 use crate::options::{TraceArena, TRACE_ROOT};
 use rip_delay::{buffer_added_delay, wire_added_delay, Repeater, RepeaterAssignment};
 use rip_net::TwoPinNet;
 use rip_tech::{RepeaterDevice, RepeaterLibrary};
 use std::cell::RefCell;
-use std::cmp::Ordering;
 
 /// Optimization objective of a DP run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Objective {
+pub(crate) enum Objective {
     /// Minimize source-to-sink Elmore delay (van Ginneken); used to
     /// compute `τ_min` for the paper's timing targets.
     MinDelay,
@@ -47,6 +48,16 @@ pub enum Objective {
         /// Timing target `τ_t`, fs.
         target_fs: f64,
     },
+}
+
+impl Objective {
+    /// The timing target, if the objective has one.
+    pub(crate) fn target_fs(self) -> Option<f64> {
+        match self {
+            Objective::MinDelay => None,
+            Objective::MinPowerUnderDelay { target_fs } => Some(target_fs),
+        }
+    }
 }
 
 /// Counters describing the work a DP run performed.
@@ -140,33 +151,10 @@ pub fn solve_min_delay_with(
     library: &RepeaterLibrary,
     candidates: &CandidateSet,
 ) -> DpSolution {
-    let stats = sweep(
-        net,
-        device,
-        library,
-        candidates,
-        Objective::MinDelay,
-        scratch,
-    );
-    // Smallest delay; break ties towards less width, then towards the
-    // earliest record (matching the reference pruner's stable sort).
-    let cur = &scratch.cur;
-    let mut best = 0usize;
-    for i in 1..cur.len() {
-        let better = match cur.delay[i]
-            .partial_cmp(&cur.delay[best])
-            .expect("finite delays")
-        {
-            Ordering::Less => true,
-            Ordering::Equal => cur.width[i] < cur.width[best],
-            Ordering::Greater => false,
-        };
-        if better {
-            best = i;
-        }
-    }
-    debug_assert!(cur.len() > 0, "the unbuffered option always exists");
-    materialize(cur, best, &scratch.arena, stats)
+    let objective = Objective::MinDelay;
+    let stats = sweep(net, device, library, candidates, objective, scratch);
+    let best = select(&scratch.cur, objective).expect("the unbuffered option always exists");
+    materialize(&scratch.cur, best, &scratch.arena, stats)
 }
 
 /// Minimum-power repeater insertion under a timing target (Lillis-style
@@ -219,82 +207,14 @@ pub fn solve_min_power_with(
     }
     let objective = Objective::MinPowerUnderDelay { target_fs };
     let stats = sweep(net, device, library, candidates, objective, scratch);
-    // Least total width among target-meeting options; break ties towards
-    // less delay, then towards the earliest record.
-    let cur = &scratch.cur;
-    let mut best: Option<usize> = None;
-    for i in 0..cur.len() {
-        if cur.delay[i] > target_fs {
-            continue;
-        }
-        let Some(b) = best else {
-            best = Some(i);
-            continue;
-        };
-        let better = match cur.width[i]
-            .partial_cmp(&cur.width[b])
-            .expect("finite widths")
-        {
-            Ordering::Less => true,
-            Ordering::Equal => cur.delay[i] < cur.delay[b],
-            Ordering::Greater => false,
-        };
-        if better {
-            best = Some(i);
-        }
-    }
-    match best {
-        Some(i) => Ok(materialize(cur, i, &scratch.arena, stats)),
+    match select(&scratch.cur, objective) {
+        Some(i) => Ok(materialize(&scratch.cur, i, &scratch.arena, stats)),
         None => {
             let fastest = solve_min_delay_with(scratch, net, device, library, candidates);
             Err(DpError::InfeasibleTarget {
                 target_fs,
                 achievable_fs: fastest.delay_fs,
             })
-        }
-    }
-}
-
-/// Runs an objective-appropriate DP: delegates to [`solve_min_delay`] or
-/// [`solve_min_power`].
-///
-/// # Errors
-///
-/// See [`solve_min_power`]; the min-delay objective never fails.
-pub fn solve(
-    net: &TwoPinNet,
-    device: &RepeaterDevice,
-    library: &RepeaterLibrary,
-    candidates: &CandidateSet,
-    objective: Objective,
-) -> Result<DpSolution, DpError> {
-    match objective {
-        Objective::MinDelay => Ok(solve_min_delay(net, device, library, candidates)),
-        Objective::MinPowerUnderDelay { target_fs } => {
-            solve_min_power(net, device, library, candidates, target_fs)
-        }
-    }
-}
-
-/// [`solve`] with caller-provided scratch memory.
-///
-/// # Errors
-///
-/// See [`solve_min_power`]; the min-delay objective never fails.
-pub fn solve_with(
-    scratch: &mut DpScratch,
-    net: &TwoPinNet,
-    device: &RepeaterDevice,
-    library: &RepeaterLibrary,
-    candidates: &CandidateSet,
-    objective: Objective,
-) -> Result<DpSolution, DpError> {
-    match objective {
-        Objective::MinDelay => Ok(solve_min_delay_with(
-            scratch, net, device, library, candidates,
-        )),
-        Objective::MinPowerUnderDelay { target_fs } => {
-            solve_min_power_with(scratch, net, device, library, candidates, target_fs)
         }
     }
 }
@@ -332,16 +252,15 @@ fn sweep(
 ) -> DpStats {
     scratch.reset();
     let profile = net.profile();
-    let target = match objective {
-        Objective::MinDelay => None,
-        Objective::MinPowerUnderDelay { target_fs } => Some(target_fs),
-    };
+    let target = objective.target_fs();
+    let limit = target.unwrap_or(f64::INFINITY);
     let mut stats = DpStats {
         candidates: candidates.len(),
         library_size: library.len(),
         ..DpStats::default()
     };
-    scratch.cur.push(
+    let DpScratch { cur, step, arena } = scratch;
+    cur.push(
         device.input_cap(net.receiver_width()),
         0.0,
         0.0,
@@ -356,88 +275,38 @@ fn sweep(
         // constant capacitance shift and within-equal-cap-uniform delay
         // shift preserve the frontier's sort order.
         let wire = profile.interval(x, prev_pos);
-        {
-            let cur = &mut scratch.cur;
-            for i in 0..cur.len() {
-                cur.delay[i] += wire_added_delay(wire, cur.cap[i]);
-                cur.cap[i] += wire.capacitance;
-            }
+        for i in 0..cur.len() {
+            cur.delay[i] += wire_added_delay(wire, cur.cap[i]);
+            cur.cap[i] += wire.capacitance;
         }
         if let Some(t) = target {
             // Upstream delay only grows; over-target options are dead.
-            scratch.cur.retain_delay_le(t);
+            cur.retain_delay_le(t);
         }
 
-        // Option to insert each library width here, bucketed per width:
-        // each bucket shares the load `C_in(w)` and is reduced to its
-        // sorted sub-frontier before the global merge.
-        scratch.fresh.clear();
-        let mut created = scratch.cur.len() as u64;
-        for &w in library.widths() {
-            let new_cap = device.input_cap(w);
-            scratch.bucket.clear();
-            let cur = &scratch.cur;
-            for i in 0..cur.len() {
-                let delay = cur.delay[i] + buffer_added_delay(device, w, cur.cap[i]);
-                if target.is_some_and(|t| delay > t) {
-                    continue;
-                }
-                scratch.bucket.push(BucketItem {
-                    delay,
-                    width: cur.width[i] + w,
-                    trace: cur.trace[i],
-                    seq: scratch.bucket.len() as u32,
-                });
-            }
-            created += scratch.bucket.len() as u64;
-            let (bucket, fresh) = (&mut scratch.bucket, &mut scratch.fresh);
-            match objective {
-                Objective::MinDelay => reduce_bucket_2d(bucket, |item| {
-                    fresh.push(new_cap, item.delay, item.width, item.trace, w);
-                }),
-                Objective::MinPowerUnderDelay { .. } => reduce_bucket_3d(bucket, |item| {
-                    fresh.push(new_cap, item.delay, item.width, item.trace, w);
-                }),
-            }
-        }
-        stats.options_created += created;
-
-        match objective {
-            Objective::MinDelay => {
-                merge_prune_2d(&mut scratch.cur, &scratch.fresh, &mut scratch.merged);
-            }
-            Objective::MinPowerUnderDelay { .. } => merge_prune_3d(
-                &mut scratch.cur,
-                &scratch.fresh,
-                &mut scratch.merged,
-                &mut scratch.stairs,
-            ),
-        }
-
-        // Materialize traces only for surviving fresh insertions.
-        {
-            let cur = &mut scratch.cur;
-            for i in 0..cur.len() {
-                let pending = cur.pending[i];
-                if !pending.is_nan() {
-                    cur.trace[i] = scratch.arena.push(x, pending, cur.trace[i]);
-                    cur.pending[i] = f64::NAN;
-                }
-            }
-            stats.options_peak = stats.options_peak.max(cur.len());
-        }
+        // Option to insert each library width here: the repeater
+        // presents `C_in(w)` upstream and adds its stage delay.
+        stats.options_created += step.generate(
+            cur,
+            library.widths(),
+            objective,
+            |w| device.input_cap(w),
+            |w, delay, cap| delay + buffer_added_delay(device, w, cap),
+            |delay, _| delay <= limit,
+        );
+        step.merge_into(cur, objective, |w, prev| arena.push(x, w, prev));
+        stats.options_peak = stats.options_peak.max(cur.len());
         prev_pos = x;
     }
 
     // Close the wire back to the source and apply the driver stage.
     let wire = profile.interval(0.0, prev_pos);
-    let cur = &mut scratch.cur;
     for i in 0..cur.len() {
         cur.delay[i] += wire_added_delay(wire, cur.cap[i]);
         cur.cap[i] += wire.capacitance;
         cur.delay[i] += buffer_added_delay(device, net.driver_width(), cur.cap[i]);
     }
-    stats.trace_nodes = scratch.arena.len() - 1;
+    stats.trace_nodes = arena.len() - 1;
     stats
 }
 
@@ -647,17 +516,6 @@ mod tests {
         assert_eq!(sol.stats.candidates, cands.len());
         assert!(sol.stats.options_created > 0);
         assert!(sol.stats.options_peak > 0);
-    }
-
-    #[test]
-    fn solve_dispatches_on_objective() {
-        let tech = tech();
-        let net = long_net();
-        let lib = RepeaterLibrary::paper_coarse();
-        let cands = CandidateSet::uniform(&net, 200.0);
-        let a = solve(&net, tech.device(), &lib, &cands, Objective::MinDelay).unwrap();
-        let b = solve_min_delay(&net, tech.device(), &lib, &cands);
-        assert_eq!(a, b);
     }
 
     #[test]

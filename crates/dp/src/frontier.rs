@@ -1,5 +1,5 @@
-//! Sorted option frontiers in struct-of-arrays layout, with merge-based
-//! dominance pruning and reusable scratch buffers.
+//! Sorted option frontiers in struct-of-arrays layout, and the one
+//! buffer-insertion step that both DP sweeps run at every buffer site.
 //!
 //! The seed implementation ([`crate::reference`]) re-sorts the *entire*
 //! option set after every candidate position: each prune is an
@@ -12,28 +12,48 @@
 //!    (`cap`, then `delay`, then `width`). Wire crossings preserve the
 //!    order (they shift `cap` by a constant and change `delay`
 //!    monotonically within equal-`cap` groups), so pruning after a
-//!    candidate is a single linear **merge** of the sorted survivors
+//!    buffer site is a single linear **merge** of the sorted survivors
 //!    with the freshly created insertion options — no full sort, ever.
 //! 2. **Fresh insertion options are bucketed by library width.** Every
-//!    option inserting width `w` has the same capacitance
-//!    `C_in(w)`, so the library quantizes the fresh set into `|B|`
-//!    equal-`cap` buckets that are trivially `cap`-sorted (libraries
-//!    store ascending widths and `C_in` is strictly increasing). Each
-//!    bucket is reduced to its own sorted sub-frontier — a single
-//!    minimum-delay record in 2D delay mode, a `(delay, width)`
-//!    staircase in 3D power mode — before the global merge, so the merge
-//!    sees only options that could survive same-`cap` dominance.
+//!    option inserting width `w` presents the same load upstream, so the
+//!    library quantizes the fresh set into `|B|` equal-`cap` buckets that
+//!    are trivially `cap`-sorted (libraries store ascending widths and
+//!    the load is strictly increasing in `w`). Each bucket is reduced to
+//!    its own sorted sub-frontier — a single minimum-delay record in 2D
+//!    delay mode, a `(delay, width)` staircase in 3D power mode — before
+//!    the global merge, so the merge sees only options that could
+//!    survive same-`cap` dominance.
+//!
+//! [`InsertStep`] is that step, shared by the chain sweep
+//! ([`crate::chain`]) and the tree DP ([`crate::tree`]):
+//!
+//! * [`InsertStep::generate`] tries every library width against every
+//!   option, keeps the insertions the caller admits, and reduces each
+//!   width bucket to its sub-frontier;
+//! * [`InsertStep::merge_into`] merges the sub-frontiers into the
+//!   caller's frontier and records a trace only for the insertions that
+//!   survive;
+//! * [`select`] picks the answer from a finished frontier.
+//!
+//! Each caller passes only what belongs to its own model: the load a
+//! width presents, its stage-delay expression (the chain and the tree
+//! round it differently, and each is pinned bit for bit by its oracle),
+//! its admission test and how it records a surviving insertion. The
+//! objective is dispatched here and nowhere else.
 //!
 //! Dominance queries during the merge use the [`Staircase`] (binary
 //! search insertion, amortized `O(log n)`), exactly as the reference
 //! pruner does — the survivor *set and order* are byte-identical to the
-//! reference (`tests/frontier_equivalence.rs` pins this on a 50-net
-//! corpus), only the work to compute them changes.
+//! reference (`tests/frontier_equivalence.rs` and
+//! `tests/tree_frontier_equivalence.rs` pin this on 50-net and 50-tree
+//! corpora), only the work to compute them changes.
 //!
-//! All buffers live in [`DpScratch`] so a warm solver allocates nothing:
-//! `rip_core::Engine` pools scratches across batch solves, and the
-//! crate's free functions fall back to a thread-local scratch.
+//! All buffers live in [`DpScratch`] (or the tree's
+//! [`TreeScratch`](crate::TreeScratch)) so a warm solver allocates
+//! nothing: `rip_core::Engine` pools scratches across batch solves, and
+//! the crate's free functions fall back to a thread-local scratch.
 
+use crate::chain::Objective;
 use crate::options::{Staircase, TraceArena};
 use std::cmp::Ordering;
 
@@ -122,15 +142,15 @@ impl OptionBuf {
 /// unstable sort on the full `(delay, width, seq)` key reproduces a
 /// stable sort without its temporary allocation.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct BucketItem {
-    pub delay: f64,
-    pub width: f64,
-    pub trace: u32,
-    pub seq: u32,
+struct BucketItem {
+    delay: f64,
+    width: f64,
+    trace: u32,
+    seq: u32,
 }
 
-/// Reusable scratch for the DP engines: option buffers, the traceback
-/// arena, the dominance staircase, and the per-width generation bucket.
+/// Reusable scratch for the chain DP: the option frontier, the
+/// buffer-insertion step's buffers and the traceback arena.
 ///
 /// A scratch is plain reusable memory — it carries no configuration and
 /// never influences results. Solvers reset it on entry, so a single
@@ -167,10 +187,7 @@ pub(crate) struct BucketItem {
 #[derive(Debug, Default)]
 pub struct DpScratch {
     pub(crate) cur: OptionBuf,
-    pub(crate) fresh: OptionBuf,
-    pub(crate) merged: OptionBuf,
-    pub(crate) bucket: Vec<BucketItem>,
-    pub(crate) stairs: Staircase,
+    pub(crate) step: InsertStep,
     pub(crate) arena: TraceArena,
 }
 
@@ -184,11 +201,112 @@ impl DpScratch {
     /// Resets per-solve state, keeping capacity.
     pub(crate) fn reset(&mut self) {
         self.cur.clear();
+        self.step.clear();
+        self.arena.reset();
+    }
+}
+
+/// The buffer-insertion step and its working memory: the fresh
+/// insertion options, the merge output, the in-flight width bucket and
+/// the dominance staircase. The tree DP's branch cross-merge borrows
+/// `merged` and `stairs` between steps.
+#[derive(Debug, Default)]
+pub(crate) struct InsertStep {
+    /// Fresh insertion options: the reduced width buckets, `cap`-sorted.
+    fresh: OptionBuf,
+    /// Output buffer of the frontier merge.
+    pub merged: OptionBuf,
+    /// The width bucket being generated.
+    bucket: Vec<BucketItem>,
+    /// Binary-search dominance staircase.
+    pub stairs: Staircase,
+}
+
+impl InsertStep {
+    /// Forgets every buffered option, keeping capacity.
+    pub(crate) fn clear(&mut self) {
         self.fresh.clear();
         self.merged.clear();
         self.bucket.clear();
         self.stairs.clear();
-        self.arena.reset();
+    }
+
+    /// Generates the buffer insertions at one site. For each width `w`
+    /// (ascending), every option of `front` is tried: the new option
+    /// presents `load(w)` upstream, has delay
+    /// `stage_delay(w, delay, cap)` and width `width + w`, and is kept
+    /// when `admits(new_delay, load(w))`. Each width bucket is reduced to
+    /// its sorted sub-frontier, which carries the parent trace and `w` as
+    /// a pending insert, ready for [`InsertStep::merge_into`]. `load`
+    /// must be strictly increasing in `w`.
+    ///
+    /// Returns the options created at the site: every option of `front`
+    /// plus every admitted insertion.
+    pub(crate) fn generate(
+        &mut self,
+        front: &OptionBuf,
+        widths: &[f64],
+        objective: Objective,
+        load: impl Fn(f64) -> f64,
+        stage_delay: impl Fn(f64, f64, f64) -> f64,
+        admits: impl Fn(f64, f64) -> bool,
+    ) -> u64 {
+        let Self { fresh, bucket, .. } = self;
+        fresh.clear();
+        let mut created = front.len() as u64;
+        for &w in widths {
+            let cap = load(w);
+            bucket.clear();
+            for i in 0..front.len() {
+                let delay = stage_delay(w, front.delay[i], front.cap[i]);
+                if !admits(delay, cap) {
+                    continue;
+                }
+                let seq = bucket.len() as u32;
+                bucket.push(BucketItem {
+                    delay,
+                    width: front.width[i] + w,
+                    trace: front.trace[i],
+                    seq,
+                });
+            }
+            created += bucket.len() as u64;
+            reduce_bucket(bucket, objective, |item| {
+                fresh.push(cap, item.delay, item.width, item.trace, w);
+            });
+        }
+        created
+    }
+
+    /// Merges the insertions of the last [`InsertStep::generate`] into
+    /// the sorted frontier `front`, leaving the objective's Pareto
+    /// frontier there, then records each surviving insertion:
+    /// `record(w, parent_trace)` returns its new trace handle.
+    pub(crate) fn merge_into(
+        &mut self,
+        front: &mut OptionBuf,
+        objective: Objective,
+        mut record: impl FnMut(f64, u32) -> u32,
+    ) {
+        let Self {
+            fresh,
+            merged,
+            stairs,
+            ..
+        } = self;
+        match objective {
+            Objective::MinDelay => merge_prune::<false>(front, fresh, merged, stairs),
+            Objective::MinPowerUnderDelay { .. } => {
+                merge_prune::<true>(front, fresh, merged, stairs);
+            }
+        }
+        for i in 0..front.len() {
+            let pending = front.pending[i];
+            if !pending.is_nan() {
+                front.trace[i] = record(pending, front.trace[i]);
+                front.pending[i] = f64::NAN;
+            }
+        }
     }
 }
 
@@ -197,105 +315,85 @@ pub(crate) fn cmp_f64(a: f64, b: f64) -> Ordering {
     a.partial_cmp(&b).expect("finite DP keys")
 }
 
-/// Lexicographic `(cap, delay)` comparison between `cur[i]` and
-/// `fresh[j]` — the 2D delay-mode sort key (width excluded, exactly as
-/// the reference pruner sorts).
-#[inline]
-fn cmp2(cur: &OptionBuf, i: usize, fresh: &OptionBuf, j: usize) -> Ordering {
-    cmp_f64(cur.cap[i], fresh.cap[j]).then_with(|| cmp_f64(cur.delay[i], fresh.delay[j]))
+/// Picks the answer from a finished frontier (total delays): the least
+/// delay, then the least width, in delay mode; the least width among the
+/// options meeting the target, then the least delay, in power mode. Ties
+/// go to the earliest option, matching the reference engines. `None`
+/// when no option meets the target.
+pub(crate) fn select(front: &OptionBuf, objective: Objective) -> Option<usize> {
+    let (delay, width) = (&front.delay, &front.width);
+    match objective {
+        Objective::MinDelay => (0..front.len())
+            .min_by(|&a, &b| cmp_f64(delay[a], delay[b]).then(cmp_f64(width[a], width[b]))),
+        Objective::MinPowerUnderDelay { target_fs } => (0..front.len())
+            .filter(|&i| delay[i] <= target_fs)
+            .min_by(|&a, &b| cmp_f64(width[a], width[b]).then(cmp_f64(delay[a], delay[b]))),
+    }
 }
 
-/// Lexicographic `(cap, delay, width)` comparison — the 3D power-mode
-/// sort key.
-#[inline]
-fn cmp3(cur: &OptionBuf, i: usize, fresh: &OptionBuf, j: usize) -> Ordering {
-    cmp2(cur, i, fresh, j).then_with(|| cmp_f64(cur.width[i], fresh.width[j]))
-}
-
-/// Reduces a generation bucket (equal-`cap` fresh options) to its 2D
-/// delay-mode survivor and emits it: only the bucket's earliest
-/// minimum-delay option can survive same-`cap` dominance. The emit
-/// closure owns the storage layout, so the SoA chain engine and the
-/// AoS tree engine share one reduction.
-pub(crate) fn reduce_bucket_2d(bucket: &[BucketItem], mut emit: impl FnMut(&BucketItem)) {
-    let Some(first) = bucket.first() else { return };
-    let mut best = first;
-    for item in &bucket[1..] {
-        if item.delay < best.delay {
-            best = item;
+/// Reduces a generation bucket (equal-`cap` fresh options) to its sorted
+/// sub-frontier and emits it. In delay mode only the bucket's earliest
+/// minimum-delay option can survive same-`cap` dominance (a linear scan,
+/// no sort). In power mode the survivors are the `(delay, width)`
+/// staircase, emitted with delay strictly ascending and width strictly
+/// descending; exact duplicates collapse to the generation-earliest
+/// record, matching the reference pruner's stable sort.
+fn reduce_bucket(
+    bucket: &mut [BucketItem],
+    objective: Objective,
+    mut emit: impl FnMut(&BucketItem),
+) {
+    match objective {
+        Objective::MinDelay => {
+            let Some(first) = bucket.first() else { return };
+            let mut best = first;
+            for item in &bucket[1..] {
+                if item.delay < best.delay {
+                    best = item;
+                }
+            }
+            emit(best);
+        }
+        Objective::MinPowerUnderDelay { .. } => {
+            // seq breaks ties deterministically, so the unstable sort is
+            // allocation-free yet order-equivalent to a stable sort.
+            bucket.sort_unstable_by(|a, b| {
+                cmp_f64(a.delay, b.delay)
+                    .then_with(|| cmp_f64(a.width, b.width))
+                    .then_with(|| a.seq.cmp(&b.seq))
+            });
+            let mut best_width = f64::INFINITY;
+            for item in bucket.iter() {
+                if item.width < best_width {
+                    best_width = item.width;
+                    emit(item);
+                }
+            }
         }
     }
-    emit(best);
 }
 
-/// Reduces a generation bucket to its `(delay, width)` staircase and
-/// emits the survivors in order (delay strictly ascending, width
-/// strictly descending — the bucket's sorted sub-frontier). Only these
-/// can survive same-`cap` dominance in the global merge; exact
-/// duplicates collapse to the generation-earliest record, matching the
-/// reference pruner's stable sort.
-pub(crate) fn reduce_bucket_3d(bucket: &mut [BucketItem], mut emit: impl FnMut(&BucketItem)) {
-    // seq breaks ties deterministically, so the unstable sort is
-    // allocation-free yet order-equivalent to a stable sort.
-    bucket.sort_unstable_by(|a, b| {
-        cmp_f64(a.delay, b.delay)
-            .then_with(|| cmp_f64(a.width, b.width))
-            .then_with(|| a.seq.cmp(&b.seq))
-    });
-    let mut best_width = f64::INFINITY;
-    for item in bucket.iter() {
-        if item.width < best_width {
-            best_width = item.width;
-            emit(item);
-        }
+/// Lexicographic comparison between `cur[i]` and `fresh[j]` on the
+/// reference pruner's sort key: `(cap, delay)` in delay mode (width
+/// excluded), `(cap, delay, width)` in power mode.
+#[inline]
+fn cmp_key<const POWER: bool>(cur: &OptionBuf, i: usize, fresh: &OptionBuf, j: usize) -> Ordering {
+    let two = cmp_f64(cur.cap[i], fresh.cap[j]).then_with(|| cmp_f64(cur.delay[i], fresh.delay[j]));
+    if POWER {
+        two.then_with(|| cmp_f64(cur.width[i], fresh.width[j]))
+    } else {
+        two
     }
 }
 
 /// Merges the sorted surviving frontier `cur` with the sorted fresh
-/// options into the 2D Pareto frontier, leaving the result (sorted, all
-/// columns) in `cur`. Ties on the `(cap, delay)` key prefer `cur`,
+/// options into the Pareto frontier, leaving the result (sorted, all
+/// columns) in `cur`: the 2D `(cap, delay)` frontier in delay mode, the
+/// 3D one (staircase dominance over `(delay, width)` under the
+/// `cap`-sorted sweep) in power mode. Ties on the key prefer `cur`,
 /// reproducing the reference pruner's stable sort of
 /// `[survivors.., fresh..]`.
-pub(crate) fn merge_prune_2d(cur: &mut OptionBuf, fresh: &OptionBuf, merged: &mut OptionBuf) {
-    merged.clear();
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut best_delay = f64::INFINITY;
-    while i < cur.len() || j < fresh.len() {
-        let take_cur = if i >= cur.len() {
-            false
-        } else if j >= fresh.len() {
-            true
-        } else {
-            cmp2(cur, i, fresh, j) != Ordering::Greater
-        };
-        let (buf, k) = if take_cur {
-            let k = i;
-            i += 1;
-            (&*cur, k)
-        } else {
-            let k = j;
-            j += 1;
-            (fresh, k)
-        };
-        if buf.delay[k] < best_delay {
-            best_delay = buf.delay[k];
-            merged.push(
-                buf.cap[k],
-                buf.delay[k],
-                buf.width[k],
-                buf.trace[k],
-                buf.pending[k],
-            );
-        }
-    }
-    std::mem::swap(cur, merged);
-}
-
-/// Merges the sorted surviving frontier `cur` with the sorted fresh
-/// options into the 3D Pareto frontier (staircase dominance over
-/// `(delay, width)` under the `cap`-sorted sweep), leaving the result in
-/// `cur`. Ties on the full key prefer `cur`.
-pub(crate) fn merge_prune_3d(
+fn merge_prune<const POWER: bool>(
     cur: &mut OptionBuf,
     fresh: &OptionBuf,
     merged: &mut OptionBuf,
@@ -304,13 +402,14 @@ pub(crate) fn merge_prune_3d(
     merged.clear();
     stairs.clear();
     let (mut i, mut j) = (0usize, 0usize);
+    let mut best_delay = f64::INFINITY;
     while i < cur.len() || j < fresh.len() {
         let take_cur = if i >= cur.len() {
             false
         } else if j >= fresh.len() {
             true
         } else {
-            cmp3(cur, i, fresh, j) != Ordering::Greater
+            cmp_key::<POWER>(cur, i, fresh, j) != Ordering::Greater
         };
         let (buf, k) = if take_cur {
             let k = i;
@@ -321,15 +420,22 @@ pub(crate) fn merge_prune_3d(
             j += 1;
             (fresh, k)
         };
-        if !stairs.dominates(buf.delay[k], buf.width[k]) {
-            stairs.insert(buf.delay[k], buf.width[k]);
-            merged.push(
-                buf.cap[k],
-                buf.delay[k],
-                buf.width[k],
-                buf.trace[k],
-                buf.pending[k],
-            );
+        let (delay, width) = (buf.delay[k], buf.width[k]);
+        let keep = if POWER {
+            let keep = !stairs.dominates(delay, width);
+            if keep {
+                stairs.insert(delay, width);
+            }
+            keep
+        } else {
+            let keep = delay < best_delay;
+            if keep {
+                best_delay = delay;
+            }
+            keep
+        };
+        if keep {
+            merged.push(buf.cap[k], delay, width, buf.trace[k], buf.pending[k]);
         }
     }
     std::mem::swap(cur, merged);
@@ -339,6 +445,8 @@ pub(crate) fn merge_prune_3d(
 mod tests {
     use super::*;
     use crate::options::{prune_2d, prune_3d};
+
+    const POWER: Objective = Objective::MinPowerUnderDelay { target_fs: 1.0 };
 
     /// Deterministic quantized pseudo-random generator: coarse values so
     /// duplicates and dominance chains actually occur.
@@ -395,14 +503,14 @@ mod tests {
                         seq: s,
                     });
                 }
-                reduce_bucket_3d(&mut bucket, |item| {
+                reduce_bucket(&mut bucket, POWER, |item| {
                     fresh.push(cap, item.delay, item.width, item.trace, f64::NAN);
                 });
             }
             let expect = reference_3d(&cur, &fresh);
             let mut merged = OptionBuf::default();
             let mut stairs = Staircase::new();
-            merge_prune_3d(&mut cur, &fresh, &mut merged, &mut stairs);
+            merge_prune::<true>(&mut cur, &fresh, &mut merged, &mut stairs);
             let got: Vec<(f64, f64, f64)> = (0..cur.len())
                 .map(|i| (cur.cap[i], cur.delay[i], cur.width[i]))
                 .collect();
@@ -426,7 +534,7 @@ mod tests {
             let mut fresh = OptionBuf::default();
             for b in 0..5 {
                 let cap = 9.0 + b as f64;
-                let bucket: Vec<BucketItem> = (0..8u32)
+                let mut bucket: Vec<BucketItem> = (0..8u32)
                     .map(|s| BucketItem {
                         delay: lcg(&mut state),
                         width: 0.0,
@@ -434,7 +542,7 @@ mod tests {
                         seq: s,
                     })
                     .collect();
-                reduce_bucket_2d(&bucket, |item| {
+                reduce_bucket(&mut bucket, Objective::MinDelay, |item| {
                     fresh.push(cap, item.delay, item.width, item.trace, f64::NAN);
                 });
             }
@@ -444,10 +552,141 @@ mod tests {
                 .collect();
             prune_2d(&mut all, |&x| x);
             let mut merged = OptionBuf::default();
-            merge_prune_2d(&mut cur, &fresh, &mut merged);
+            let mut stairs = Staircase::new();
+            merge_prune::<false>(&mut cur, &fresh, &mut merged, &mut stairs);
             let got: Vec<(f64, f64)> = (0..cur.len()).map(|i| (cur.cap[i], cur.delay[i])).collect();
             assert_eq!(got, all, "round {round}");
         }
+    }
+
+    /// One option as the reference pruner sees it: `(cap, delay, width,
+    /// parent trace, pending width)`, pending `NaN` for a carried option.
+    type Row = (f64, f64, f64, u32, f64);
+
+    #[test]
+    fn insert_step_matches_reference_pruner_on_fuzz() {
+        // The whole step — generation, admission, bucket reduction, merge
+        // and trace materialisation — against the reference pruner applied
+        // to `cur ∪ every admitted insertion` in generation order. Integer
+        // caps, delays and widths make key ties, exact duplicates and
+        // `width + w` sum collisions common.
+        let mut state = 0xF00Du64;
+        let mut step = InsertStep::default();
+        let (mut duplicated, mut tied) = (false, false);
+        for round in 0..1000 {
+            let objective = if round % 2 == 0 {
+                Objective::MinDelay
+            } else {
+                POWER
+            };
+            let limit = if round % 4 < 2 {
+                f64::INFINITY
+            } else {
+                10.0 + lcg(&mut state)
+            };
+            // A sorted frontier as a sweep holds it: pruned by the
+            // objective, with distinct trace handles.
+            let mut items: Vec<(f64, f64, f64)> = (0..1 + round % 23)
+                .map(|_| (lcg(&mut state), lcg(&mut state), lcg(&mut state)))
+                .collect();
+            match objective {
+                Objective::MinDelay => prune_2d(&mut items, |x| (x.0, x.1)),
+                Objective::MinPowerUnderDelay { .. } => prune_3d(&mut items, |&x| x),
+            }
+            let mut cur = OptionBuf::default();
+            for (i, &(c, d, w)) in items.iter().enumerate() {
+                cur.push(c, d, w, 10 + i as u32, f64::NAN);
+            }
+            // A small ascending library of integer widths; its load ties
+            // with the frontier's caps.
+            let widths: Vec<f64> = (1..=6)
+                .map(f64::from)
+                .filter(|_| lcg(&mut state) >= 3.0)
+                .collect();
+            let load = |w: f64| w;
+            let stage_delay =
+                |w: f64, delay: f64, cap: f64| delay + ((7.0 - w) * cap / 4.0).floor();
+            let admits = |delay: f64, cap: f64| delay + cap <= limit;
+
+            let mut all: Vec<Row> = (0..cur.len())
+                .map(|i| {
+                    (
+                        cur.cap[i],
+                        cur.delay[i],
+                        cur.width[i],
+                        cur.trace[i],
+                        f64::NAN,
+                    )
+                })
+                .collect();
+            for &w in &widths {
+                for i in 0..cur.len() {
+                    let delay = stage_delay(w, cur.delay[i], cur.cap[i]);
+                    if admits(delay, load(w)) {
+                        all.push((load(w), delay, cur.width[i] + w, cur.trace[i], w));
+                    }
+                }
+            }
+            let expect_created = all.len() as u64;
+            let key = |r: &Row| (r.0, r.1, r.2);
+            let sort_key = |r: &Row| match objective {
+                Objective::MinDelay => (r.0, r.1, 0.0),
+                Objective::MinPowerUnderDelay { .. } => key(r),
+            };
+            for (i, a) in all.iter().enumerate().filter(|(_, a)| !a.4.is_nan()) {
+                duplicated |= all[..i].iter().any(|b| key(a) == key(b));
+                tied |= all
+                    .iter()
+                    .any(|b| b.4.is_nan() && sort_key(a) == sort_key(b));
+            }
+            match objective {
+                Objective::MinDelay => prune_2d(&mut all, |r| (r.0, r.1)),
+                Objective::MinPowerUnderDelay { .. } => prune_3d(&mut all, key),
+            }
+            let mut expect_recorded = Vec::new();
+            let expect: Vec<(f64, f64, f64, u32)> = all
+                .iter()
+                .map(|&(cap, delay, width, prev, pending)| {
+                    let trace = if pending.is_nan() {
+                        prev
+                    } else {
+                        expect_recorded.push((pending, prev));
+                        1000 + expect_recorded.len() as u32 - 1
+                    };
+                    (cap, delay, width, trace)
+                })
+                .collect();
+
+            let created = step.generate(&cur, &widths, objective, load, stage_delay, admits);
+            let mut recorded = Vec::new();
+            step.merge_into(&mut cur, objective, |w, prev| {
+                recorded.push((w, prev));
+                1000 + recorded.len() as u32 - 1
+            });
+            let got: Vec<(f64, f64, f64, u32)> = (0..cur.len())
+                .map(|i| (cur.cap[i], cur.delay[i], cur.width[i], cur.trace[i]))
+                .collect();
+            let ctx = format!("round {round} {objective:?} limit {limit}");
+            assert_eq!(created, expect_created, "{ctx}");
+            assert_eq!(got, expect, "{ctx}");
+            assert_eq!(recorded, expect_recorded, "{ctx}");
+            assert!(cur.pending.iter().all(|p| p.is_nan()), "{ctx}");
+        }
+        assert!(duplicated, "no insertion ever duplicated another");
+        assert!(tied, "no insertion ever tied a carried option");
+    }
+
+    #[test]
+    fn select_breaks_ties_towards_the_earliest_option() {
+        let mut front = OptionBuf::default();
+        for (delay, width) in [(5.0, 3.0), (4.0, 9.0), (4.0, 9.0), (6.0, 3.0)] {
+            front.push(0.0, delay, width, 0, f64::NAN);
+        }
+        assert_eq!(select(&front, Objective::MinDelay), Some(1));
+        let target = |target_fs| Objective::MinPowerUnderDelay { target_fs };
+        assert_eq!(select(&front, target(6.0)), Some(0));
+        assert_eq!(select(&front, target(4.5)), Some(1));
+        assert_eq!(select(&front, target(3.0)), None);
     }
 
     #[test]
@@ -482,7 +721,7 @@ mod tests {
             },
         ];
         let mut fresh = OptionBuf::default();
-        reduce_bucket_3d(&mut bucket, |item| {
+        reduce_bucket(&mut bucket, POWER, |item| {
             fresh.push(1.0, item.delay, item.width, item.trace, 5.0);
         });
         assert_eq!(fresh.len(), 1);

@@ -22,7 +22,10 @@
 //!   the sorted struct-of-arrays frontier with a reusable
 //!   [`TreeScratch`] (`_with` entry points for batch callers), drops
 //!   options that a target-aware bound proves infeasible, and merges
-//!   branches with per-width two-pointer walks;
+//!   branches with per-width two-pointer walks. Both sweeps run one
+//!   shared buffer-insertion step at every buffer site (try each width,
+//!   reduce each width bucket, merge into the frontier, record traces
+//!   for the survivors), and one final pick;
 //! * [`DpScratch`] and the `_with` entry points
 //!   ([`solve_min_power_with`] etc.) — caller-managed scratch memory so
 //!   batch workloads allocate nothing after warm-up (the plain free
@@ -72,8 +75,8 @@ mod tree;
 pub use brute::{brute_min_delay, brute_min_power, brute_tree_min_delay, brute_tree_min_power};
 pub use candidates::CandidateSet;
 pub use chain::{
-    solve, solve_min_delay, solve_min_delay_with, solve_min_power, solve_min_power_with,
-    solve_with, DpSolution, DpStats, Objective,
+    solve_min_delay, solve_min_delay_with, solve_min_power, solve_min_power_with, DpSolution,
+    DpStats,
 };
 pub use error::DpError;
 pub use frontier::DpScratch;
@@ -92,7 +95,6 @@ mod tests {
         assert_send_sync::<CandidateSet>();
         assert_send_sync::<DpSolution>();
         assert_send_sync::<DpStats>();
-        assert_send_sync::<Objective>();
         assert_send_sync::<TreeSolution>();
         assert_send_sync::<DpError>();
     }

@@ -19,7 +19,6 @@
 
 use crate::chain::DpStats;
 use crate::error::DpError;
-use crate::frontier::{cmp_f64, reduce_bucket_2d, reduce_bucket_3d, BucketItem};
 use crate::options::{prune_2d, prune_3d, Staircase};
 use crate::tree::TreeSolution;
 use rip_delay::RcTree;
@@ -93,7 +92,66 @@ impl TArena {
     }
 }
 
-/// Tree objective selector (mirrors the chain [`crate::Objective`]).
+// This module keeps its own copy of the width-bucket reduction, so a
+// change to the production reducer in `crate::frontier` cannot move the
+// oracle with it.
+
+/// One fresh insertion option inside a width bucket, before the bucket
+/// is reduced to its sub-frontier. `seq` records generation order so an
+/// unstable sort on the full `(delay, width, seq)` key reproduces a
+/// stable sort without its temporary allocation.
+#[derive(Debug, Clone, Copy)]
+struct BucketItem {
+    delay: f64,
+    width: f64,
+    trace: u32,
+    seq: u32,
+}
+
+#[inline]
+fn cmp_f64(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).expect("finite DP keys")
+}
+
+/// Reduces a generation bucket (equal-`cap` fresh options) to its 2D
+/// delay-mode survivor and emits it: only the bucket's earliest
+/// minimum-delay option can survive same-`cap` dominance. The emit
+/// closure owns the storage layout.
+fn reduce_bucket_2d(bucket: &[BucketItem], mut emit: impl FnMut(&BucketItem)) {
+    let Some(first) = bucket.first() else { return };
+    let mut best = first;
+    for item in &bucket[1..] {
+        if item.delay < best.delay {
+            best = item;
+        }
+    }
+    emit(best);
+}
+
+/// Reduces a generation bucket to its `(delay, width)` staircase and
+/// emits the survivors in order (delay strictly ascending, width
+/// strictly descending — the bucket's sorted sub-frontier). Only these
+/// can survive same-`cap` dominance in the global merge; exact
+/// duplicates collapse to the generation-earliest record, matching the
+/// reference pruner's stable sort.
+fn reduce_bucket_3d(bucket: &mut [BucketItem], mut emit: impl FnMut(&BucketItem)) {
+    // seq breaks ties deterministically, so the unstable sort is
+    // allocation-free yet order-equivalent to a stable sort.
+    bucket.sort_unstable_by(|a, b| {
+        cmp_f64(a.delay, b.delay)
+            .then_with(|| cmp_f64(a.width, b.width))
+            .then_with(|| a.seq.cmp(&b.seq))
+    });
+    let mut best_width = f64::INFINITY;
+    for item in bucket.iter() {
+        if item.width < best_width {
+            best_width = item.width;
+            emit(item);
+        }
+    }
+}
+
+/// Tree objective selector (mirrors the chain's objective).
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum TreeMode {
     MinDelay,
@@ -101,11 +159,9 @@ enum TreeMode {
 }
 
 /// Reusable per-solve scratch for the buffer-combine step: the fresh
-/// sub-frontiers, the in-flight width bucket (shared
-/// [`BucketItem`] records and reductions from the chain engine's
-/// frontier module), the dominance staircase, and the child-lift
-/// buffer. Allocated once per [`solve_tree`] call instead of once per
-/// tree node.
+/// sub-frontiers, the in-flight width bucket, the dominance staircase,
+/// and the child-lift buffer. Allocated once per [`solve_tree`] call
+/// instead of once per tree node.
 #[derive(Debug, Default)]
 struct TreeScratch {
     fresh: Vec<TOpt>,
@@ -180,7 +236,7 @@ fn merge_combine(
 }
 
 /// Reduces a width bucket to its sorted sub-frontier and appends it to
-/// `fresh` via the shared reductions in [`crate::frontier`]: only the
+/// `fresh` via [`reduce_bucket_2d`]/[`reduce_bucket_3d`]: only the
 /// bucket's minimum-delay record (delay mode) or its `(delay, width)`
 /// staircase (power mode) can survive same-`cap` dominance in
 /// [`merge_combine`].

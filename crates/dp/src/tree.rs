@@ -24,9 +24,13 @@
 //!   order-equivalent to the reference's clone + stable sort, without
 //!   either allocation) followed by a single binary-search [`Staircase`]
 //!   dominance sweep;
-//! * the buffer-insert step reuses the chain engine's width buckets
-//!   ([`BucketItem`], `reduce_bucket_2d`/`_3d`) and the node combine is
-//!   the chain engine's linear `merge_prune_2d`/`_3d`.
+//! * each legal node runs the buffer-insertion step that the chain sweep
+//!   runs at each candidate ([`InsertStep`]): the tree supplies the load
+//!   `tap + C_in(w)`, the stage delay `(d + i) + R·c`, the admission
+//!   test [`Bound::admits`] and a [`TArena`] buffer record, and the
+//!   step's linear merge combines the fresh insertions with the
+//!   unbuffered options. The answer comes from the chain's final pick
+//!   ([`select`]) over the root frontier.
 //!
 //! Two rules keep the staged products few without changing a survivor:
 //!
@@ -68,10 +72,7 @@
 
 use crate::chain::{DpStats, Objective};
 use crate::error::DpError;
-use crate::frontier::{
-    cmp_f64, merge_prune_2d, merge_prune_3d, reduce_bucket_2d, reduce_bucket_3d, BucketItem,
-    OptionBuf,
-};
+use crate::frontier::{cmp_f64, select, InsertStep, OptionBuf};
 use crate::options::Staircase;
 use rip_delay::RcTree;
 use rip_tech::{RepeaterDevice, RepeaterLibrary};
@@ -178,8 +179,8 @@ const _: () = assert!(std::mem::size_of::<CrossItem>() == 32);
 /// Reusable working memory for the tree DP: the per-node frontier store
 /// (one append-only SoA arena plus `(start, len)` ranges), the running
 /// cross-merge accumulator, the width runs of both merge sides, the
-/// staged cross-merge products, the fresh insertion buffer, the width
-/// bucket, the dominance staircase, and the trace arena.
+/// staged cross-merge products, the buffer-insertion step's buffers, and
+/// the trace arena.
 ///
 /// A scratch is plain reusable memory — it carries no configuration and
 /// never influences results. Solvers reset it on entry, so a single
@@ -228,15 +229,9 @@ pub struct TreeScratch {
     runs_b: WidthRuns,
     /// Staged cross-merge products, pruned in place.
     products: Vec<CrossItem>,
-    /// Fresh buffer-insertion options (bucketed, sorted).
-    fresh: OptionBuf,
-    /// Output buffer for the cross-merge survivors and for
-    /// `merge_prune_2d`/`_3d`.
-    merged: OptionBuf,
-    /// Per-width generation bucket.
-    bucket: Vec<BucketItem>,
-    /// Binary-search dominance staircase.
-    stairs: Staircase,
+    /// The buffer-insertion step; its merge buffer and staircase also
+    /// serve the cross-merge.
+    step: InsertStep,
     /// Trace arena (buffer/join decisions).
     arena: TArena,
 }
@@ -258,10 +253,7 @@ impl TreeScratch {
         self.runs_a.clear();
         self.runs_b.clear();
         self.products.clear();
-        self.fresh.clear();
-        self.merged.clear();
-        self.bucket.clear();
-        self.stairs.clear();
+        self.step.clear();
         self.arena.reset();
     }
 }
@@ -620,10 +612,7 @@ fn solve_tree(
     let by_width = matches!(objective, Objective::MinPowerUnderDelay { .. });
     let r_driver = device.output_resistance(driver_width);
     let bound = Bound {
-        target: match objective {
-            Objective::MinDelay => f64::INFINITY,
-            Objective::MinPowerUnderDelay { target_fs } => target_fs,
-        },
+        target: objective.target_fs().unwrap_or(f64::INFINITY),
         intrinsic: device.intrinsic_delay(),
         r_min: library
             .widths()
@@ -651,10 +640,7 @@ fn solve_tree(
             runs_a,
             runs_b,
             products,
-            fresh,
-            merged,
-            bucket,
-            stairs,
+            step,
             arena,
         } = scratch;
 
@@ -701,8 +687,9 @@ fn solve_tree(
                 stats.merge_products_max = stats.merge_products_max.max(products.len() as u64);
                 // Join traces for survivors only; they go to `merged`
                 // so `acc.trace` stays readable until the swap.
+                let merged = &mut step.merged;
                 merged.clear();
-                cross_merge_prune(products, objective, stairs, |p| {
+                cross_merge_prune(products, objective, &mut step.stairs, |p| {
                     let trace = arena.join(acc.trace[p.a as usize], store.trace[p.b as usize]);
                     merged.push(p.cap, p.delay, p.width, trace, f64::NAN);
                 });
@@ -721,44 +708,19 @@ fn solve_tree(
             }
 
             // Buffered at v: the buffer drives the merged subtree;
-            // upstream sees tap + buffer input cap. Generated per width
-            // bucket (each bucket shares its cap and is reduced to its
-            // sub-frontier), carrying the parent trace and the width as a
-            // pending insert.
+            // upstream sees tap + buffer input cap.
             let tap = tree.sink_cap(v);
-            fresh.clear();
-            let mut created = acc.len() as u64;
-            if buffer_ok(v) {
-                for &w in library.widths() {
-                    let new_cap = tap + device.input_cap(w);
-                    bucket.clear();
-                    for i in 0..acc.len() {
-                        let delay = acc.delay[i]
-                            + device.intrinsic_delay()
-                            + device.output_resistance(w) * acc.cap[i];
-                        if !bound.admits(delay, new_cap) {
-                            continue;
-                        }
-                        let seq = bucket.len() as u32;
-                        bucket.push(BucketItem {
-                            delay,
-                            width: acc.width[i] + w,
-                            trace: acc.trace[i],
-                            seq,
-                        });
-                    }
-                    created += bucket.len() as u64;
-                    match objective {
-                        Objective::MinDelay => reduce_bucket_2d(bucket, |item| {
-                            fresh.push(new_cap, item.delay, item.width, item.trace, w);
-                        }),
-                        Objective::MinPowerUnderDelay { .. } => reduce_bucket_3d(bucket, |item| {
-                            fresh.push(new_cap, item.delay, item.width, item.trace, w);
-                        }),
-                    }
-                }
-            }
-            stats.options_created += created;
+            let widths = if buffer_ok(v) { library.widths() } else { &[] };
+            stats.options_created += step.generate(
+                acc,
+                widths,
+                objective,
+                |w| tap + device.input_cap(w),
+                |w, delay, cap| {
+                    delay + device.intrinsic_delay() + device.output_resistance(w) * cap
+                },
+                |delay, cap| bound.admits(delay, cap),
+            );
             // Unbuffered at v: the node's tap joins the stage load (a
             // constant shift, so the sorted order survives and the prune
             // is a single linear merge).
@@ -766,60 +728,22 @@ fn solve_tree(
                 acc.cap[i] += tap;
             }
             acc.retain_by(|cap, delay| bound.admits(delay, cap));
-            match objective {
-                Objective::MinDelay => merge_prune_2d(acc, fresh, merged),
-                Objective::MinPowerUnderDelay { .. } => merge_prune_3d(acc, fresh, merged, stairs),
-            }
-            // Materialize traces only for surviving fresh insertions.
-            for i in 0..acc.len() {
-                let pending = acc.pending[i];
-                if !pending.is_nan() {
-                    acc.trace[i] = arena.buffer(v, pending, acc.trace[i]);
-                    acc.pending[i] = f64::NAN;
-                }
-            }
+            step.merge_into(acc, objective, |w, prev| arena.buffer(v, w, prev));
             stats.options_peak = stats.options_peak.max(acc.len());
             // Park the finished frontier in the store arena.
             ranges[v] = (store.len() as u32, acc.len() as u32);
             store.append_from(acc);
         }
 
-        // Final selection over the root frontier, with the reference's
-        // exact comparator and `min_by` tie semantics.
-        let finals = acc;
-        match objective {
-            Objective::MinDelay => (0..finals.len()).min_by(|&a, &b| {
-                finals.delay[a]
-                    .partial_cmp(&finals.delay[b])
-                    .expect("finite delays")
-                    .then(
-                        finals.width[a]
-                            .partial_cmp(&finals.width[b])
-                            .expect("finite widths"),
-                    )
-            }),
-            Objective::MinPowerUnderDelay { target_fs } => (0..finals.len())
-                .filter(|&i| finals.delay[i] <= target_fs)
-                .min_by(|&a, &b| {
-                    finals.width[a]
-                        .partial_cmp(&finals.width[b])
-                        .expect("finite widths")
-                        .then(
-                            finals.delay[a]
-                                .partial_cmp(&finals.delay[b])
-                                .expect("finite delays"),
-                        )
-                }),
-        }
-        .map(|i| (finals.delay[i], finals.width[i], finals.trace[i]))
+        select(acc, objective).map(|i| (acc.delay[i], acc.width[i], acc.trace[i]))
     };
 
     let (delay_fs, total_width, trace) = match best {
         Some(parts) => parts,
         None => {
-            let Objective::MinPowerUnderDelay { target_fs } = objective else {
-                unreachable!("only the power mode can be infeasible");
-            };
+            let target_fs = objective
+                .target_fs()
+                .expect("only the power mode can be infeasible");
             let fastest = solve_tree(
                 scratch,
                 tree,

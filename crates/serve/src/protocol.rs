@@ -2035,6 +2035,12 @@ mod tests {
         assert_eq!(coarse.get("count").and_then(Json::as_f64), Some(1.0));
         assert!(coarse.get("p50").and_then(Json::as_f64).is_some());
         assert!(coarse.get("buckets").is_some());
+        // The fine chain DP's work is exported alongside its time.
+        let options = histograms
+            .get("engine_chain_fine_options")
+            .expect("chain fine-DP options histogram");
+        assert_eq!(options.get("count").and_then(Json::as_f64), Some(1.0));
+        assert!(options.get("sum").and_then(Json::as_f64).unwrap_or(0.0) > 0.0);
         // `reset_stats` rezeroes the histograms along with the counters.
         let _ = state.handle_line(r#"{"cmd":"reset_stats"}"#);
         let (response, _) = state.handle_line(r#"{"cmd":"metrics"}"#);
