@@ -14,22 +14,32 @@
 //!    monotonically within equal-`cap` groups), so pruning after a
 //!    buffer site is a single linear **merge** of the sorted survivors
 //!    with the freshly created insertion options — no full sort, ever.
-//! 2. **Fresh insertion options are bucketed by library width.** Every
-//!    option inserting width `w` presents the same load upstream, so the
-//!    library quantizes the fresh set into `|B|` equal-`cap` buckets that
-//!    are trivially `cap`-sorted (libraries store ascending widths and
-//!    the load is strictly increasing in `w`). Each bucket is reduced to
-//!    its own sorted sub-frontier — a single minimum-delay record in 2D
-//!    delay mode, a `(delay, width)` staircase in 3D power mode — before
-//!    the global merge, so the merge sees only options that could
-//!    survive same-`cap` dominance.
+//! 2. **Fresh insertion options are bucketed by library width and
+//!    reduced per width class.** Every option inserting width `w`
+//!    presents the same load upstream, so the library quantizes the fresh
+//!    set into `|B|` equal-`cap` buckets that are trivially `cap`-sorted
+//!    (libraries store ascending widths and the load is strictly
+//!    increasing in `w`). Inside a bucket an insertion's width is
+//!    `width[i] + w`, so every insertion built on one frontier width class
+//!    carries the same width bits: the class's `(delay, index)` minimum
+//!    sorts before the rest of its class, and the bucket's `(delay,
+//!    width)` staircase would drop the rest. The frontier is therefore
+//!    grouped by exact width once per site ([`WidthRuns`]), and a bucket
+//!    receives only each class's admitted minimum — one scan per (width
+//!    class, library width) — before it is sorted and reduced to its
+//!    staircase. Minima of distinct classes whose `+ w` sums round to the
+//!    same bits are still resolved by that staircase, so the survivors
+//!    and their order are those of reducing the full bucket. The
+//!    min-delay objective ignores width: its frontier is one class, whose
+//!    earliest minimum is the bucket's single survivor. Either way the
+//!    merge sees only options that could survive same-`cap` dominance.
 //!
 //! [`InsertStep`] is that step, shared by the chain sweep
 //! ([`crate::chain`]) and the tree DP ([`crate::tree`]):
 //!
 //! * [`InsertStep::generate`] tries every library width against every
-//!   option, keeps the insertions the caller admits, and reduces each
-//!   width bucket to its sub-frontier;
+//!   option, keeps each width class's best insertion among those the
+//!   caller admits, and reduces each width bucket to its sub-frontier;
 //! * [`InsertStep::merge_into`] merges the sub-frontiers into the
 //!   caller's frontier and records a trace only for the insertions that
 //!   survive;
@@ -56,6 +66,7 @@
 use crate::chain::Objective;
 use crate::options::{Staircase, TraceArena};
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Option records in struct-of-arrays layout: parallel columns indexed
 /// by option number. Separating the key columns (`cap`, `delay`,
@@ -138,9 +149,10 @@ impl OptionBuf {
 }
 
 /// One fresh insertion option inside a width bucket, before the bucket
-/// is reduced to its sub-frontier. `seq` records generation order so an
-/// unstable sort on the full `(delay, width, seq)` key reproduces a
-/// stable sort without its temporary allocation.
+/// is reduced to its sub-frontier. `seq` is the index of the parent
+/// frontier option, i.e. generation order, so an unstable sort on the
+/// full `(delay, width, seq)` key reproduces a stable sort without its
+/// temporary allocation.
 #[derive(Debug, Clone, Copy)]
 struct BucketItem {
     delay: f64,
@@ -206,17 +218,19 @@ impl DpScratch {
     }
 }
 
-/// The buffer-insertion step and its working memory: the fresh
-/// insertion options, the merge output, the in-flight width bucket and
-/// the dominance staircase. The tree DP's branch cross-merge borrows
-/// `merged` and `stairs` between steps.
+/// The buffer-insertion step and its working memory: the frontier's
+/// width classes, the fresh insertion options, the merge output, the
+/// in-flight width bucket and the dominance staircase. The tree DP's
+/// branch cross-merge borrows `merged` and `stairs` between steps.
 #[derive(Debug, Default)]
 pub(crate) struct InsertStep {
+    /// The frontier grouped by exact width (one run in delay mode).
+    runs: WidthRuns,
     /// Fresh insertion options: the reduced width buckets, `cap`-sorted.
     fresh: OptionBuf,
     /// Output buffer of the frontier merge.
     pub merged: OptionBuf,
-    /// The width bucket being generated.
+    /// The width bucket being generated: one item per width class.
     bucket: Vec<BucketItem>,
     /// Binary-search dominance staircase.
     pub stairs: Staircase,
@@ -225,6 +239,7 @@ pub(crate) struct InsertStep {
 impl InsertStep {
     /// Forgets every buffered option, keeping capacity.
     pub(crate) fn clear(&mut self) {
+        self.runs.clear();
         self.fresh.clear();
         self.merged.clear();
         self.bucket.clear();
@@ -234,14 +249,24 @@ impl InsertStep {
     /// Generates the buffer insertions at one site. For each width `w`
     /// (ascending), every option of `front` is tried: the new option
     /// presents `load(w)` upstream, has delay
-    /// `stage_delay(w, delay, cap)` and width `width + w`, and is kept
-    /// when `admits(new_delay, load(w))`. Each width bucket is reduced to
-    /// its sorted sub-frontier, which carries the parent trace and `w` as
-    /// a pending insert, ready for [`InsertStep::merge_into`]. `load`
-    /// must be strictly increasing in `w`.
+    /// `stage_delay(w, delay, cap)` and width `width + w`, and is
+    /// admitted when `admits(new_delay, load(w))`. `load` must be
+    /// strictly increasing in `w`.
+    ///
+    /// The width bucket receives one insertion per width class of
+    /// `front` (exactly equal `width`; the whole frontier in delay mode):
+    /// the class's admitted insertion of least delay, ties to the lowest
+    /// frontier index. This is exact: every insertion of a class has the
+    /// same width bits `width + w` and the same cap, so the others sort
+    /// after that minimum on `(delay, width, index)` and the bucket's
+    /// staircase would drop them. Minima of distinct classes whose sums
+    /// round to the same bits all stay in the bucket, where the staircase
+    /// keeps the lowest frontier index (`seq`). The bucket is then
+    /// reduced to its sorted sub-frontier, which carries the parent trace
+    /// and `w` as a pending insert, ready for [`InsertStep::merge_into`].
     ///
     /// Returns the options created at the site: every option of `front`
-    /// plus every admitted insertion.
+    /// plus every admitted insertion, class minimum or not.
     pub(crate) fn generate(
         &mut self,
         front: &OptionBuf,
@@ -251,27 +276,44 @@ impl InsertStep {
         stage_delay: impl Fn(f64, f64, f64) -> f64,
         admits: impl Fn(f64, f64) -> bool,
     ) -> u64 {
-        let Self { fresh, bucket, .. } = self;
+        let Self {
+            runs,
+            fresh,
+            bucket,
+            ..
+        } = self;
         fresh.clear();
         let mut created = front.len() as u64;
+        if widths.is_empty() {
+            return created;
+        }
+        let by_width = matches!(objective, Objective::MinPowerUnderDelay { .. });
+        runs.group(&front.width, 0..front.len(), by_width);
         for &w in widths {
             let cap = load(w);
             bucket.clear();
-            for i in 0..front.len() {
-                let delay = stage_delay(w, front.delay[i], front.cap[i]);
-                if !admits(delay, cap) {
-                    continue;
+            for run in runs.runs() {
+                let mut best: Option<(f64, usize)> = None;
+                for &i in run {
+                    let i = i as usize;
+                    let delay = stage_delay(w, front.delay[i], front.cap[i]);
+                    if admits(delay, cap) {
+                        created += 1;
+                        if best.map_or(true, |(least, _)| delay < least) {
+                            best = Some((delay, i));
+                        }
+                    }
                 }
-                let seq = bucket.len() as u32;
-                bucket.push(BucketItem {
-                    delay,
-                    width: front.width[i] + w,
-                    trace: front.trace[i],
-                    seq,
-                });
+                if let Some((delay, i)) = best {
+                    bucket.push(BucketItem {
+                        delay,
+                        width: front.width[i] + w,
+                        trace: front.trace[i],
+                        seq: i as u32,
+                    });
+                }
             }
-            created += bucket.len() as u64;
-            reduce_bucket(bucket, objective, |item| {
+            reduce_bucket(bucket, |item| {
                 fresh.push(cap, item.delay, item.width, item.trace, w);
             });
         }
@@ -332,44 +374,70 @@ pub(crate) fn select(front: &OptionBuf, objective: Objective) -> Option<usize> {
 }
 
 /// Reduces a generation bucket (equal-`cap` fresh options) to its sorted
-/// sub-frontier and emits it. In delay mode only the bucket's earliest
-/// minimum-delay option can survive same-`cap` dominance (a linear scan,
-/// no sort). In power mode the survivors are the `(delay, width)`
-/// staircase, emitted with delay strictly ascending and width strictly
-/// descending; exact duplicates collapse to the generation-earliest
-/// record, matching the reference pruner's stable sort.
-fn reduce_bucket(
-    bucket: &mut [BucketItem],
-    objective: Objective,
-    mut emit: impl FnMut(&BucketItem),
-) {
-    match objective {
-        Objective::MinDelay => {
-            let Some(first) = bucket.first() else { return };
-            let mut best = first;
-            for item in &bucket[1..] {
-                if item.delay < best.delay {
-                    best = item;
-                }
-            }
-            emit(best);
+/// sub-frontier and emits it: the `(delay, width)` staircase, emitted
+/// with delay strictly ascending and width strictly descending; exact
+/// duplicates collapse to the generation-earliest record, matching the
+/// reference pruner's stable sort. (A delay-mode bucket holds at most
+/// one item, the frontier's earliest minimum-delay insertion.)
+fn reduce_bucket(bucket: &mut [BucketItem], mut emit: impl FnMut(&BucketItem)) {
+    // seq breaks ties deterministically, so the unstable sort is
+    // allocation-free yet order-equivalent to a stable sort.
+    bucket.sort_unstable_by(|a, b| {
+        cmp_f64(a.delay, b.delay)
+            .then_with(|| cmp_f64(a.width, b.width))
+            .then_with(|| a.seq.cmp(&b.seq))
+    });
+    let mut best_width = f64::INFINITY;
+    for item in bucket.iter() {
+        if item.width < best_width {
+            best_width = item.width;
+            emit(item);
         }
-        Objective::MinPowerUnderDelay { .. } => {
-            // seq breaks ties deterministically, so the unstable sort is
-            // allocation-free yet order-equivalent to a stable sort.
-            bucket.sort_unstable_by(|a, b| {
-                cmp_f64(a.delay, b.delay)
-                    .then_with(|| cmp_f64(a.width, b.width))
-                    .then_with(|| a.seq.cmp(&b.seq))
-            });
-            let mut best_width = f64::INFINITY;
-            for item in bucket.iter() {
-                if item.width < best_width {
-                    best_width = item.width;
-                    emit(item);
-                }
+    }
+}
+
+/// A frontier (or a range of one) regrouped into runs of exactly equal
+/// width: the width classes of the buffer-insertion step and of the tree
+/// DP's branch merge. Within a run the options keep their index order,
+/// so their caps stay non-decreasing.
+#[derive(Debug, Default)]
+pub(crate) struct WidthRuns {
+    /// Option indices, sorted by width, then index.
+    order: Vec<u32>,
+    /// Offset of each run in `order`, then `order.len()`.
+    starts: Vec<u32>,
+}
+
+impl WidthRuns {
+    pub(crate) fn clear(&mut self) {
+        self.order.clear();
+        self.starts.clear();
+    }
+
+    /// Groups the options `range` of a frontier by `widths`, or keeps
+    /// them as one run when `by_width` is off.
+    pub(crate) fn group(&mut self, widths: &[f64], range: Range<usize>, by_width: bool) {
+        self.clear();
+        self.order.extend(range.map(|i| i as u32));
+        let width = |k: u32| widths[k as usize];
+        if by_width {
+            self.order
+                .sort_unstable_by(|&x, &y| cmp_f64(width(x), width(y)).then(x.cmp(&y)));
+        }
+        for (k, &i) in self.order.iter().enumerate() {
+            if k == 0 || (by_width && width(i) != width(self.order[k - 1])) {
+                self.starts.push(k as u32);
             }
         }
+        self.starts.push(self.order.len() as u32);
+    }
+
+    /// The runs in ascending width order, each listing its option
+    /// indices in ascending order.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = &[u32]> {
+        self.starts
+            .windows(2)
+            .map(|w| &self.order[w[0] as usize..w[1] as usize])
     }
 }
 
@@ -503,7 +571,7 @@ mod tests {
                         seq: s,
                     });
                 }
-                reduce_bucket(&mut bucket, POWER, |item| {
+                reduce_bucket(&mut bucket, |item| {
                     fresh.push(cap, item.delay, item.width, item.trace, f64::NAN);
                 });
             }
@@ -542,7 +610,9 @@ mod tests {
                         seq: s,
                     })
                     .collect();
-                reduce_bucket(&mut bucket, Objective::MinDelay, |item| {
+                // Equal widths: only the earliest least delay survives,
+                // the one insertion a delay-mode bucket holds.
+                reduce_bucket(&mut bucket, |item| {
                     fresh.push(cap, item.delay, item.width, item.trace, f64::NAN);
                 });
             }
@@ -565,14 +635,19 @@ mod tests {
 
     #[test]
     fn insert_step_matches_reference_pruner_on_fuzz() {
-        // The whole step — generation, admission, bucket reduction, merge
-        // and trace materialisation — against the reference pruner applied
-        // to `cur ∪ every admitted insertion` in generation order. Integer
-        // caps, delays and widths make key ties, exact duplicates and
-        // `width + w` sum collisions common.
+        // The whole step — generation, admission, width-class argmin,
+        // bucket reduction, merge and trace materialisation — against the
+        // reference pruner applied to `cur ∪ every admitted insertion` in
+        // generation order. Integer caps, delays and widths make key ties,
+        // exact duplicates and `width + w` sum collisions common. Every
+        // third frontier has only three width classes, so classes hold
+        // several options whose insertions tie on delay; every third has
+        // just `0.3` and `0.2 + 0.1`, two classes one bit apart whose
+        // `+ w` sums round to the same bits.
         let mut state = 0xF00Du64;
         let mut step = InsertStep::default();
         let (mut duplicated, mut tied) = (false, false);
+        let (mut non_winner, mut class_tie, mut sum_collision) = (false, false, false);
         for round in 0..1000 {
             let objective = if round % 2 == 0 {
                 Objective::MinDelay
@@ -586,8 +661,18 @@ mod tests {
             };
             // A sorted frontier as a sweep holds it: pruned by the
             // objective, with distinct trace handles.
+            let width = |state: &mut u64| {
+                let k = lcg(state);
+                match round % 3 {
+                    0 => k,
+                    1 => (k / 3.0).floor(),
+                    // 0.3 in two roundings one bit apart.
+                    _ if k >= 4.0 => 0.3,
+                    _ => 0.2 + 0.1,
+                }
+            };
             let mut items: Vec<(f64, f64, f64)> = (0..1 + round % 23)
-                .map(|_| (lcg(&mut state), lcg(&mut state), lcg(&mut state)))
+                .map(|_| (lcg(&mut state), lcg(&mut state), width(&mut state)))
                 .collect();
             match objective {
                 Objective::MinDelay => prune_2d(&mut items, |x| (x.0, x.1)),
@@ -620,13 +705,32 @@ mod tests {
                 })
                 .collect();
             for &w in &widths {
+                // `(parent width, delay)` of this bucket's admitted
+                // insertions so far, to spot the width-class cases.
+                let mut bucket: Vec<(f64, f64)> = Vec::new();
                 for i in 0..cur.len() {
                     let delay = stage_delay(w, cur.delay[i], cur.cap[i]);
                     if admits(delay, load(w)) {
-                        all.push((load(w), delay, cur.width[i] + w, cur.trace[i], w));
+                        let parent = cur.width[i];
+                        if objective != Objective::MinDelay {
+                            for &(other, other_delay) in &bucket {
+                                if other.to_bits() == parent.to_bits() {
+                                    non_winner = true;
+                                    class_tie |= other_delay == delay;
+                                } else {
+                                    sum_collision |=
+                                        (other + w).to_bits() == (parent + w).to_bits();
+                                }
+                            }
+                        }
+                        bucket.push((parent, delay));
+                        all.push((load(w), delay, parent + w, cur.trace[i], w));
                     }
                 }
             }
+            // Every admitted insertion counts, not only the class minima
+            // that reach the bucket (`non_winner` asserts the difference
+            // occurs).
             let expect_created = all.len() as u64;
             let key = |r: &Row| (r.0, r.1, r.2);
             let sort_key = |r: &Row| match objective {
@@ -674,6 +778,52 @@ mod tests {
         }
         assert!(duplicated, "no insertion ever duplicated another");
         assert!(tied, "no insertion ever tied a carried option");
+        assert!(non_winner, "no width class ever admitted two insertions");
+        assert!(
+            class_tie,
+            "no two insertions of a width class ever tied on delay"
+        );
+        assert!(
+            sum_collision,
+            "no two width classes ever summed to equal bits"
+        );
+    }
+
+    #[test]
+    fn insert_step_breaks_ties_across_width_classes_by_frontier_index() {
+        // Two width classes one bit apart whose `+ w` sums round to the
+        // same bits and whose insertions tie on delay: the duplicate from
+        // the lower frontier index survives, although its class sorts
+        // after the other.
+        let mut front = OptionBuf::default();
+        front.push(5.0, 1.0, 0.2 + 0.1, 7, f64::NAN);
+        front.push(6.0, 1.0, 0.3, 9, f64::NAN);
+        assert!(front.width[0] > front.width[1]);
+        assert_eq!(
+            (front.width[0] + 1.0).to_bits(),
+            (front.width[1] + 1.0).to_bits()
+        );
+        let mut step = InsertStep::default();
+        let created = step.generate(&front, &[1.0], POWER, |w| w, |_, d, _| d, |_, _| true);
+        assert_eq!(created, 4);
+        let mut recorded = Vec::new();
+        step.merge_into(&mut front, POWER, |w, prev| {
+            recorded.push((w, prev));
+            100
+        });
+        assert_eq!(recorded, vec![(1.0, 7)]);
+        assert_eq!(front.trace, vec![100, 7, 9]);
+    }
+
+    #[test]
+    fn width_runs_group_equal_widths_in_index_order() {
+        let widths = [30.0, 10.0, 30.0, 20.0, 10.0, 30.0];
+        let mut runs = WidthRuns::default();
+        runs.group(&widths, 1..6, true);
+        let grouped: Vec<Vec<u32>> = runs.runs().map(<[u32]>::to_vec).collect();
+        assert_eq!(grouped, vec![vec![1, 4], vec![3], vec![2, 5]]);
+        runs.group(&widths, 0..3, false);
+        assert_eq!(runs.runs().count(), 1);
     }
 
     #[test]
@@ -721,7 +871,7 @@ mod tests {
             },
         ];
         let mut fresh = OptionBuf::default();
-        reduce_bucket(&mut bucket, POWER, |item| {
+        reduce_bucket(&mut bucket, |item| {
             fresh.push(1.0, item.delay, item.width, item.trace, 5.0);
         });
         assert_eq!(fresh.len(), 1);

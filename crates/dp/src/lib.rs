@@ -24,8 +24,9 @@
 //!   options that a target-aware bound proves infeasible, and merges
 //!   branches with per-width two-pointer walks. Both sweeps run one
 //!   shared buffer-insertion step at every buffer site (try each width,
-//!   reduce each width bucket, merge into the frontier, record traces
-//!   for the survivors), and one final pick;
+//!   keep each width class's best insertion, reduce each width bucket,
+//!   merge into the frontier, record traces for the survivors), and one
+//!   final pick;
 //! * [`DpScratch`] and the `_with` entry points
 //!   ([`solve_min_power_with`] etc.) — caller-managed scratch memory so
 //!   batch workloads allocate nothing after warm-up (the plain free

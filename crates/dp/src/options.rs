@@ -113,20 +113,31 @@ pub(crate) fn prune_3d<T>(items: &mut Vec<T>, key: impl Fn(&T) -> (f64, f64, f64
 /// Traceback arena for chain DP: records which repeater insertions
 /// produced each surviving option, as a linked structure indexed by
 /// `u32` handles. Handle 0 is the shared "no repeaters" root.
+///
+/// A sweep records all the insertions at one candidate in a row, so
+/// each position is stored once, in `positions`, and a node holds its
+/// index: 16 bytes a node instead of 24, on the largest buffer of a
+/// chain solve.
 #[derive(Debug)]
 pub(crate) struct TraceArena {
     nodes: Vec<TraceNode>,
+    /// Repeater positions, µm; consecutive nodes at one position share
+    /// an entry.
+    positions: Vec<f64>,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct TraceNode {
-    /// Repeater position, µm (unused for the root).
-    position: f64,
     /// Repeater width, u (unused for the root).
     width: f64,
+    /// Index of the repeater position in `positions` (unused for the
+    /// root).
+    position: u32,
     /// Previous insertion (downstream of this one), or 0 for the root.
     prev: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<TraceNode>() == 16);
 
 /// The shared empty-trace handle.
 pub(crate) const TRACE_ROOT: u32 = 0;
@@ -141,26 +152,31 @@ impl TraceArena {
     pub(crate) fn new() -> Self {
         Self {
             nodes: vec![TraceNode {
-                position: f64::NAN,
                 width: f64::NAN,
+                position: 0,
                 prev: 0,
             }],
+            positions: Vec::new(),
         }
     }
 
-    /// Forgets every recorded insertion, keeping the allocation and the
+    /// Forgets every recorded insertion, keeping the allocations and the
     /// shared root (scratch reuse across solves).
     pub(crate) fn reset(&mut self) {
         self.nodes.truncate(1);
+        self.positions.clear();
     }
 
     /// Records a repeater insertion on top of `prev`; returns the new
     /// handle.
     pub(crate) fn push(&mut self, position: f64, width: f64, prev: u32) -> u32 {
+        if self.positions.last().map(|p| p.to_bits()) != Some(position.to_bits()) {
+            self.positions.push(position);
+        }
         let idx = self.nodes.len() as u32;
         self.nodes.push(TraceNode {
-            position,
             width,
+            position: (self.positions.len() - 1) as u32,
             prev,
         });
         idx
@@ -178,7 +194,7 @@ impl TraceArena {
         let mut out = Vec::new();
         while handle != TRACE_ROOT {
             let node = self.nodes[handle as usize];
-            out.push((node.position, node.width));
+            out.push((self.positions[node.position as usize], node.width));
             handle = node.prev;
         }
         out
@@ -371,10 +387,17 @@ mod tests {
         let mut arena = TraceArena::new();
         // Sweep goes sink -> source: downstream repeaters pushed first.
         let t1 = arena.push(3000.0, 120.0, TRACE_ROOT);
+        let t1b = arena.push(3000.0, 60.0, TRACE_ROOT);
         let t2 = arena.push(1000.0, 80.0, t1);
-        let collected = arena.collect(t2);
-        assert_eq!(collected, vec![(1000.0, 80.0), (3000.0, 120.0)]);
+        // A position recorded again after another one gets a new entry.
+        let t3 = arena.push(3000.0, 40.0, t2);
+        assert_eq!(arena.collect(t2), vec![(1000.0, 80.0), (3000.0, 120.0)]);
+        assert_eq!(arena.collect(t1b), vec![(3000.0, 60.0)]);
+        assert_eq!(
+            arena.collect(t3),
+            vec![(3000.0, 40.0), (1000.0, 80.0), (3000.0, 120.0)]
+        );
         assert!(arena.collect(TRACE_ROOT).is_empty());
-        assert_eq!(arena.len(), 3);
+        assert_eq!(arena.len(), 5);
     }
 }

@@ -72,7 +72,7 @@
 
 use crate::chain::{DpStats, Objective};
 use crate::error::DpError;
-use crate::frontier::{cmp_f64, select, InsertStep, OptionBuf};
+use crate::frontier::{cmp_f64, select, InsertStep, OptionBuf, WidthRuns};
 use crate::options::Staircase;
 use rip_delay::RcTree;
 use rip_tech::{RepeaterDevice, RepeaterLibrary};
@@ -258,48 +258,6 @@ impl TreeScratch {
     }
 }
 
-/// One side of a branch merge regrouped into runs of exactly equal
-/// width. Within a run the options keep their index order, so their caps
-/// stay non-decreasing.
-#[derive(Debug, Default)]
-struct WidthRuns {
-    /// `(width, option index)`, sorted by width, then index.
-    keys: Vec<(f64, u32)>,
-    /// Offset of each run in `keys`, then `keys.len()`.
-    starts: Vec<u32>,
-}
-
-impl WidthRuns {
-    fn clear(&mut self) {
-        self.keys.clear();
-        self.starts.clear();
-    }
-
-    /// Groups the options `range` of a frontier by `widths`, or keeps
-    /// them as one run when `by_width` is off.
-    fn group(&mut self, widths: &[f64], range: Range<usize>, by_width: bool) {
-        self.clear();
-        self.keys
-            .extend(range.map(|i| (if by_width { widths[i] } else { 0.0 }, i as u32)));
-        if by_width {
-            self.keys
-                .sort_unstable_by(|x, y| cmp_f64(x.0, y.0).then(x.1.cmp(&y.1)));
-        }
-        for (k, key) in self.keys.iter().enumerate() {
-            if k == 0 || key.0 != self.keys[k - 1].0 {
-                self.starts.push(k as u32);
-            }
-        }
-        self.starts.push(self.keys.len() as u32);
-    }
-
-    fn runs(&self) -> impl Iterator<Item = &[(f64, u32)]> {
-        self.starts
-            .windows(2)
-            .map(|w| &self.keys[w[0] as usize..w[1] as usize])
-    }
-}
-
 /// The target-aware lower bound on the final delay of any solution built
 /// on an option (see the module docs). With an infinite target (the
 /// min-delay objective) it admits everything.
@@ -390,7 +348,7 @@ fn stage_walk(
         for rb in runs_b.runs() {
             let (mut i, mut j) = (0, 0);
             while i < ra.len() && j < rb.len() {
-                let (a, b) = (ra[i].1 as usize, rb[j].1 as usize);
+                let (a, b) = (ra[i] as usize, rb[j] as usize);
                 stage(products, acc, store, a, b, admits);
                 let (da, db) = (acc.delay[a], store.delay[b]);
                 i += usize::from(da >= db);
@@ -1168,20 +1126,6 @@ mod tests {
             }
         }
         assert!(skipped > 0, "the walk never skipped a product");
-    }
-
-    #[test]
-    fn width_runs_group_equal_widths_in_index_order() {
-        let widths = [30.0, 10.0, 30.0, 20.0, 10.0, 30.0];
-        let mut runs = WidthRuns::default();
-        runs.group(&widths, 1..6, true);
-        let grouped: Vec<Vec<u32>> = runs
-            .runs()
-            .map(|r| r.iter().map(|&(_, i)| i).collect())
-            .collect();
-        assert_eq!(grouped, vec![vec![1, 4], vec![3], vec![2, 5]]);
-        runs.group(&widths, 0..3, false);
-        assert_eq!(runs.runs().count(), 1);
     }
 
     #[test]
