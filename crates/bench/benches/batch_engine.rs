@@ -1,7 +1,6 @@
-//! Bench for the batch [`Engine`]: session-cached single-net solves vs
-//! cold one-shot solves, and parallel batch throughput. The `bench_batch`
-//! binary runs the larger 100-net version and records it in
-//! `BENCH_batch.json`.
+//! Bench for the batch [`Engine`]: warm-session single-net solves vs
+//! cold one-shot solves, and parallel batch throughput. `rip bench` runs
+//! the larger 100-net version and records it in `BENCH_batch.json`.
 
 use rip_bench::harness::run_case;
 use rip_core::{rip, BatchTarget, Engine, RipConfig};

@@ -24,20 +24,18 @@
 //! repeated runs with warm-up discard), with three standard workloads:
 //!
 //! * [`run_frontier_bench`] — production sorted-frontier DP vs the seed
-//!   reference pruner, written to `BENCH_dp_frontier.json`
-//!   (`bench_dp_frontier` binary);
+//!   reference pruner, written to `BENCH_dp_frontier.json`;
 //! * [`run_batch_bench`] — sequential `rip()` vs `Engine::solve_batch`,
-//!   written to `BENCH_batch.json` (`bench_batch` binary);
+//!   written to `BENCH_batch.json`;
 //! * [`run_tree_bench`] — production SoA tree DP vs the frozen pre-SoA
 //!   tree engine plus batch tree-pipeline throughput, written to
-//!   `BENCH_tree.json` (`bench_tree` binary);
+//!   `BENCH_tree.json`;
 //! * [`run_serve_bench`] — `rip_serve` service throughput at 1/4/16
 //!   concurrent connections with byte-identity verification against an
-//!   in-process reference engine, written to `BENCH_serve.json`
-//!   (`bench_serve` binary).
+//!   in-process reference engine, written to `BENCH_serve.json`.
 //!
-//! All are also reachable as `rip bench` from the CLI, which is what
-//! CI's bench-regression job runs against the committed baselines.
+//! `rip bench` runs all four and writes the JSON files; it is what CI's
+//! bench-regression job runs against the committed baselines.
 
 pub mod batch_bench;
 pub mod frontier_bench;

@@ -4,9 +4,8 @@
 //! cannot drag around, unlike mean/stddev.
 //!
 //! Every performance claim in this repository flows through here: the
-//! `bench_dp_frontier` and `bench_batch` binaries (and the `rip bench`
-//! CLI subcommand wrapping them) summarize their runs with
-//! [`summarize`] and serialize with [`JsonObject`] into the committed
+//! `rip bench` CLI subcommand summarizes its runs with [`summarize`]
+//! and serializes them with [`JsonObject`] into the committed
 //! `BENCH_*.json` baselines that CI's bench-regression job compares
 //! against ([`read_json_number`] is the comparison's parser — the
 //! workspace builds offline, so the JSON layer is deliberately tiny and

@@ -704,9 +704,10 @@ pub fn cmd_bench(opts: &BenchOptions) -> Result<String, CliError> {
             ));
         }
         // The serve workload replays the same request script, so the
-        // shared engine must be hitting its caches heavily; a cold hit
-        // rate here means the service lost its amortization (e.g. a
-        // cache keyed too finely, or eviction gone wild).
+        // shared engine must resolve its `target_mult` requests mostly
+        // from the `τ_min` memo; a cold hit rate here means the service
+        // lost its amortization (e.g. a memo keyed too finely, or
+        // eviction gone wild).
         if serve.hit_rate < 0.5 {
             failures.push(format!(
                 "serve hit_rate {:.3} < 0.5 (the shared engine stopped amortizing)",
@@ -794,11 +795,6 @@ pub struct ProfileReport {
     pub stages: Vec<ProfileStage>,
     /// Fine tree-DP work per solve.
     pub dp_work: Vec<ProfileWork>,
-    /// Engine cache hits during the timed loop (latency nested inside
-    /// the stage timers, so not part of [`Self::coverage`]).
-    pub cache_hits: u64,
-    /// Engine cache misses during the timed loop.
-    pub cache_misses: u64,
 }
 
 impl ProfileReport {
@@ -832,11 +828,8 @@ impl ProfileReport {
         out.push_str(&table.to_string());
         let _ = writeln!(
             out,
-            "stage coverage: {:.1}% of wall (cache lookups — {} hit(s), {} miss(es) — \
-             nest inside the stages and are not double-counted)",
-            self.coverage() * 100.0,
-            self.cache_hits,
-            self.cache_misses,
+            "stage coverage: {:.1}% of wall",
+            self.coverage() * 100.0
         );
         let mut work = TextTable::new(vec!["Fine DP work", "Solves", "Mean", "p99 (<=)"]);
         for w in &self.dp_work {
@@ -945,14 +938,6 @@ pub fn run_profile(opts: &ProfileOptions) -> Result<ProfileReport, CliError> {
         wall_ns: wall_ns.max(1),
         stages,
         dp_work,
-        cache_hits: snapshot
-            .histogram("engine_cache_hit_ns")
-            .map(|h| h.count)
-            .unwrap_or(0),
-        cache_misses: snapshot
-            .histogram("engine_cache_miss_ns")
-            .map(|h| h.count)
-            .unwrap_or(0),
     })
 }
 
@@ -981,7 +966,7 @@ USAGE:
     rip bench    [--quick] [--check-baseline] [--tolerance <frac>]
     rip profile  [--quick] [--trees <n>] [--seed <n>]
     rip serve    [--port <p>] [--bind <host>] [--workers <n>] [--max-conns <n>]
-                 [--timeout-secs <s>] [--cache-cap <n>] [--value-cache-cap <n>]
+                 [--timeout-secs <s>] [--value-cache-cap <n>]
                  [--drain-secs <s>] [--log-slow-ms <ms>]
                  [--fault-panic-every <n>] [--fault-delay-every <n>]
                  [--fault-delay-ms <ms>] [--fault-drop-every <n>] [--fault-seed <n>]

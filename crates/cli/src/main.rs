@@ -226,9 +226,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
                     .parse::<u64>()
                     .map_err(|_| CliError::Usage("--timeout-secs must be an integer".into()))?;
             }
-            if let Some(c) = flag_value(&flags, "--cache-cap")? {
-                opts.cache_cap = parse_usize("--cache-cap", c)?;
-            }
             if let Some(c) = flag_value(&flags, "--value-cache-cap")? {
                 opts.value_cache_cap = parse_usize("--value-cache-cap", c)?;
             }
@@ -349,13 +346,12 @@ fn split_flags<'a>(
 }
 
 /// Every `rip serve` flag; each takes exactly one value.
-const SERVE_FLAGS: [&str; 14] = [
+const SERVE_FLAGS: [&str; 13] = [
     "--port",
     "--bind",
     "--workers",
     "--max-conns",
     "--timeout-secs",
-    "--cache-cap",
     "--value-cache-cap",
     "--drain-secs",
     "--log-slow-ms",

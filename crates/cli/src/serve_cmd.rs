@@ -35,10 +35,7 @@ pub struct ServeOptions {
     pub max_conns: usize,
     /// Idle-connection timeout, seconds (`--timeout-secs`); 0 = never.
     pub timeout_secs: u64,
-    /// Geometry-cache LRU bound (entries per cache; 0 = unbounded).
-    pub cache_cap: usize,
-    /// `τ_min`/library-cache LRU bound (entries per cache; 0 =
-    /// unbounded).
+    /// `τ_min` memo LRU bound (entries; 0 = unbounded).
     pub value_cache_cap: usize,
     /// Default drain deadline, seconds (`--drain-secs`), used when a
     /// `drain` request carries no `deadline_ms`.
@@ -60,7 +57,6 @@ impl Default for ServeOptions {
             workers: defaults.workers,
             max_conns: defaults.max_conns,
             timeout_secs: 0,
-            cache_cap: defaults.cache_cap,
             value_cache_cap: defaults.value_cache_cap,
             drain_secs: defaults.drain_deadline_secs,
             log_slow_ms: defaults.log_slow_ms,
@@ -80,7 +76,6 @@ pub fn cmd_serve(opts: &ServeOptions) -> Result<String, CliError> {
     let config = ServeConfig {
         addr: format!("{}:{}", opts.bind, opts.port),
         workers: opts.workers,
-        cache_cap: opts.cache_cap,
         value_cache_cap: opts.value_cache_cap,
         max_conns: opts.max_conns,
         read_timeout_ms: opts.timeout_secs.saturating_mul(1000),
@@ -95,11 +90,10 @@ pub fn cmd_serve(opts: &ServeOptions) -> Result<String, CliError> {
     // scripts can discover the port; everything else the command prints
     // goes through the returned summary as usual.
     println!(
-        "rip serve: listening on {} ({} worker(s), 1 shared engine, cache cap {}, \
-         value cache cap {}, max conns {})",
+        "rip serve: listening on {} ({} worker(s), 1 shared engine, value cache cap {}, \
+         max conns {})",
         server.addr(),
         config.workers,
-        config.cache_cap,
         config.value_cache_cap,
         if opts.max_conns == 0 {
             "unlimited".to_string()

@@ -1,7 +1,6 @@
 //! The batch [`Engine`]: a long-lived session that owns a
-//! [`Technology`] + [`RipConfig`] pair, caches the per-technology
-//! precomputation the pipeline repeats on every call, and solves many
-//! nets in parallel.
+//! [`Technology`] + [`RipConfig`] pair, memoizes `τ_min`, pools DP
+//! scratch memory, and solves many nets in parallel.
 //!
 //! The free functions [`rip`](crate::rip), [`tree_rip`](crate::tree_rip)
 //! and [`baseline_dp`](crate::baseline_dp) are thin wrappers over a
@@ -9,39 +8,30 @@
 //! `batch` command, the experiment grids, the benchmarks — should hold an
 //! engine so that:
 //!
-//! * coarse/baseline candidate grids are built once per distinct
-//!   `(geometry, step)` pair — keyed on exactly the net geometry that
-//!   determines them (length + forbidden zones), so nets differing only
-//!   in driver/receiver widths share grids — instead of once per
-//!   `(net, target)` cell;
-//! * the fine stage's windowed candidate sets are cached the same way;
-//! * `τ_min` is computed once per net across a whole target sweep;
-//! * the synthesized fine libraries of stage 3 are shared between
-//!   identical refinement outcomes;
+//! * `τ_min` — the chain min-delay DP and the tree min-delay DP behind
+//!   every relative target — is computed once per net (tree: per
+//!   `(topology, driver, coarse step, mask)`) across a whole target
+//!   sweep. It is the engine's one memo: candidate grids, fine windows,
+//!   synthesized libraries and tree subdivisions cost about as much to
+//!   key as to rebuild, so every solve builds them directly;
 //! * DP scratch memory (option frontiers, trace arenas) is pooled — for
 //!   chains *and* trees — so a warm batch allocates nothing per solve;
-//! * tree workloads get the same treatment: per-topology edge
-//!   subdivisions (the tree analogue of the candidate grids) are cached,
-//!   tree `τ_min` is memoized, and [`Engine::solve_tree_batch_masked`]
-//!   runs many trees in parallel with deterministic, input-ordered output;
 //! * blocked tree nodes are binding: every tree entry point
 //!   ([`Engine::solve_tree_masked`], [`Engine::solve_tree_batch_masked`],
 //!   [`Engine::tree_tau_min_masked`], [`Engine::tree_baseline_masked`])
 //!   takes an optional buffer-legality mask and threads it through every
-//!   stage, the subdivision cache stores the mask projected onto each
-//!   subdivided topology under mask-extended keys (masked and unmasked
-//!   variants never alias), and an all-true mask normalizes to `None`,
-//!   the unmasked pipeline, byte for byte;
+//!   stage, the tree `τ_min` memo keys on the mask bits (masked and
+//!   unmasked variants never alias), and an all-true mask normalizes to
+//!   `None`, the unmasked pipeline, byte for byte;
 //! * independent nets run on all available cores with deterministic,
-//!   input-ordered output ([`Engine::solve_batch`]).
+//!   input-ordered output ([`Engine::solve_batch`],
+//!   [`Engine::solve_tree_batch_masked`]).
 //!
-//! Caching never changes results: every cached value is exactly the value
-//! the uncached pipeline would recompute, which the batch-determinism
-//! test suite pins (`tests/engine_batch.rs`). The geometry caches
-//! (candidate grids, fine windows, tree subdivisions) can be bounded with
-//! [`Engine::set_cache_cap`], and the value caches (`τ_min`, synthesized
-//! libraries) with [`Engine::set_value_cache_cap`]: beyond the cap the
-//! *least recently used* entries are evicted (hits promote, counted in
+//! Memoizing never changes results: a cached `τ_min` is exactly the
+//! value the DP would recompute, which the batch-determinism test suite
+//! pins (`tests/engine_batch.rs`). The memo can be bounded with
+//! [`Engine::set_value_cache_cap`]: beyond the cap the *least recently
+//! used* entries are evicted (hits promote, counted in
 //! [`EngineStats::promotions`]; drops in [`EngineStats::evictions`]),
 //! trading recomputation for flat memory on unbounded streams of
 //! distinct nets — the sizing knob of a resident solver service
@@ -65,6 +55,7 @@ use rip_refine::{refine, trim_tree_widths, RefineError, RefineOutcome, TreeTrimO
 use rip_tech::{RepeaterLibrary, TechError, Technology};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -78,69 +69,45 @@ pub enum BatchTarget {
     /// One absolute target for every net, fs.
     AbsoluteFs(f64),
     /// A per-net multiplier over that net's `τ_min` (computed once per
-    /// net through the engine cache) — the paper's target convention.
+    /// net through the engine's memo) — the paper's target convention.
     TauMinMultiple(f64),
     /// Explicit per-net absolute targets, fs. Must have one entry per
     /// net.
     PerNetFs(Vec<f64>),
 }
 
-/// Cache-effectiveness counters of an [`Engine`] session.
+/// Memo-effectiveness counters of an [`Engine`] session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
-    /// Uniform candidate-grid lookups served from cache.
-    pub grid_hits: u64,
-    /// Uniform candidate-grid lookups that had to build the grid.
-    pub grid_misses: u64,
-    /// Windowed candidate-set lookups served from cache.
-    pub window_hits: u64,
-    /// Windowed candidate-set lookups that had to build the set.
-    pub window_misses: u64,
-    /// Tree-subdivision lookups served from cache.
-    pub tree_grid_hits: u64,
-    /// Tree-subdivision lookups that had to subdivide the tree.
-    pub tree_grid_misses: u64,
-    /// `τ_min` lookups served from cache.
+    /// `τ_min` lookups (chain and tree) served from the memo.
     pub tau_min_hits: u64,
     /// `τ_min` lookups that had to run the min-delay DP.
     pub tau_min_misses: u64,
-    /// Synthesized-library lookups served from cache.
-    pub library_hits: u64,
-    /// Synthesized-library lookups that had to build the library.
-    pub library_misses: u64,
     /// Chain solves completed (successful or not).
     pub nets_solved: u64,
     /// Tree solves completed (successful or not).
     pub trees_solved: u64,
-    /// Cache hits that moved an entry to the most-recently-used position
+    /// Memo hits that moved an entry to the most-recently-used position
     /// (LRU hit-promotes; a hit on the already-hottest entry is not
     /// counted).
     pub promotions: u64,
-    /// Cache entries dropped by the LRU bounds ([`Engine::set_cache_cap`],
-    /// [`Engine::set_value_cache_cap`]).
+    /// Memo entries dropped by the LRU bound
+    /// ([`Engine::set_value_cache_cap`]).
     pub evictions: u64,
 }
 
 impl EngineStats {
-    /// Total lookups served from cache.
+    /// Total lookups served from the memo.
     pub fn hits(&self) -> u64 {
-        self.grid_hits
-            + self.window_hits
-            + self.tree_grid_hits
-            + self.tau_min_hits
-            + self.library_hits
+        self.tau_min_hits
     }
 
     /// Total lookups that had to compute.
     pub fn misses(&self) -> u64 {
-        self.grid_misses
-            + self.window_misses
-            + self.tree_grid_misses
-            + self.tau_min_misses
-            + self.library_misses
+        self.tau_min_misses
     }
 
-    /// Fraction of lookups served from cache (0.0 when nothing has been
+    /// Fraction of lookups served from the memo (0.0 when nothing has been
     /// looked up yet) — the service's headline amortization metric.
     pub fn hit_rate(&self) -> f64 {
         let lookups = self.hits() + self.misses();
@@ -154,16 +121,8 @@ impl EngineStats {
 
 #[derive(Debug, Default)]
 struct Counters {
-    grid_hits: AtomicU64,
-    grid_misses: AtomicU64,
-    window_hits: AtomicU64,
-    window_misses: AtomicU64,
-    tree_grid_hits: AtomicU64,
-    tree_grid_misses: AtomicU64,
     tau_min_hits: AtomicU64,
     tau_min_misses: AtomicU64,
-    library_hits: AtomicU64,
-    library_misses: AtomicU64,
     nets_solved: AtomicU64,
     trees_solved: AtomicU64,
     evictions: AtomicU64,
@@ -196,33 +155,11 @@ fn combine(a: u64, b: u64) -> u64 {
     hasher.finish()
 }
 
-/// Cache key for candidate sets: exactly the geometry that determines
-/// the positions — total length and forbidden zones — plus the grid
-/// parameters. Keying on the full net `Debug` rendering (the seed
-/// behavior) over-discriminated: driver/receiver widths and per-segment
-/// parasitics never influence candidate positions, so nets differing
-/// only in those now share one cached grid.
-fn geometry_key(net: &TwoPinNet, extra: &impl fmt::Debug) -> String {
-    use fmt::Write as _;
-    let mut key = String::with_capacity(32 + 36 * net.zones().len());
-    let _ = write!(key, "{:x}", net.total_length().to_bits());
-    for zone in net.zones() {
-        let _ = write!(
-            key,
-            "|{:x}-{:x}",
-            zone.start().to_bits(),
-            zone.end().to_bits()
-        );
-    }
-    let _ = write!(key, "|{extra:?}");
-    key
-}
-
 /// Validates a caller-supplied tree buffer-legality mask and normalizes
 /// the trivial case: a mask that allows every *non-root* node is the
 /// unmasked problem (the root entry is ignored throughout — the root
 /// hosts the driver, never a buffer), so it collapses to `None` and
-/// shares the unmasked cache entries, keeping trivially-masked solves
+/// shares the unmasked memo entries, keeping trivially-masked solves
 /// byte-identical to unmasked ones.
 ///
 /// # Errors
@@ -247,11 +184,10 @@ fn effective_mask<'a>(
     })
 }
 
-/// Extends a cache key with the legality-mask bits — the ONE rule that
-/// keeps masked and unmasked cache entries from ever aliasing (the
-/// subdivision and `τ_min` caches both depend on it). `None` returns
-/// the base key unchanged, so unmasked lookups keep their historical
-/// keys bit for bit.
+/// Extends a memo key with the legality-mask bits — the ONE rule that
+/// keeps masked and unmasked tree `τ_min` entries from ever aliasing.
+/// `None` returns the base key unchanged, so unmasked lookups keep
+/// their historical keys bit for bit.
 fn masked_key(base: String, mask: Option<&[bool]>) -> String {
     match mask {
         None => base,
@@ -262,21 +198,42 @@ fn masked_key(base: String, mask: Option<&[bool]>) -> String {
     }
 }
 
-/// A cached tree subdivision: the subdivided candidate-site tree and —
-/// for masked lookups — the buffer-legality mask projected onto the
-/// subdivided topology ([`RcTree::project_allowed`]).
-///
-/// Masked and unmasked variants of one `(topology, step)` pair live
-/// under **different cache keys** (the key embeds the mask bits), so
-/// the two can never alias: an unmasked solve always sees
-/// `allowed == None`, a masked solve always sees exactly its own
-/// projection.
-#[derive(Debug)]
-struct TreeSites {
-    /// The subdivided site tree.
-    tree: RcTree,
-    /// The projected legality mask (`None` for unmasked lookups).
-    allowed: Option<Vec<bool>>,
+/// The `step_um` edge subdivision of a tree — its candidate buffer
+/// sites — plus, for a masked solve, the buffer-legality mask (given on
+/// the *original* node indexing) projected onto the subdivided
+/// topology: inserted Steiner points inherit the legality of their
+/// covering original edge ([`RcTree::project_allowed`]). `allowed`
+/// must already be validated/normalized ([`effective_mask`]); `None`
+/// yields `None`.
+fn subdivide(tree: &RcTree, step_um: f64, allowed: Option<&[bool]>) -> (RcTree, Option<Vec<bool>>) {
+    let (sub, map) = tree.subdivided(step_um);
+    let projected = allowed.map(|mask| tree.project_allowed(&sub, &map, mask));
+    (sub, projected)
+}
+
+/// Stage-3 library synthesis: every rounded width plus `steps` grid
+/// neighbours — on both sides, or wider only when `upward_only` (the
+/// chain's infeasibility-retry library).
+fn synthesized_library(
+    rounded: &RepeaterLibrary,
+    grid: f64,
+    steps: usize,
+    upward_only: bool,
+) -> Result<RepeaterLibrary, TechError> {
+    let mut widths: Vec<f64> = Vec::new();
+    for &w in rounded.widths() {
+        widths.push(w);
+        for k in 1..=steps {
+            widths.push(w + grid * k as f64);
+            if !upward_only {
+                let below = w - grid * k as f64;
+                if below >= grid - 1e-9 {
+                    widths.push(below);
+                }
+            }
+        }
+    }
+    RepeaterLibrary::from_widths(widths)
 }
 
 /// Sentinel "no neighbour" slot index for [`LruCache`]'s intrusive
@@ -303,10 +260,10 @@ struct LruEntry<V> {
 /// promotes the entry to the most-recently-used position in O(1), and
 /// inserts past the cap drop the *least recently used* entries — so a
 /// hot working set survives an unbounded stream of one-shot keys, which
-/// the PR 3 FIFO bound could not guarantee (a popular early entry aged
-/// out regardless of use). Eviction never changes results — a dropped
-/// entry is simply recomputed on its next lookup — so it is safe on
-/// exactly the caches whose values are pure functions of their keys.
+/// a FIFO bound could not guarantee (a popular early entry aged out
+/// regardless of use). Eviction never changes results — a dropped entry
+/// is simply recomputed on its next lookup — because every value is a
+/// pure function of its key.
 #[derive(Debug)]
 struct LruCache<V> {
     /// Key → slot in `entries`.
@@ -444,14 +401,6 @@ impl<V: Clone> LruCache<V> {
         }
         keys
     }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.entries.clear();
-        self.free.clear();
-        self.head = LRU_NIL;
-        self.tail = LRU_NIL;
-    }
 }
 
 /// Deterministic parallel map: distributes `items` over the available
@@ -489,16 +438,13 @@ fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> 
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// A solving session: one technology, one configuration, shared caches,
-/// parallel batch entry points.
+/// A solving session: one technology, one configuration, a shared
+/// `τ_min` memo and DP scratch pools, parallel batch entry points.
 ///
-/// Caches are unbounded by default: reuse within a batch, a target
+/// The memo is unbounded by default: reuse within a batch, a target
 /// sweep, or a bounded working set is the design point. A long-lived
-/// process solving an unbounded stream of *distinct* nets should set
-/// LRU bounds with [`Engine::set_cache_cap`] /
-/// [`Engine::set_value_cache_cap`], or call
-/// [`Engine::clear_cache`] at natural boundaries (end of a design, end
-/// of a request) to keep memory flat.
+/// process solving an unbounded stream of *distinct* nets bounds it
+/// with [`Engine::set_value_cache_cap`] to keep memory flat.
 ///
 /// # Examples
 ///
@@ -514,7 +460,7 @@ fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> 
 /// for out in &outcomes {
 ///     assert!(out.as_ref().unwrap().solution.delay_fs > 0.0);
 /// }
-/// // A second pass over the same nets is served from the session cache.
+/// // A second pass over the same nets reuses the memoized τ_min values.
 /// let before = engine.stats();
 /// let _ = engine.solve_batch(&nets, &BatchTarget::TauMinMultiple(1.4));
 /// assert!(engine.stats().hits() > before.hits());
@@ -524,14 +470,9 @@ pub struct Engine {
     tech: Technology,
     config: RipConfig,
     config_hash: u64,
-    grids: Mutex<LruCache<Arc<CandidateSet>>>,
-    windows: Mutex<LruCache<Arc<CandidateSet>>>,
-    subdivisions: Mutex<LruCache<Arc<TreeSites>>>,
     tau_mins: Mutex<LruCache<f64>>,
-    libraries: Mutex<LruCache<Arc<RepeaterLibrary>>>,
     scratches: Mutex<Vec<DpScratch>>,
     tree_scratches: Mutex<Vec<TreeScratch>>,
-    cache_cap: AtomicUsize,
     value_cache_cap: AtomicUsize,
     scratch_cap: AtomicUsize,
     counters: Counters,
@@ -596,14 +537,9 @@ impl Engine {
             tech,
             config,
             config_hash,
-            grids: Mutex::new(LruCache::default()),
-            windows: Mutex::new(LruCache::default()),
-            subdivisions: Mutex::new(LruCache::default()),
             tau_mins: Mutex::new(LruCache::default()),
-            libraries: Mutex::new(LruCache::default()),
             scratches: Mutex::new(Vec::new()),
             tree_scratches: Mutex::new(Vec::new()),
-            cache_cap: AtomicUsize::new(0),
             value_cache_cap: AtomicUsize::new(0),
             scratch_cap: AtomicUsize::new(0),
             counters: Counters::default(),
@@ -638,47 +574,16 @@ impl Engine {
         self.config_hash
     }
 
-    /// Drops every cached candidate grid, tree subdivision, `τ_min` and
-    /// synthesized library, keeping the technology, configuration and
-    /// statistics counters. Long-running services solving unbounded
-    /// streams of distinct nets call this at natural boundaries to bound
-    /// memory (or set a standing bound with [`Engine::set_cache_cap`]).
-    pub fn clear_cache(&self) {
-        self.grids.lock().expect("grid cache").clear();
-        self.windows.lock().expect("window cache").clear();
-        self.subdivisions.lock().expect("subdivision cache").clear();
-        self.tau_mins.lock().expect("tau cache").clear();
-        self.libraries.lock().expect("library cache").clear();
-        self.scratches.lock().expect("scratch pool").clear();
-        self.tree_scratches
-            .lock()
-            .expect("tree scratch pool")
-            .clear();
-    }
-
-    /// Bounds the geometry caches (candidate grids, fine windows, tree
-    /// subdivisions) to at most `cap` entries **each**, evicting the
-    /// *least recently used* entries as new ones arrive (every cache hit
-    /// promotes its entry, counted in [`EngineStats::promotions`]); `0`
-    /// (the default) means unbounded. Evicted entries are recomputed on
-    /// their next lookup, so results never change — only
-    /// [`EngineStats::evictions`] and the hit rate do.
-    pub fn set_cache_cap(&self, cap: usize) {
-        self.cache_cap.store(cap, Ordering::Relaxed);
-    }
-
-    /// The current geometry-cache bound (`0` = unbounded).
-    pub fn cache_cap(&self) -> usize {
-        self.cache_cap.load(Ordering::Relaxed)
-    }
-
-    /// Bounds the value caches — the `τ_min` memo and the synthesized
-    /// fine libraries — to at most `cap` entries **each**, with the same
-    /// LRU semantics as [`Engine::set_cache_cap`]; `0` (the default)
-    /// means unbounded. These maps hold one scalar / one small library
-    /// per distinct net, so they only matter at service lifetimes: a
-    /// resident server solving an unbounded stream of distinct nets sets
-    /// both caps to keep memory flat forever.
+    /// Bounds the `τ_min` memo (chain and tree entries together) to at
+    /// most `cap` entries, evicting the *least recently used* entries as
+    /// new ones arrive (every hit promotes its entry, counted in
+    /// [`EngineStats::promotions`]); `0` (the default) means unbounded.
+    /// The memo holds one scalar per distinct net, so the bound only
+    /// matters at service lifetimes: a resident server solving an
+    /// unbounded stream of distinct nets sets it to keep memory flat
+    /// forever. Evicted entries are recomputed on their next lookup, so
+    /// results never change — only [`EngineStats::evictions`] and the
+    /// hit rate do.
     pub fn set_value_cache_cap(&self, cap: usize) {
         self.value_cache_cap.store(cap, Ordering::Relaxed);
     }
@@ -706,12 +611,12 @@ impl Engine {
 
     /// The engine's metrics registry: per-stage latency histograms for
     /// the chain pipeline (`engine_chain_*_ns`), the tree pipeline
-    /// (`engine_tree_*_ns`), and cache lookup latency
-    /// (`engine_cache_{hit,miss}_ns`), all in nanoseconds; plus the fine
-    /// DPs' work per solve, as counts: options created
-    /// (`engine_chain_fine_options`, `engine_tree_fine_options`) and the
-    /// tree's largest branch-merge staging
-    /// (`engine_tree_merge_products_max`).
+    /// (`engine_tree_*_ns`), and `τ_min` memo lookup latency
+    /// (`engine_cache_{hit,miss}_ns`, a miss including its DP), all in
+    /// nanoseconds; plus the fine DPs' work per solve, as counts:
+    /// options created (`engine_chain_fine_options`,
+    /// `engine_tree_fine_options`) and the tree's largest branch-merge
+    /// staging (`engine_tree_merge_products_max`).
     /// Observation never changes solver results — the determinism suite
     /// pins that solve bytes are identical with metrics read or reset at
     /// any point.
@@ -728,24 +633,16 @@ impl Engine {
         self.metrics = EngineMetrics::resolve(registry);
     }
 
-    /// Resets every statistics counter to zero, keeping the caches and
-    /// their contents untouched — the monitoring reset behind the
+    /// Resets every statistics counter to zero, keeping the memo and
+    /// its contents untouched — the monitoring reset behind the
     /// service's `reset_stats` command. Counter reads/writes are
     /// `Relaxed`, so a reset concurrent with in-flight solves may lose
     /// a few increments; results are never affected.
     pub fn reset_stats(&self) {
         let c = &self.counters;
         for counter in [
-            &c.grid_hits,
-            &c.grid_misses,
-            &c.window_hits,
-            &c.window_misses,
-            &c.tree_grid_hits,
-            &c.tree_grid_misses,
             &c.tau_min_hits,
             &c.tau_min_misses,
-            &c.library_hits,
-            &c.library_misses,
             &c.nets_solved,
             &c.trees_solved,
             &c.evictions,
@@ -756,19 +653,11 @@ impl Engine {
         self.metrics.registry.reset();
     }
 
-    /// Cache-effectiveness counters so far.
+    /// Memo-effectiveness counters so far.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
-            grid_hits: self.counters.grid_hits.load(Ordering::Relaxed),
-            grid_misses: self.counters.grid_misses.load(Ordering::Relaxed),
-            window_hits: self.counters.window_hits.load(Ordering::Relaxed),
-            window_misses: self.counters.window_misses.load(Ordering::Relaxed),
-            tree_grid_hits: self.counters.tree_grid_hits.load(Ordering::Relaxed),
-            tree_grid_misses: self.counters.tree_grid_misses.load(Ordering::Relaxed),
             tau_min_hits: self.counters.tau_min_hits.load(Ordering::Relaxed),
             tau_min_misses: self.counters.tau_min_misses.load(Ordering::Relaxed),
-            library_hits: self.counters.library_hits.load(Ordering::Relaxed),
-            library_misses: self.counters.library_misses.load(Ordering::Relaxed),
             nets_solved: self.counters.nets_solved.load(Ordering::Relaxed),
             trees_solved: self.counters.trees_solved.load(Ordering::Relaxed),
             evictions: self.counters.evictions.load(Ordering::Relaxed),
@@ -817,227 +706,67 @@ impl Engine {
         result
     }
 
-    // ---- cached precomputation -------------------------------------------
+    // ---- τ_min memo ------------------------------------------------------
 
-    /// Looks up `key`, promoting it on a hit — the fast path of every
-    /// cached precomputation.
-    fn cache_get<V: Clone>(
+    /// Looks `key()` up in the `τ_min` memo, promoting it on a hit, and
+    /// otherwise runs `compute` *outside* the lock and inserts its
+    /// value (LRU-bounded by [`Engine::set_value_cache_cap`]). The
+    /// lookup histograms time the key build too. Two workers can
+    /// compute the same key concurrently; only the one whose insert
+    /// lands counts a miss, keeping the counters exact even under
+    /// parallel batches (the hit-rate tests assert equality). A failed
+    /// `compute` is returned and not memoized.
+    fn memo_tau_min<E>(
         &self,
-        cache: &Mutex<LruCache<V>>,
-        key: &str,
-        hits: &AtomicU64,
-    ) -> Option<V> {
-        let value = cache
+        key: impl FnOnce() -> String,
+        compute: impl FnOnce() -> Result<f64, E>,
+    ) -> Result<f64, E> {
+        let t = Instant::now();
+        let key = key();
+        let c = &self.counters;
+        let cached = self
+            .tau_mins
             .lock()
-            .expect("engine cache")
-            .get_promote(key, &self.counters.promotions)?;
-        hits.fetch_add(1, Ordering::Relaxed);
-        Some(value)
-    }
-
-    /// Inserts a freshly computed value unless another worker won the
-    /// race, and attributes the hit/miss to whoever actually resolved
-    /// the entry: values are computed *outside* the cache lock, so two
-    /// workers can build the same key concurrently — only the one whose
-    /// insert lands counts a miss, keeping the counters exact even
-    /// under parallel batches (the hit-rate tests assert equality).
-    /// Applies `cap` with LRU eviction on insert.
-    fn finish_lookup<V: Clone>(
-        &self,
-        cache: &Mutex<LruCache<V>>,
-        cap: usize,
-        key: String,
-        computed: V,
-        hits: &AtomicU64,
-        misses: &AtomicU64,
-    ) -> V {
-        let (value, was_miss) = cache.lock().expect("engine cache").finish(
+            .expect("tau_min memo")
+            .get_promote(&key, &c.promotions);
+        if let Some(tmin) = cached {
+            c.tau_min_hits.fetch_add(1, Ordering::Relaxed);
+            self.metrics.cache_hit.observe_since(t);
+            return Ok(tmin);
+        }
+        let computed = compute()?;
+        let (tmin, was_miss) = self.tau_mins.lock().expect("tau_min memo").finish(
             key,
             computed,
-            cap,
-            &self.counters.evictions,
-            &self.counters.promotions,
+            self.value_cache_cap.load(Ordering::Relaxed),
+            &c.evictions,
+            &c.promotions,
         );
-        if was_miss {
-            misses.fetch_add(1, Ordering::Relaxed);
+        let counter = if was_miss {
+            &c.tau_min_misses
         } else {
-            hits.fetch_add(1, Ordering::Relaxed);
-        }
-        value
-    }
-
-    /// The uniform candidate grid for `(net geometry, step)`, built at
-    /// most once per session (LRU-bounded by
-    /// [`Engine::set_cache_cap`]). Keyed on geometry only (length +
-    /// zones), so nets differing in driver/receiver widths or wire
-    /// parasitics share one grid.
-    fn grid(&self, net: &TwoPinNet, step_um: f64) -> Arc<CandidateSet> {
-        let t = Instant::now();
-        let key = geometry_key(net, &step_um.to_bits());
-        if let Some(grid) = self.cache_get(&self.grids, &key, &self.counters.grid_hits) {
-            self.metrics.cache_hit.observe_since(t);
-            return grid;
-        }
-        let grid = Arc::new(CandidateSet::uniform(net, step_um));
-        let grid = self.finish_lookup(
-            &self.grids,
-            self.cache_cap.load(Ordering::Relaxed),
-            key,
-            grid,
-            &self.counters.grid_hits,
-            &self.counters.grid_misses,
-        );
+            &c.tau_min_hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         self.metrics.cache_miss.observe_since(t);
-        grid
-    }
-
-    /// The windowed candidate set for `(net geometry, centers, window)`,
-    /// built at most once per session — repeated solves of a net (target
-    /// sweeps, identical batches) reuse the fine-stage candidate sets.
-    fn window_grid(
-        &self,
-        net: &TwoPinNet,
-        centers: &[f64],
-        half_slots: usize,
-        step_um: f64,
-    ) -> Arc<CandidateSet> {
-        let t = Instant::now();
-        let center_bits: Vec<u64> = centers.iter().map(|c| c.to_bits()).collect();
-        let key = geometry_key(net, &(center_bits, half_slots, step_um.to_bits()));
-        if let Some(set) = self.cache_get(&self.windows, &key, &self.counters.window_hits) {
-            self.metrics.cache_hit.observe_since(t);
-            return set;
-        }
-        let set = Arc::new(CandidateSet::windows(net, centers, half_slots, step_um));
-        let set = self.finish_lookup(
-            &self.windows,
-            self.cache_cap.load(Ordering::Relaxed),
-            key,
-            set,
-            &self.counters.window_hits,
-            &self.counters.window_misses,
-        );
-        self.metrics.cache_miss.observe_since(t);
-        set
-    }
-
-    /// The `step_um` edge subdivision of a tree — its candidate buffer
-    /// sites — built at most once per `(topology, step[, mask])` per
-    /// session. The tree analogue of [`Engine::grid`]: repeated solves
-    /// of one topology (target sweeps, identical batches) reuse the
-    /// coarse and fine site trees instead of re-subdividing.
-    ///
-    /// With a mask (given on the *original* node indexing), the cache
-    /// entry also carries the mask projected onto the subdivided
-    /// topology: inserted Steiner points inherit the legality of their
-    /// covering original edge — see [`RcTree::project_allowed`]. The
-    /// mask bits are part of the cache key, so masked and unmasked
-    /// variants of one `(topology, step)` pair never alias.
-    ///
-    /// `allowed` must already be validated/normalized
-    /// ([`effective_mask`]): `None` here reproduces the unmasked entry
-    /// bit for bit.
-    fn subdivision_masked(
-        &self,
-        tree: &RcTree,
-        step_um: f64,
-        allowed: Option<&[bool]>,
-    ) -> Arc<TreeSites> {
-        let t = Instant::now();
-        let key = masked_key(cache_key(&(tree, step_um.to_bits())), allowed);
-        if let Some(sub) = self.cache_get(&self.subdivisions, &key, &self.counters.tree_grid_hits) {
-            self.metrics.cache_hit.observe_since(t);
-            return sub;
-        }
-        let (sub, map) = tree.subdivided(step_um);
-        let projected = allowed.map(|mask| tree.project_allowed(&sub, &map, mask));
-        let sites = self.finish_lookup(
-            &self.subdivisions,
-            self.cache_cap.load(Ordering::Relaxed),
-            key,
-            Arc::new(TreeSites {
-                tree: sub,
-                allowed: projected,
-            }),
-            &self.counters.tree_grid_hits,
-            &self.counters.tree_grid_misses,
-        );
-        self.metrics.cache_miss.observe_since(t);
-        sites
+        Ok(tmin)
     }
 
     /// `τ_min` of a net under the paper's experimental setup, computed at
     /// most once per session (LRU-bounded by
     /// [`Engine::set_value_cache_cap`]).
     pub fn tau_min(&self, net: &TwoPinNet) -> f64 {
-        let t = Instant::now();
-        let key = cache_key(net);
-        if let Some(tmin) = self.cache_get(&self.tau_mins, &key, &self.counters.tau_min_hits) {
-            self.metrics.cache_hit.observe_since(t);
-            return tmin;
-        }
-        let tmin = tmin::tau_min_paper(net, self.tech.device());
-        let tmin = self.finish_lookup(
-            &self.tau_mins,
-            self.value_cache_cap.load(Ordering::Relaxed),
-            key,
-            tmin,
-            &self.counters.tau_min_hits,
-            &self.counters.tau_min_misses,
-        );
-        self.metrics.cache_miss.observe_since(t);
-        tmin
-    }
-
-    /// Stage-3 library synthesis, memoized on `(rounded widths, grid,
-    /// steps, direction)`.
-    ///
-    /// `upward_only = false` builds the standard enrichment (`steps` grid
-    /// neighbours on both sides of every rounded width); `true` builds
-    /// the infeasibility-retry library (wider neighbours only).
-    fn synthesized_library(
-        &self,
-        rounded: &RepeaterLibrary,
-        grid: f64,
-        steps: usize,
-        upward_only: bool,
-    ) -> Result<Arc<RepeaterLibrary>, TechError> {
-        let t = Instant::now();
-        let key = cache_key(&(rounded.widths(), steps, upward_only, grid.to_bits()));
-        if let Some(lib) = self.cache_get(&self.libraries, &key, &self.counters.library_hits) {
-            self.metrics.cache_hit.observe_since(t);
-            return Ok(lib);
-        }
-        let mut widths: Vec<f64> = Vec::new();
-        for &w in rounded.widths() {
-            widths.push(w);
-            for k in 1..=steps {
-                widths.push(w + grid * k as f64);
-                if !upward_only {
-                    let below = w - grid * k as f64;
-                    if below >= grid - 1e-9 {
-                        widths.push(below);
-                    }
-                }
-            }
-        }
-        let lib = Arc::new(RepeaterLibrary::from_widths(widths)?);
-        let lib = self.finish_lookup(
-            &self.libraries,
-            self.value_cache_cap.load(Ordering::Relaxed),
-            key,
-            lib,
-            &self.counters.library_hits,
-            &self.counters.library_misses,
-        );
-        self.metrics.cache_miss.observe_since(t);
-        Ok(lib)
+        self.memo_tau_min(
+            || cache_key(net),
+            || Ok::<_, Infallible>(tmin::tau_min_paper(net, self.tech.device())),
+        )
+        .unwrap_or_else(|never| match never {})
     }
 
     // ---- chain solving ---------------------------------------------------
 
-    /// Runs algorithm RIP (Fig. 6) on one two-pin net through the session
-    /// caches. Semantics are identical to [`rip`](crate::rip); see there
+    /// Runs algorithm RIP (Fig. 6) on one two-pin net with a pooled
+    /// scratch. Semantics are identical to [`rip`](crate::rip); see there
     /// for the stage walkthrough and the robustness extensions.
     ///
     /// # Errors
@@ -1063,7 +792,7 @@ impl Engine {
 
         // ---- Stage 1: coarse DP (Fig. 6, Line 1).
         let t0 = Instant::now();
-        let coarse_cands = self.grid(net, config.coarse.candidate_step_um);
+        let coarse_cands = CandidateSet::uniform(net, config.coarse.candidate_step_um);
         self.metrics.chain_grid.observe_since(t0);
         let t0_dp = Instant::now();
         let coarse = match solve_min_power_with(
@@ -1239,14 +968,13 @@ impl Engine {
         let grid = config.fine.width_grid_u;
         let rounded = RepeaterLibrary::from_refined_widths(refined.widths.iter().copied(), grid)
             .expect("refined widths are positive");
-        let cands = self.window_grid(
+        let cands = CandidateSet::windows(
             net,
             &refined.positions,
             config.fine.window_half_slots,
             config.fine.window_step_um,
         );
-        let mut final_lib = self
-            .synthesized_library(&rounded, grid, config.fine.enrich_steps, false)
+        let mut final_lib = synthesized_library(&rounded, grid, config.fine.enrich_steps, false)
             .expect("enriched widths are positive");
         let mut solution =
             solve_min_power_with(scratch, net, device, &final_lib, &cands, target_fs);
@@ -1254,13 +982,13 @@ impl Engine {
             // Infeasible after rounding: only *wider* fallbacks can help,
             // so the retry enriches upward only (keeps the library small -
             // the fine DP's cost is sensitive to |B| at tight targets).
-            final_lib = self
-                .synthesized_library(&rounded, grid, config.fine.enrich_steps.max(1) * 3, true)
-                .expect("positive widths");
+            final_lib =
+                synthesized_library(&rounded, grid, config.fine.enrich_steps.max(1) * 3, true)
+                    .expect("positive widths");
             solution = solve_min_power_with(scratch, net, device, &final_lib, &cands, target_fs);
         }
         match solution {
-            Ok(sol) => Ok((sol, (*final_lib).clone(), cands.len())),
+            Ok(sol) => Ok((sol, final_lib, cands.len())),
             Err(DpError::InfeasibleTarget { achievable_fs, .. }) => Err(achievable_fs),
             Err(e) => unreachable!("windowed candidates and targets are pre-validated: {e}"),
         }
@@ -1302,8 +1030,7 @@ impl Engine {
 
     // ---- baseline + comparison ------------------------------------------
 
-    /// Runs the Lillis-style baseline DP through the session's grid
-    /// cache.
+    /// Runs the Lillis-style baseline DP with a pooled scratch.
     ///
     /// # Errors
     ///
@@ -1315,7 +1042,7 @@ impl Engine {
         config: &BaselineConfig,
         target_fs: f64,
     ) -> Result<DpSolution, DpError> {
-        let cands = self.grid(net, config.candidate_step_um);
+        let cands = CandidateSet::uniform(net, config.candidate_step_um);
         self.with_scratch(|scratch| {
             solve_min_power_with(
                 scratch,
@@ -1330,10 +1057,10 @@ impl Engine {
 
     /// Runs the Lillis-style baseline power DP on a tree — one uniform
     /// fixed-width library over a uniform candidate subdivision
-    /// (`config.candidate_step_um`), no hybrid stages — through the
-    /// session's subdivision cache, under an optional buffer-legality
-    /// mask. The tree analogue of [`Engine::baseline`], and what tree
-    /// entries in a `compare` request are measured against.
+    /// (`config.candidate_step_um`), no hybrid stages — under an
+    /// optional buffer-legality mask. The tree analogue of
+    /// [`Engine::baseline`], and what tree entries in a `compare`
+    /// request are measured against.
     ///
     /// # Errors
     ///
@@ -1349,15 +1076,15 @@ impl Engine {
         allowed: Option<&[bool]>,
     ) -> Result<rip_dp::TreeSolution, DpError> {
         let allowed = effective_mask(tree, allowed)?;
-        let sites = self.subdivision_masked(tree, config.candidate_step_um, allowed);
+        let (sites, sites_allowed) = subdivide(tree, config.candidate_step_um, allowed);
         self.with_tree_scratch(|scratch| {
             tree_min_power_with(
                 scratch,
-                &sites.tree,
+                &sites,
                 self.tech.device(),
                 driver_width,
                 &config.library,
-                sites.allowed.as_deref(),
+                sites_allowed.as_deref(),
                 target_fs,
             )
         })
@@ -1416,7 +1143,7 @@ impl Engine {
     /// so a [`rip_net::TreeNet::allowed_mask`] can be passed straight
     /// through): buffers may only occupy allowed coarse sites. A `None`
     /// or all-true mask is the unmasked `τ_min`, and both share one
-    /// cache entry.
+    /// memo entry.
     ///
     /// # Errors
     ///
@@ -1429,55 +1156,42 @@ impl Engine {
         config: &TreeRipConfig,
         allowed: Option<&[bool]>,
     ) -> Result<f64, RipError> {
-        let t = Instant::now();
         let allowed = effective_mask(tree, allowed)?;
-        let key = masked_key(
-            cache_key(&(
-                "tree_tau_min",
-                tree,
-                driver_width.to_bits(),
-                config.coarse_step_um.to_bits(),
-            )),
-            allowed,
-        );
-        if let Some(tmin) = self.cache_get(&self.tau_mins, &key, &self.counters.tau_min_hits) {
-            self.metrics.cache_hit.observe_since(t);
-            return Ok(tmin);
-        }
-        let sites = self.subdivision_masked(tree, config.coarse_step_um, allowed);
-        let library = RepeaterLibrary::range_step(10.0, 400.0, 10.0)
-            .expect("paper library constants are valid");
-        let tmin = self.with_tree_scratch(|scratch| {
-            tree_min_delay_with(
-                scratch,
-                &sites.tree,
-                self.tech.device(),
-                driver_width,
-                &library,
-                sites.allowed.as_deref(),
+        let key = || {
+            masked_key(
+                cache_key(&(
+                    "tree_tau_min",
+                    tree,
+                    driver_width.to_bits(),
+                    config.coarse_step_um.to_bits(),
+                )),
+                allowed,
             )
+        };
+        self.memo_tau_min(key, || {
+            let (sites, sites_allowed) = subdivide(tree, config.coarse_step_um, allowed);
+            self.with_tree_scratch(|scratch| {
+                tree_min_delay_with(
+                    scratch,
+                    &sites,
+                    self.tech.device(),
+                    driver_width,
+                    &tmin::paper_library(),
+                    sites_allowed.as_deref(),
+                )
+            })
             .map(|sol| sol.delay_fs)
-        })?;
-        let tmin = self.finish_lookup(
-            &self.tau_mins,
-            self.value_cache_cap.load(Ordering::Relaxed),
-            key,
-            tmin,
-            &self.counters.tau_min_hits,
-            &self.counters.tau_min_misses,
-        );
-        self.metrics.cache_miss.observe_since(t);
-        Ok(tmin)
+            .map_err(RipError::from)
+        })
     }
 
-    /// Runs the hybrid RIP pipeline on an RC tree through the session's
-    /// caches. Semantics are identical to [`tree_rip`](crate::tree_rip);
-    /// the chain knobs are taken from `config.base` (not the engine's
-    /// chain configuration, which governs two-pin solves only).
+    /// Runs the hybrid RIP pipeline on an RC tree. Semantics are
+    /// identical to [`tree_rip`](crate::tree_rip); the chain knobs are
+    /// taken from `config.base` (not the engine's chain configuration,
+    /// which governs two-pin solves only).
     ///
-    /// Per-topology candidate-site trees (the coarse and fine edge
-    /// subdivisions) come from the session cache, and every tree DP
-    /// stage draws its working memory from the pooled [`TreeScratch`]es.
+    /// Every tree DP stage draws its working memory from the pooled
+    /// [`TreeScratch`]es.
     ///
     /// `allowed` is an optional buffer-legality mask: `allowed[v]` says
     /// whether a buffer may occupy node `v` of the **original** tree
@@ -1495,9 +1209,9 @@ impl Engine {
     /// * the fine DP (stage 4) intersects its windowed candidate sites
     ///   with the projected fine mask before solving.
     ///
-    /// An all-true mask normalizes to `None`: the same cache entries and
-    /// **byte-identical** answers. A real mask never places a buffer on
-    /// a blocked node — the masked-tree conformance suite pins both.
+    /// An all-true mask normalizes to `None`: **byte-identical**
+    /// answers. A real mask never places a buffer on a blocked node —
+    /// the masked-tree conformance suite pins both.
     ///
     /// # Errors
     ///
@@ -1551,14 +1265,13 @@ impl Engine {
         // ---- Stage 1: coarse tree DP (over the legal coarse sites
         // only, when a mask is in force).
         let t0 = Instant::now();
-        let coarse_sites = self.subdivision_masked(tree, config.coarse_step_um, allowed);
+        let (coarse_tree, coarse_allowed) = subdivide(tree, config.coarse_step_um, allowed);
         self.metrics.tree_subdivide_coarse.observe_since(t0);
-        let coarse_tree = &coarse_sites.tree;
-        let coarse_mask = coarse_sites.allowed.as_deref();
+        let coarse_mask = coarse_allowed.as_deref();
         let t0_dp = Instant::now();
         let coarse = match tree_min_power_with(
             scratch,
-            coarse_tree,
+            &coarse_tree,
             device,
             driver_width,
             &config.base.coarse.library,
@@ -1570,7 +1283,7 @@ impl Engine {
                 // Seed from the fastest coarse buffering, as on chains.
                 let fastest = tree_min_delay_with(
                     scratch,
-                    coarse_tree,
+                    &coarse_tree,
                     device,
                     driver_width,
                     &config.base.coarse.library,
@@ -1592,7 +1305,7 @@ impl Engine {
         // ---- Stage 2: continuous width trim at the chosen sites.
         let t1 = Instant::now();
         let trim: TreeTrimOutcome = match trim_tree_widths(
-            coarse_tree,
+            &coarse_tree,
             device,
             driver_width,
             &coarse.buffer_widths,
@@ -1615,11 +1328,10 @@ impl Engine {
         let trimmed_widths: Vec<f64> = trim.buffer_widths.iter().flatten().copied().collect();
         let t2 = Instant::now();
         if trimmed_widths.is_empty() {
-            let fine_sites = self.subdivision_masked(tree, config.fine_step_um, allowed);
-            let fine_tree = &fine_sites.tree;
+            let (fine_tree, _) = tree.subdivided(config.fine_step_um);
             let unbuffered = tree_min_power_with(
                 scratch,
-                fine_tree,
+                &fine_tree,
                 device,
                 driver_width,
                 &config.base.coarse.library,
@@ -1631,7 +1343,7 @@ impl Engine {
             runtime.fine = t2.elapsed();
             return Ok(TreeRipOutcome {
                 solution: unbuffered,
-                fine_tree: fine_tree.clone(),
+                fine_tree,
                 coarse_width: coarse.total_width,
                 trimmed_width: 0.0,
                 library: config.base.coarse.library.clone(),
@@ -1650,9 +1362,8 @@ impl Engine {
         // root-distance frame of the *original* tree is approximated on
         // the fine tree, which shares its geometry).
         let window_um = config.base.fine.window_half_slots as f64 * config.base.fine.window_step_um;
-        let fine_sites = self.subdivision_masked(tree, config.fine_step_um, allowed);
-        let fine_tree = &fine_sites.tree;
-        let fine_mask = fine_sites.allowed.as_deref();
+        let (fine_tree, fine_allowed) = subdivide(tree, config.fine_step_um, allowed);
+        let fine_mask = fine_allowed.as_deref();
         let buffer_sites: Vec<usize> = (0..coarse_tree.len())
             .filter(|&v| trim.buffer_widths[v].is_some())
             .collect();
@@ -1686,10 +1397,10 @@ impl Engine {
         // ---- Stage 4: fine tree DP with enrichment retry.
         let t_fine = Instant::now();
         let mut library =
-            self.synthesized_library(&rounded, grid, config.base.fine.enrich_steps, false)?;
+            synthesized_library(&rounded, grid, config.base.fine.enrich_steps, false)?;
         let mut solution = tree_min_power_with(
             scratch,
-            fine_tree,
+            &fine_tree,
             device,
             driver_width,
             &library,
@@ -1697,7 +1408,7 @@ impl Engine {
             target_fs,
         );
         if matches!(solution, Err(DpError::InfeasibleTarget { .. })) {
-            library = self.synthesized_library(
+            library = synthesized_library(
                 &rounded,
                 grid,
                 config.base.fine.enrich_steps.max(1) * 3,
@@ -1705,7 +1416,7 @@ impl Engine {
             )?;
             solution = tree_min_power_with(
                 scratch,
-                fine_tree,
+                &fine_tree,
                 device,
                 driver_width,
                 &library,
@@ -1730,10 +1441,10 @@ impl Engine {
 
         Ok(TreeRipOutcome {
             solution,
-            fine_tree: fine_tree.clone(),
+            fine_tree,
             coarse_width: coarse.total_width,
             trimmed_width: trim.total_width,
-            library: (*library).clone(),
+            library,
             candidate_count,
             runtime,
         })
@@ -1924,58 +1635,57 @@ mod tests {
     #[test]
     fn cache_cap_evicts_lru_and_rebuilds_identically() {
         let engine = engine();
-        engine.set_cache_cap(2);
-        assert_eq!(engine.cache_cap(), 2);
+        engine.set_value_cache_cap(2);
         let nets = nets(77, 4);
         for net in &nets {
-            let _ = engine.grid(net, 200.0);
+            let _ = engine.tau_min(net);
         }
         let stats = engine.stats();
-        assert_eq!(stats.grid_misses, 4);
+        assert_eq!(stats.tau_min_misses, 4);
         assert_eq!(
             stats.evictions, 2,
-            "the two least recently used grids must have been dropped"
+            "the two least recently used τ_min entries must have been dropped"
         );
-        assert!(engine.grids.lock().unwrap().len() <= 2);
+        assert!(engine.tau_mins.lock().unwrap().len() <= 2);
         // The newest entries survived...
-        let _ = engine.grid(&nets[3], 200.0);
-        assert_eq!(engine.stats().grid_hits, 1);
-        // ...and an evicted geometry is rebuilt bit-identically.
-        let again = engine.grid(&nets[0], 200.0);
-        let fresh = CandidateSet::uniform(&nets[0], 200.0);
-        assert_eq!(again.positions(), fresh.positions());
+        let _ = engine.tau_min(&nets[3]);
+        assert_eq!(engine.stats().tau_min_hits, 1);
+        // ...and an evicted τ_min is recomputed to the same bits.
+        let again = engine.tau_min(&nets[0]);
+        let fresh = tmin::tau_min_paper(&nets[0], engine.tech.device());
+        assert_eq!(again.to_bits(), fresh.to_bits());
         assert_eq!(engine.stats().evictions, 3);
     }
 
     #[test]
     fn lru_hit_promotes_and_changes_the_eviction_victim() {
-        // Under FIFO, touching nets[0] before inserting a fourth grid
+        // Under FIFO, touching nets[0] before inserting a fourth τ_min
         // would not save it; under LRU it must survive while nets[1]
         // (the actual least recently used) is evicted.
         let engine = engine();
-        engine.set_cache_cap(3);
+        engine.set_value_cache_cap(3);
         let nets = nets(41, 4);
         for net in &nets[..3] {
-            let _ = engine.grid(net, 200.0);
+            let _ = engine.tau_min(net);
         }
         // Promote the oldest entry...
-        let _ = engine.grid(&nets[0], 200.0);
+        let _ = engine.tau_min(&nets[0]);
         let stats = engine.stats();
-        assert_eq!(stats.grid_hits, 1);
+        assert_eq!(stats.tau_min_hits, 1);
         assert_eq!(
             stats.promotions, 1,
             "the hit must have moved nets[0] to most-recently-used"
         );
         // ...then overflow the cap: nets[1] is now the LRU victim.
-        let _ = engine.grid(&nets[3], 200.0);
+        let _ = engine.tau_min(&nets[3]);
         assert_eq!(engine.stats().evictions, 1);
         let before = engine.stats();
-        let _ = engine.grid(&nets[0], 200.0); // still cached
-        let _ = engine.grid(&nets[2], 200.0); // still cached
-        assert_eq!(engine.stats().grid_hits, before.grid_hits + 2);
-        assert_eq!(engine.stats().grid_misses, before.grid_misses);
-        let _ = engine.grid(&nets[1], 200.0); // evicted: a fresh miss
-        assert_eq!(engine.stats().grid_misses, before.grid_misses + 1);
+        let _ = engine.tau_min(&nets[0]); // still cached
+        let _ = engine.tau_min(&nets[2]); // still cached
+        assert_eq!(engine.stats().tau_min_hits, before.tau_min_hits + 2);
+        assert_eq!(engine.stats().tau_min_misses, before.tau_min_misses);
+        let _ = engine.tau_min(&nets[1]); // evicted: a fresh miss
+        assert_eq!(engine.stats().tau_min_misses, before.tau_min_misses + 1);
     }
 
     #[test]
@@ -2032,7 +1742,7 @@ mod tests {
     }
 
     #[test]
-    fn value_cache_cap_bounds_tau_min_and_library_maps() {
+    fn value_cache_cap_bounds_the_tau_min_memo() {
         let engine = engine();
         engine.set_value_cache_cap(2);
         assert_eq!(engine.value_cache_cap(), 2);
@@ -2049,9 +1759,6 @@ mod tests {
             again.to_bits(),
             tmin::tau_min_paper(&nets[0], engine.tech.device()).to_bits()
         );
-        // The library map obeys the same bound (engine solves populate it).
-        let _ = engine.solve_batch(&nets, &BatchTarget::TauMinMultiple(1.4));
-        assert!(engine.libraries.lock().unwrap().len() <= 2);
     }
 
     #[test]
@@ -2065,7 +1772,7 @@ mod tests {
     }
 
     #[test]
-    fn tree_batch_is_deterministic_and_reuses_the_session_caches() {
+    fn tree_batch_is_deterministic_and_reuses_the_tau_min_memo() {
         let engine = engine();
         let config = crate::TreeRipConfig::paper();
         // One batch mixing an unmasked entry, an all-true mask (which
@@ -2081,7 +1788,7 @@ mod tests {
         let target = BatchTarget::TauMinMultiple(1.4);
         let a = engine.solve_tree_batch_masked(&jobs, &target, &config);
         let first = engine.stats();
-        assert!(first.tree_grid_misses > 0);
+        assert!(first.tau_min_misses > 0);
         assert_eq!(a.len(), jobs.len());
         // Entry i is exactly the one-at-a-time solve.
         for (i, ((tree, driver, allowed), out)) in jobs.iter().zip(&a).enumerate() {
@@ -2113,7 +1820,7 @@ mod tests {
             first.misses(),
             "sequential re-solves and a second identical tree batch must not recompute anything"
         );
-        assert!(second.tree_grid_hits > first.tree_grid_hits);
+        assert!(second.tau_min_hits > first.tau_min_hits);
         assert_eq!(second.trees_solved, 3 * jobs.len() as u64);
     }
 
@@ -2128,7 +1835,7 @@ mod tests {
             .solve_tree_masked(&tree, driver, target, &config, None)
             .unwrap();
         // All-true mask (and one that only blocks the ignored root
-        // entry) normalize away entirely: same cache keys, same bytes.
+        // entry) normalize away entirely: same memo keys, same bytes.
         let before = engine.stats();
         for mask in [vec![true; tree.len()], {
             let mut m = vec![true; tree.len()];
@@ -2157,12 +1864,12 @@ mod tests {
         assert_eq!(
             after.misses(),
             before.misses(),
-            "trivially-masked solves must be served from the unmasked cache"
+            "trivially-masked τ_min lookups must be served from the unmasked memo entry"
         );
     }
 
     #[test]
-    fn masked_and_unmasked_subdivisions_never_alias() {
+    fn masked_and_unmasked_tau_min_never_alias() {
         let engine = engine();
         let config = crate::TreeRipConfig::paper();
         let (tree, driver) = trees(9, 1).remove(0);
@@ -2173,8 +1880,8 @@ mod tests {
         let _ = engine
             .solve_tree_masked(&tree, driver, target, &config, None)
             .unwrap();
-        let misses_unmasked = engine.stats().tree_grid_misses;
-        // The masked solve must build its own (projected) subdivisions…
+        let misses_unmasked = engine.stats().tau_min_misses;
+        // The masked τ_min must run its own (masked) DP…
         let masked_target = 1.5
             * engine
                 .tree_tau_min_masked(&tree, driver, &config, Some(&mask))
@@ -2182,19 +1889,20 @@ mod tests {
         let _ = engine
             .solve_tree_masked(&tree, driver, masked_target, &config, Some(&mask))
             .unwrap();
-        let misses_masked = engine.stats().tree_grid_misses;
+        let misses_masked = engine.stats().tau_min_misses;
         assert!(
             misses_masked > misses_unmasked,
-            "a real mask must not be served from the unmasked subdivision entries"
+            "a real mask must not be served from the unmasked τ_min entry"
         );
         // …and a repeat of both is fully warm.
-        let _ = engine
-            .solve_tree_masked(&tree, driver, target, &config, None)
-            .unwrap();
-        let _ = engine
-            .solve_tree_masked(&tree, driver, masked_target, &config, Some(&mask))
-            .unwrap();
-        assert_eq!(engine.stats().tree_grid_misses, misses_masked);
+        let hits = engine.stats().tau_min_hits;
+        for allowed in [None, Some(mask.as_slice())] {
+            let _ = engine
+                .tree_tau_min_masked(&tree, driver, &config, allowed)
+                .unwrap();
+        }
+        assert_eq!(engine.stats().tau_min_misses, misses_masked);
+        assert_eq!(engine.stats().tau_min_hits, hits + 2);
     }
 
     #[test]
@@ -2239,11 +1947,11 @@ mod tests {
         assert!(before.misses() > 0 && before.nets_solved == 2);
         engine.reset_stats();
         assert_eq!(engine.stats(), EngineStats::default());
-        // The caches themselves survive a stats reset: a repeated batch
-        // is all hits, no misses.
+        // The memo itself survives a stats reset: a repeated batch is
+        // all hits, no misses.
         let _ = engine.solve_batch(&nets, &BatchTarget::TauMinMultiple(1.4));
         let after = engine.stats();
-        assert_eq!(after.misses(), 0, "reset must not drop cache contents");
+        assert_eq!(after.misses(), 0, "reset must not drop memo contents");
         assert!(after.hits() > 0);
     }
 

@@ -52,12 +52,12 @@
 //!
 //! [`rip`] is a one-shot convenience. Anything that solves more than one
 //! net — target sweeps, experiment grids, serving workloads — should hold
-//! an [`Engine`] session instead: it caches per-technology precomputation
-//! (candidate grids, `τ_min`, synthesized fine libraries) across calls
-//! and runs batches in parallel over all cores with deterministic,
-//! input-ordered results ([`Engine::solve_batch`]). Multi-sink trees get
-//! the same treatment via [`Engine::solve_tree_batch_masked`] (cached
-//! per-topology subdivisions, pooled tree scratch, cached tree `τ_min`).
+//! an [`Engine`] session instead: it memoizes each net's `τ_min`, pools
+//! DP scratch memory across calls, and runs batches in parallel over all
+//! cores with deterministic, input-ordered results
+//! ([`Engine::solve_batch`]). Multi-sink trees get the same treatment
+//! via [`Engine::solve_tree_batch_masked`] (pooled tree scratch,
+//! memoized tree `τ_min`).
 //!
 //! The re-exported substrate crates ([`rip_tech`], [`rip_net`],
 //! [`rip_delay`], [`rip_dp`], [`rip_refine`]) are available under

@@ -14,7 +14,7 @@
 //! The implementation lives in [`crate::Engine`]; the [`rip`] free
 //! function here is a one-shot convenience wrapper over a fresh engine.
 //! Multi-net workloads should construct an [`crate::Engine`] directly to
-//! reuse its session caches.
+//! reuse its `τ_min` memo and DP scratch pools.
 
 use crate::config::RipConfig;
 use crate::engine::Engine;

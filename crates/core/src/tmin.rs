@@ -23,12 +23,16 @@ pub fn tau_min(
     solve_min_delay(net, device, library, &cands).delay_fs
 }
 
+/// The paper's `τ_min` library: width range (10u, 400u) at 10u
+/// granularity. Chain and tree `τ_min` both use it.
+pub(crate) fn paper_library() -> RepeaterLibrary {
+    RepeaterLibrary::range_step(10.0, 400.0, 10.0).expect("paper library constants are valid")
+}
+
 /// `τ_min` under the paper's experimental setup: width range (10u, 400u)
 /// at 10u granularity, 200 µm candidate grid.
 pub fn tau_min_paper(net: &TwoPinNet, device: &RepeaterDevice) -> f64 {
-    let library =
-        RepeaterLibrary::range_step(10.0, 400.0, 10.0).expect("paper library constants are valid");
-    tau_min(net, device, &library, 200.0)
+    tau_min(net, device, &paper_library(), 200.0)
 }
 
 #[cfg(test)]

@@ -146,12 +146,6 @@ impl<'a> ChainView<'a> {
         self.device
     }
 
-    /// Lumped wire between node `i` and node `i+1`, for `i ∈ 0..=n`.
-    #[inline]
-    pub fn stage_interval(&self, i: usize) -> IntervalRc {
-        self.intervals[i]
-    }
-
     /// Wire resistance `R_{i−1}` of the paper: between repeater `j`
     /// (paper's `i = j+1`) and its upstream neighbour, Ω.
     #[inline]

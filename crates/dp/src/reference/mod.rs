@@ -9,10 +9,10 @@
 //! * **equivalence**: `tests/frontier_equivalence.rs` pins the
 //!   production solver to the same answers as this implementation on a
 //!   50-net corpus, as judged by [`same_solution`];
-//! * **benchmarking**: `bench_dp_frontier` measures the production
-//!   solver against this one in the same process, so the recorded
-//!   speedup in `BENCH_dp_frontier.json` is machine-independent and
-//!   reproducible anywhere.
+//! * **benchmarking**: `rip bench` (`rip_bench::frontier_bench`)
+//!   measures the production solver against this one in the same
+//!   process, so the recorded speedup in `BENCH_dp_frontier.json` is
+//!   machine-independent and reproducible anywhere.
 //!
 //! The [`tree`] submodule plays the same two roles for the tree DP:
 //! it freezes the pre-SoA tree engine (per-node option `Vec`s,

@@ -10,8 +10,8 @@
 //!   production tree solver to the same [`TreeSolution`]s as this
 //!   implementation on a 50-tree corpus, as judged by
 //!   [`same_tree_solution`](super::same_tree_solution);
-//! * **benchmarking**: `bench_tree` measures the production solver
-//!   against this one in the same process, so the recorded speedup in
+//! * **benchmarking**: `rip bench` (`rip_bench::tree_bench`) measures
+//!   the production solver against this one in the same process, so the recorded speedup in
 //!   `BENCH_tree.json` is machine-independent and reproducible
 //!   anywhere.
 //!

@@ -48,16 +48,6 @@ impl TextTable {
         }
     }
 
-    /// Overrides the per-column alignments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from the header count.
-    pub fn set_aligns(&mut self, aligns: Vec<Align>) {
-        assert_eq!(aligns.len(), self.headers.len(), "one alignment per column");
-        self.aligns = aligns;
-    }
-
     /// Appends a row.
     ///
     /// # Panics

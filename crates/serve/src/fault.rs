@@ -7,9 +7,9 @@
 //!   typed `internal` error response (carrying the request id, because
 //!   the caller still renders it) instead of a dead worker thread. The
 //!   server's supervised engine slot then replaces the panicked state
-//!   with a fresh engine built from an identical recipe — caches restart
-//!   cold, but correctness is untouched because caching never changes
-//!   results.
+//!   with a fresh engine built from an identical recipe — its `τ_min`
+//!   memo restarts cold, but correctness is untouched because memoizing
+//!   never changes results.
 //! * **Fault injection** — a seeded [`FaultPlan`] drives three fault
 //!   families from inside the serving path: panic every Nth eligible
 //!   request, delay every Nth by a fixed amount, and cut the connection
@@ -245,13 +245,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The recipe a respawn rebuilds the engine from: technology,
-/// configuration, cache caps and scratch-pool size, captured once at
+/// configuration, `τ_min` memo cap and scratch-pool size, captured once at
 /// startup (the engine itself is not retained).
 #[derive(Debug)]
 struct EngineTemplate {
     tech: Technology,
     config: RipConfig,
-    cache_cap: usize,
     value_cache_cap: usize,
     scratch_cap: usize,
 }
@@ -261,7 +260,6 @@ impl EngineTemplate {
         Self {
             tech: engine.technology().clone(),
             config: engine.config().clone(),
-            cache_cap: engine.cache_cap(),
             value_cache_cap: engine.value_cache_cap(),
             scratch_cap,
         }
@@ -275,7 +273,6 @@ impl EngineTemplate {
     /// handle valid.
     fn respawn_state(&self, old: &ServeState) -> Arc<ServeState> {
         let mut engine = Engine::new(self.tech.clone(), self.config.clone());
-        engine.set_cache_cap(self.cache_cap);
         engine.set_value_cache_cap(self.value_cache_cap);
         engine.set_scratch_cap(self.scratch_cap);
         engine.adopt_metrics(Arc::clone(old.engine().metrics_registry()));

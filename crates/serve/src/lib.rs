@@ -4,14 +4,13 @@
 //! to sit inside an optimization loop; this crate is the subsystem that
 //! makes the reproduction *servable*: a std-only multi-threaded TCP
 //! server speaking a newline-delimited JSON protocol, with every
-//! request routed through long-lived [`Engine`] sessions so candidate
-//! grids, fine windows, tree subdivisions, `τ_min` and synthesized
-//! libraries amortize across requests and connections (LRU-bounded —
-//! see [`Engine::set_cache_cap`] / [`Engine::set_value_cache_cap`] — so
-//! memory stays flat on unbounded request streams). There is one
-//! topology: N connection workers solving in place against one
-//! supervised engine session, so every connection warms the same
-//! caches.
+//! request routed through long-lived [`Engine`] sessions so each net's
+//! `τ_min` — the min-delay DP behind every `target_mult` request — is
+//! computed once across requests and connections (LRU-bounded — see
+//! [`Engine::set_value_cache_cap`] — so memory stays flat on unbounded
+//! request streams). There is one topology: N connection workers
+//! solving in place against one supervised engine session, so every
+//! connection warms the same memo.
 //!
 //! Layers, bottom up:
 //!
@@ -35,8 +34,8 @@
 //!   errors and connection resets;
 //! * [`loadgen`] — deterministic concurrent load with **byte-identity**
 //!   verification against an in-process reference engine (the service
-//!   analogue of the DP frozen-reference equivalence suites; the
-//!   `bench_serve` binary builds `BENCH_serve.json` from it).
+//!   analogue of the DP frozen-reference equivalence suites; `rip bench`
+//!   builds `BENCH_serve.json` from it).
 //!
 //! ```
 //! use rip_core::Engine;
@@ -56,7 +55,6 @@
 //! ```
 //!
 //! [`Engine`]: rip_core::Engine
-//! [`Engine::set_cache_cap`]: rip_core::Engine::set_cache_cap
 //! [`Engine::set_value_cache_cap`]: rip_core::Engine::set_value_cache_cap
 
 #![forbid(unsafe_code)]

@@ -570,13 +570,11 @@ pub enum Response {
         /// The minimum achievable delay, fs.
         tau_min_fs: f64,
     },
-    /// `hello`: capabilities plus the engine cache caps.
+    /// `hello`: capabilities plus the engine's `τ_min` memo cap.
     Hello {
         /// Server topology and limits.
         info: ServerInfo,
-        /// Geometry-cache LRU bound (0 = unbounded).
-        cache_cap: usize,
-        /// `τ_min`/library-cache LRU bound (0 = unbounded).
+        /// `τ_min` memo LRU bound (0 = unbounded).
         value_cache_cap: usize,
     },
     /// `stats` / `reset_stats` counters (pre-rendered: the values are
@@ -669,14 +667,12 @@ impl Response {
             Response::TauMin { tau_min_fs } => push("tau_min_fs", Json::Num(*tau_min_fs)),
             Response::Hello {
                 info,
-                cache_cap,
                 value_cache_cap,
             } => {
                 push("server", Json::from("rip-serve"));
                 push("version", Json::from(env!("CARGO_PKG_VERSION")));
                 push("workers", Json::from(info.workers));
                 push("max_conns", Json::from(info.max_conns));
-                push("cache_cap", Json::from(*cache_cap));
                 push("value_cache_cap", Json::from(*value_cache_cap));
                 push(
                     "commands",
@@ -971,7 +967,6 @@ impl ServeState {
                     .info
                     .lock()
                     .expect("server info lock is never poisoned"),
-                cache_cap: self.engine.cache_cap(),
                 value_cache_cap: self.engine.value_cache_cap(),
             },
             Request::Stats => Response::Stats {
@@ -1185,7 +1180,6 @@ impl ServeState {
             ("hit_rate", Json::Num(stats.hit_rate())),
             ("promotions", Json::from(stats.promotions)),
             ("evictions", Json::from(stats.evictions)),
-            ("cache_cap", Json::from(self.engine.cache_cap())),
             ("value_cache_cap", Json::from(self.engine.value_cache_cap())),
         ]
     }

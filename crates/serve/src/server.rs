@@ -1,6 +1,6 @@
 //! The hardened TCP edge: N connection workers share one listener and
-//! one supervised [`ServeState`] — a single engine session whose caches
-//! every connection reads and warms.
+//! one supervised [`ServeState`] — a single engine session whose `τ_min`
+//! memo every connection reads and warms.
 //!
 //! Workers `accept` in non-blocking mode with a short poll interval, so
 //! a `shutdown` request (or [`ServerHandle::shutdown`]) drains every
@@ -72,10 +72,7 @@ pub struct ServeConfig {
     /// Connection worker threads (each serving one connection at a
     /// time). The engine's scratch pool is sized to this.
     pub workers: usize,
-    /// LRU bound for the engine's geometry caches
-    /// ([`Engine::set_cache_cap`]); 0 = unbounded.
-    pub cache_cap: usize,
-    /// LRU bound for the engine's `τ_min`/library maps
+    /// LRU bound for the engine's `τ_min` memo
     /// ([`Engine::set_value_cache_cap`]); 0 = unbounded.
     pub value_cache_cap: usize,
     /// Concurrent-connection cap; over-limit connections get a typed
@@ -112,10 +109,9 @@ impl Default for ServeConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            // A resident service bounds its caches by default; these
-            // hold the hot working set of a large design comfortably
-            // while keeping memory flat on unbounded request streams.
-            cache_cap: 512,
+            // A resident service bounds its memo by default; this holds
+            // the hot working set of a large design comfortably while
+            // keeping memory flat on unbounded request streams.
             value_cache_cap: 4096,
             max_conns: 0,
             read_timeout_ms: 0,
@@ -470,7 +466,7 @@ impl ServerMonitor {
 /// Binds the listener and spawns the connection workers over one
 /// supervised [`ServeState`] wrapping `engine`.
 ///
-/// The engine's cache bounds and scratch pool are set from `config`
+/// The engine's `τ_min` memo bound and scratch pool are set from `config`
 /// before the first worker starts.
 ///
 /// # Errors
@@ -494,7 +490,6 @@ impl ServerMonitor {
 /// ```
 pub fn start_server(engine: Engine, config: &ServeConfig) -> io::Result<ServerHandle> {
     let workers = config.workers.max(1);
-    engine.set_cache_cap(config.cache_cap);
     engine.set_value_cache_cap(config.value_cache_cap);
     engine.set_scratch_cap(workers);
     let state = ServeState::new(engine);

@@ -113,13 +113,6 @@ impl Technology {
         self.device = device;
         self
     }
-
-    /// Returns a copy with different power parameters (builder-style).
-    #[must_use]
-    pub fn with_power(mut self, power: PowerParams) -> Self {
-        self.power = power;
-        self
-    }
 }
 
 impl Default for Technology {

@@ -210,7 +210,6 @@ fn tight_lru_caps_change_hit_rates_but_never_answers() {
     // Caps small enough that the 6-net script evicts constantly.
     let config = ServeConfig {
         workers: 2,
-        cache_cap: 2,
         value_cache_cap: 2,
         ..ServeConfig::default()
     };
@@ -230,7 +229,7 @@ fn tight_lru_caps_change_hit_rates_but_never_answers() {
         stats.evictions > 0,
         "the tight caps must actually evict ({stats:?})"
     );
-    assert_eq!(server.state().engine().cache_cap(), 2);
+    assert_eq!(server.state().engine().value_cache_cap(), 2);
     server.shutdown();
 }
 
