@@ -9,7 +9,7 @@
 //! tolerance; the ratio is gated tightly).
 
 use crate::stats::{summarize, JsonObject, StatSummary};
-use rip_dp::{reference, solve_min_power_with, CandidateSet, DpScratch, DpSolution};
+use rip_dp::{reference, solve_min_power, CandidateSet, DpSolution};
 use rip_net::{NetGenerator, RandomNetConfig, TwoPinNet};
 use rip_tech::{RepeaterLibrary, Technology};
 use std::time::Instant;
@@ -164,14 +164,12 @@ pub fn run_frontier_bench(config: FrontierBenchConfig) -> FrontierBenchReport {
         })
         .collect();
 
-    let mut scratch = DpScratch::new();
-    let solve_frontier = |scratch: &mut DpScratch| -> Vec<DpSolution> {
+    let solve_frontier = || -> Vec<DpSolution> {
         nets.iter()
             .zip(&grids)
             .zip(&targets)
             .map(|((net, cands), &t)| {
-                solve_min_power_with(scratch, net, device, &library, cands, t)
-                    .expect("1.3x targets are feasible")
+                solve_min_power(net, device, &library, cands, t).expect("1.3x targets are feasible")
             })
             .collect()
     };
@@ -190,7 +188,7 @@ pub fn run_frontier_bench(config: FrontierBenchConfig) -> FrontierBenchReport {
     let mut byte_identical = true;
     let mut options_per_pass = 0u64;
     for pass in 0..config.warmup.max(1) {
-        let a = solve_frontier(&mut scratch);
+        let a = solve_frontier();
         let b = solve_reference();
         if pass == 0 {
             options_per_pass = a.iter().map(|s| s.stats.options_created).sum();
@@ -208,7 +206,7 @@ pub fn run_frontier_bench(config: FrontierBenchConfig) -> FrontierBenchReport {
     let mut reference_samples = Vec::with_capacity(config.runs);
     for _ in 0..config.runs {
         let t0 = Instant::now();
-        let a = solve_frontier(&mut scratch);
+        let a = solve_frontier();
         frontier_samples.push(t0.elapsed().as_secs_f64());
         std::hint::black_box(&a);
         let t1 = Instant::now();
@@ -233,7 +231,7 @@ pub fn run_frontier_bench(config: FrontierBenchConfig) -> FrontierBenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::read_json_number;
+    use rip_serve::{parse_json, Json};
 
     #[test]
     fn quick_frontier_bench_is_byte_identical_and_serializes() {
@@ -247,10 +245,11 @@ mod tests {
         let report = run_frontier_bench(config);
         assert!(report.byte_identical);
         assert!(report.options_per_pass > 0);
-        let json = report.to_json();
-        assert_eq!(read_json_number(&json, "nets"), Some(2.0));
-        assert!(read_json_number(&json, "speedup_vs_reference").is_some());
-        assert!(read_json_number(&json, "frontier_nets_per_s").unwrap() > 0.0);
+        let json = parse_json(&report.to_json()).unwrap();
+        let num = |key: &str| json.get(key).and_then(Json::as_f64);
+        assert_eq!(num("nets"), Some(2.0));
+        assert!(num("speedup_vs_reference").is_some());
+        assert!(num("frontier_nets_per_s").unwrap() > 0.0);
         assert!(report.summary_text().contains("speedup"));
     }
 }

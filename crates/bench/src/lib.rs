@@ -34,8 +34,9 @@
 //!   concurrent connections with byte-identity verification against an
 //!   in-process reference engine, written to `BENCH_serve.json`.
 //!
-//! `rip bench` runs all four and writes the JSON files; it is what CI's
-//! bench-regression job runs against the committed baselines.
+//! `rip bench` runs all four and writes the JSON files. CI's
+//! bench-regression job runs it with `--check-baseline`, whose gates
+//! are byte identity and machine-independent ratios of the fresh run.
 
 pub mod batch_bench;
 pub mod frontier_bench;

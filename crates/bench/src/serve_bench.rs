@@ -294,7 +294,7 @@ pub fn run_serve_bench(config: ServeBenchConfig) -> ServeBenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::read_json_number;
+    use rip_serve::{parse_json, Json};
 
     #[test]
     fn tiny_serve_bench_reports_and_serializes() {
@@ -314,6 +314,7 @@ mod tests {
         // engine must be hitting its caches by the second level.
         assert!(report.hit_rate > 0.0);
         let json = report.to_json();
+        let doc = parse_json(&json).unwrap();
         for key in [
             "nets",
             "trees",
@@ -328,7 +329,7 @@ mod tests {
             "requests_total",
         ] {
             assert!(
-                read_json_number(&json, key).is_some(),
+                doc.get(key).and_then(Json::as_f64).is_some(),
                 "missing key {key} in {json}"
             );
         }

@@ -6,10 +6,8 @@
 //! Every performance claim in this repository flows through here: the
 //! `rip bench` CLI subcommand summarizes its runs with [`summarize`]
 //! and serializes them with [`JsonObject`] into the committed
-//! `BENCH_*.json` baselines that CI's bench-regression job compares
-//! against ([`read_json_number`] is the comparison's parser — the
-//! workspace builds offline, so the JSON layer is deliberately tiny and
-//! flat).
+//! `BENCH_*.json` baselines (the workspace builds offline, so the writer
+//! is deliberately tiny and flat).
 
 use std::time::Instant;
 
@@ -141,19 +139,6 @@ impl JsonObject {
     }
 }
 
-/// Extracts a numeric field from a flat JSON document (the `BENCH_*`
-/// baselines). Returns `None` when the key is absent or its value does
-/// not parse as a number — callers treat that as "no baseline".
-pub fn read_json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let start = text.find(&needle)? + needle.len();
-    let rest = text[start..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,27 +179,5 @@ mod tests {
         assert_eq!(calls, 5);
         assert_eq!(samples.len(), 3);
         assert!(samples.iter().all(|&s| s >= 0.0));
-    }
-
-    #[test]
-    fn json_roundtrips_through_the_reader() {
-        let doc = JsonObject::new()
-            .int("nets", 100)
-            .num("nets_per_s", 13.451)
-            .num("speedup", 1.875)
-            .bool("byte_identical", true)
-            .finish();
-        assert_eq!(read_json_number(&doc, "nets"), Some(100.0));
-        assert_eq!(read_json_number(&doc, "nets_per_s"), Some(13.451));
-        assert_eq!(read_json_number(&doc, "speedup"), Some(1.875));
-        assert_eq!(read_json_number(&doc, "missing"), None);
-    }
-
-    #[test]
-    fn reader_survives_the_seed_bench_layout() {
-        let doc =
-            "{\n  \"nets\": 100,\n  \"batch_nets_per_s\": 13.219,\n  \"byte_identical\": true\n}\n";
-        assert_eq!(read_json_number(doc, "batch_nets_per_s"), Some(13.219));
-        assert_eq!(read_json_number(doc, "byte_identical"), None);
     }
 }

@@ -16,7 +16,7 @@
 use crate::stats::{summarize, JsonObject, StatSummary};
 use rip_core::{BatchTarget, Engine, RipConfig, TreeRipConfig, TreeRipOutcome};
 use rip_delay::RcTree;
-use rip_dp::{reference, tree_min_power_with, TreeScratch, TreeSolution};
+use rip_dp::{reference, tree_min_power, TreeSolution};
 use rip_net::{RandomTreeConfig, TreeNetGenerator};
 use rip_tech::{RepeaterLibrary, Technology};
 use std::time::Instant;
@@ -252,13 +252,12 @@ pub fn run_tree_bench(config: TreeBenchConfig) -> TreeBenchReport {
         })
         .collect();
 
-    let mut scratch = TreeScratch::new();
-    let solve_frontier = |scratch: &mut TreeScratch| -> Vec<TreeSolution> {
+    let solve_frontier = || -> Vec<TreeSolution> {
         sites
             .iter()
             .zip(&targets)
             .map(|((tree, driver), &t)| {
-                tree_min_power_with(scratch, tree, device, *driver, &library, None, t)
+                tree_min_power(tree, device, *driver, &library, None, t)
                     .expect("1.3x targets are feasible")
             })
             .collect()
@@ -278,7 +277,7 @@ pub fn run_tree_bench(config: TreeBenchConfig) -> TreeBenchReport {
     let mut byte_identical = true;
     let mut options_per_pass = 0u64;
     for pass in 0..config.warmup.max(1) {
-        let a = solve_frontier(&mut scratch);
+        let a = solve_frontier();
         let b = solve_reference();
         if pass == 0 {
             options_per_pass = a.iter().map(|s| s.stats.options_created).sum();
@@ -296,7 +295,7 @@ pub fn run_tree_bench(config: TreeBenchConfig) -> TreeBenchReport {
     let mut reference_samples = Vec::with_capacity(config.runs);
     for _ in 0..config.runs {
         let t0 = Instant::now();
-        let a = solve_frontier(&mut scratch);
+        let a = solve_frontier();
         frontier_samples.push(t0.elapsed().as_secs_f64());
         std::hint::black_box(&a);
         let t1 = Instant::now();
@@ -320,12 +319,12 @@ pub fn run_tree_bench(config: TreeBenchConfig) -> TreeBenchReport {
                 * config.target_mult
         })
         .collect();
-    let solve_masked_frontier = |scratch: &mut TreeScratch| -> Vec<TreeSolution> {
+    let solve_masked_frontier = || -> Vec<TreeSolution> {
         raw.iter()
             .zip(&masks)
             .zip(&masked_targets)
             .map(|(((tree, driver), mask), &t)| {
-                tree_min_power_with(scratch, tree, device, *driver, &library, Some(mask), t)
+                tree_min_power(tree, device, *driver, &library, Some(mask), t)
                     .expect("targets above the masked min-delay are feasible")
             })
             .collect()
@@ -343,7 +342,7 @@ pub fn run_tree_bench(config: TreeBenchConfig) -> TreeBenchReport {
     {
         // Warm-up pass doubling as the masked equivalence + legality
         // check: the same answers, no buffer on a blocked node.
-        let a = solve_masked_frontier(&mut scratch);
+        let a = solve_masked_frontier();
         let b = solve_masked_reference();
         for (i, ((x, y), mask)) in a.iter().zip(&b).zip(&masks).enumerate() {
             if !reference::same_tree_solution(x, y) {
@@ -364,7 +363,7 @@ pub fn run_tree_bench(config: TreeBenchConfig) -> TreeBenchReport {
     let mut masked_reference_samples = Vec::with_capacity(config.runs);
     for _ in 0..config.runs {
         let t0 = Instant::now();
-        let a = solve_masked_frontier(&mut scratch);
+        let a = solve_masked_frontier();
         masked_samples.push(t0.elapsed().as_secs_f64());
         std::hint::black_box(&a);
         let t1 = Instant::now();
@@ -495,7 +494,7 @@ fn time_cold_tree_batches(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::read_json_number;
+    use rip_serve::{parse_json, Json};
 
     #[test]
     fn tiny_tree_bench_is_byte_identical_and_serializes() {
@@ -513,15 +512,16 @@ mod tests {
         assert!(report.byte_identical);
         assert!(report.options_per_pass > 0);
         assert!(report.nodes_per_pass > 0);
-        let json = report.to_json();
-        assert_eq!(read_json_number(&json, "trees"), Some(2.0));
-        assert!(read_json_number(&json, "speedup_vs_reference").is_some());
-        assert!(read_json_number(&json, "masked_speedup_vs_reference").is_some());
-        assert!(read_json_number(&json, "masked_median_s").unwrap() > 0.0);
-        assert!(read_json_number(&json, "frontier_trees_per_s").unwrap() > 0.0);
-        assert!(read_json_number(&json, "batch_trees_per_s").unwrap() > 0.0);
-        assert_eq!(read_json_number(&json, "masked_batch_trees"), Some(1.0));
-        assert!(read_json_number(&json, "masked_batch_trees_per_s").unwrap() > 0.0);
+        let json = parse_json(&report.to_json()).unwrap();
+        let num = |key: &str| json.get(key).and_then(Json::as_f64);
+        assert_eq!(num("trees"), Some(2.0));
+        assert!(num("speedup_vs_reference").is_some());
+        assert!(num("masked_speedup_vs_reference").is_some());
+        assert!(num("masked_median_s").unwrap() > 0.0);
+        assert!(num("frontier_trees_per_s").unwrap() > 0.0);
+        assert!(num("batch_trees_per_s").unwrap() > 0.0);
+        assert_eq!(num("masked_batch_trees"), Some(1.0));
+        assert!(num("masked_batch_trees_per_s").unwrap() > 0.0);
         assert!(report.summary_text().contains("speedup"));
     }
 }

@@ -311,11 +311,6 @@ pub fn cmd_batch(named_nets: &[(String, String)], target: Target) -> Result<Stri
         Target::Multiplier(m) => BatchTarget::TauMinMultiple(m),
     };
     let outcomes = engine.solve_batch(&nets, &batch_target);
-    // For the table only; every tau_min below is a warm cache hit.
-    let targets: Vec<f64> = nets
-        .iter()
-        .map(|net| target.resolve_fs(net, &engine))
-        .collect();
 
     let tech = engine.technology();
     let mut table = TextTable::new(vec![
@@ -332,11 +327,7 @@ pub fn cmd_batch(named_nets: &[(String, String)], target: Target) -> Result<Stri
     let mut total_power = 0.0;
     let mut total_reps = 0usize;
     let mut infeasible = 0usize;
-    for (((label, _), net), (outcome, target_fs)) in named_nets
-        .iter()
-        .zip(&nets)
-        .zip(outcomes.iter().zip(&targets))
-    {
+    for (((label, _), net), outcome) in named_nets.iter().zip(&nets).zip(&outcomes) {
         match outcome {
             Ok(out) => {
                 let sol = &out.solution;
@@ -349,13 +340,16 @@ pub fn cmd_batch(named_nets: &[(String, String)], target: Target) -> Result<Stri
                     format!("{:.1}", net.total_length() / 1000.0),
                     format!("{}", sol.assignment.len()),
                     format!("{:.0}", sol.total_width),
-                    format!("{:.4}", ns_from_fs(*target_fs)),
+                    format!("{:.4}", ns_from_fs(out.target_fs)),
                     format!("{:.4}", ns_from_fs(sol.delay_fs)),
                     format!("{:.4}", power.total() * 1e3),
                     "ok".into(),
                 ]);
             }
-            Err(RipError::Infeasible { achievable_fs, .. }) => {
+            Err(RipError::Infeasible {
+                target_fs,
+                achievable_fs,
+            }) => {
                 infeasible += 1;
                 table.row(vec![
                     label.clone(),
@@ -459,16 +453,6 @@ pub fn cmd_batch_tree(
         Target::Multiplier(m) => BatchTarget::TauMinMultiple(m),
     };
     let outcomes = engine.solve_tree_batch_masked(&trees, &batch_target, &config);
-    // For the table only; every tree_tau_min below is a warm cache hit.
-    let targets: Vec<f64> = trees
-        .iter()
-        .map(|(tree, driver, allowed)| match target {
-            Target::Ns(ns) => Ok(fs_from_ns(ns)),
-            Target::Multiplier(m) => engine
-                .tree_tau_min_masked(tree, *driver, &config, allowed.as_deref())
-                .map(|tmin| m * tmin),
-        })
-        .collect::<Result<_, RipError>>()?;
 
     let mut table = TextTable::new(vec![
         "Tree",
@@ -483,10 +467,10 @@ pub fn cmd_batch_tree(
     let mut total_width = 0.0;
     let mut total_bufs = 0usize;
     let mut infeasible = 0usize;
-    for (((label, _), (net, (tree, _, _))), (outcome, target_fs)) in named_trees
+    for (((label, _), (net, (tree, _, _))), outcome) in named_trees
         .iter()
         .zip(nets.iter().zip(&trees))
-        .zip(outcomes.iter().zip(&targets))
+        .zip(&outcomes)
     {
         let label = label.clone();
         match outcome {
@@ -501,12 +485,15 @@ pub fn cmd_batch_tree(
                     format!("{}", net.sinks().len()),
                     format!("{bufs}"),
                     format!("{:.0}", sol.total_width),
-                    format!("{:.4}", ns_from_fs(*target_fs)),
+                    format!("{:.4}", ns_from_fs(out.target_fs)),
                     format!("{:.4}", ns_from_fs(sol.delay_fs)),
                     "ok".into(),
                 ]);
             }
-            Err(RipError::Infeasible { achievable_fs, .. }) => {
+            Err(RipError::Infeasible {
+                target_fs,
+                achievable_fs,
+            }) => {
                 infeasible += 1;
                 table.row(vec![
                     label,
@@ -691,8 +678,8 @@ pub fn cmd_bench(opts: &BenchOptions) -> Result<String, CliError> {
             ));
         }
         // The batch-vs-sequential ratio is also machine-independent, but
-        // on a single-core runner the batch engine's only edge is cache
-        // reuse (no parallelism), so the ratio sits near 1.0 by
+        // on a single-core runner the batch runs on the calling thread
+        // alone (no parallelism), so the ratio sits near 1.0 by
         // construction; it gets the tolerance as a floor so the gate
         // catches real regressions (batch falling behind sequential)
         // without flaking on scheduler noise.

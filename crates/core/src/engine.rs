@@ -1,6 +1,6 @@
 //! The batch [`Engine`]: a long-lived session that owns a
-//! [`Technology`] + [`RipConfig`] pair, memoizes `τ_min`, pools DP
-//! scratch memory, and solves many nets in parallel.
+//! [`Technology`] + [`RipConfig`] pair, memoizes `τ_min`, and solves
+//! many nets in parallel.
 //!
 //! The free functions [`rip`](crate::rip), [`tree_rip`](crate::tree_rip)
 //! and [`baseline_dp`](crate::baseline_dp) are thin wrappers over a
@@ -14,8 +14,10 @@
 //!   sweep. It is the engine's one memo: candidate grids, fine windows,
 //!   synthesized libraries and tree subdivisions cost about as much to
 //!   key as to rebuild, so every solve builds them directly;
-//! * DP scratch memory (option frontiers, trace arenas) is pooled — for
-//!   chains *and* trees — so a warm batch allocates nothing per solve;
+//! * every DP stage solves on its thread's reusable scratch memory
+//!   (owned by `rip_dp`, one chain and one tree scratch per thread), and
+//!   a batch's calling thread works beside the threads it spawns, so a
+//!   long-lived caller keeps its scratch warm from solve to solve;
 //! * blocked tree nodes are binding: every tree entry point
 //!   ([`Engine::solve_tree_masked`], [`Engine::solve_tree_batch_masked`],
 //!   [`Engine::tree_tau_min_masked`], [`Engine::tree_baseline_masked`])
@@ -46,8 +48,8 @@ use crate::tmin;
 use crate::tree_pipeline::{TreeRipConfig, TreeRipOutcome};
 use rip_delay::RcTree;
 use rip_dp::{
-    solve_min_delay_with, solve_min_power_with, tree_min_delay_with, tree_min_power_with,
-    CandidateSet, DpError, DpScratch, DpSolution, DpStats, TreeScratch,
+    solve_min_delay, solve_min_power, tree_min_delay, tree_min_power, CandidateSet, DpError,
+    DpSolution, DpStats,
 };
 use rip_net::TwoPinNet;
 use rip_obs::{Histogram, MetricsRegistry};
@@ -403,35 +405,32 @@ impl<V: Clone> LruCache<V> {
     }
 }
 
-/// Deterministic parallel map: distributes `items` over the available
-/// cores and returns results in input order. Falls back to an inline loop
-/// when a single worker would be spawned.
+/// Deterministic parallel map over the available cores: the calling
+/// thread works as one of the workers beside the `threads − 1` it
+/// spawns, items are taken in turn, and results come back in input
+/// order. The caller's warm DP scratch keeps serving, and a one-core
+/// host or a one-item batch spawns nothing.
 fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(items.len());
-    if threads <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
     let next = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { break };
+        let result = f(i, item);
+        collected
+            .lock()
+            .expect("no poisoned worker")
+            .push((i, result));
+    };
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let result = f(i, item);
-                collected
-                    .lock()
-                    .expect("no poisoned worker")
-                    .push((i, result));
-            });
+        for _ in 1..threads {
+            scope.spawn(work);
         }
+        work();
     });
     let mut tagged = collected.into_inner().expect("workers joined");
     tagged.sort_by_key(|&(i, _)| i);
@@ -439,7 +438,7 @@ fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> 
 }
 
 /// A solving session: one technology, one configuration, a shared
-/// `τ_min` memo and DP scratch pools, parallel batch entry points.
+/// `τ_min` memo, parallel batch entry points.
 ///
 /// The memo is unbounded by default: reuse within a batch, a target
 /// sweep, or a bounded working set is the design point. A long-lived
@@ -471,10 +470,7 @@ pub struct Engine {
     config: RipConfig,
     config_hash: u64,
     tau_mins: Mutex<LruCache<f64>>,
-    scratches: Mutex<Vec<DpScratch>>,
-    tree_scratches: Mutex<Vec<TreeScratch>>,
     value_cache_cap: AtomicUsize,
-    scratch_cap: AtomicUsize,
     counters: Counters,
     metrics: EngineMetrics,
 }
@@ -538,10 +534,7 @@ impl Engine {
             config,
             config_hash,
             tau_mins: Mutex::new(LruCache::default()),
-            scratches: Mutex::new(Vec::new()),
-            tree_scratches: Mutex::new(Vec::new()),
             value_cache_cap: AtomicUsize::new(0),
-            scratch_cap: AtomicUsize::new(0),
             counters: Counters::default(),
             metrics: EngineMetrics::resolve(Arc::new(MetricsRegistry::new())),
         }
@@ -591,22 +584,6 @@ impl Engine {
     /// The current value-cache bound (`0` = unbounded).
     pub fn value_cache_cap(&self) -> usize {
         self.value_cache_cap.load(Ordering::Relaxed)
-    }
-
-    /// Bounds the DP scratch pools (chain and tree) to at most `cap`
-    /// retained scratches each; `0` (the default) means unbounded —
-    /// the pool then grows to the peak number of concurrent solves.
-    /// A service sizes this to its worker-thread count so a burst of
-    /// concurrency cannot pin arena memory for the life of the process.
-    /// Excess scratches are simply dropped on return; results never
-    /// change.
-    pub fn set_scratch_cap(&self, cap: usize) {
-        self.scratch_cap.store(cap, Ordering::Relaxed);
-    }
-
-    /// The current scratch-pool bound (`0` = unbounded).
-    pub fn scratch_cap(&self) -> usize {
-        self.scratch_cap.load(Ordering::Relaxed)
     }
 
     /// The engine's metrics registry: per-stage latency histograms for
@@ -663,47 +640,6 @@ impl Engine {
             evictions: self.counters.evictions.load(Ordering::Relaxed),
             promotions: self.counters.promotions.load(Ordering::Relaxed),
         }
-    }
-
-    // ---- scratch pool ----------------------------------------------------
-
-    /// Runs `f` with a pooled [`DpScratch`]: pops one (or creates the
-    /// pool's first on a cold start), and returns it afterwards so a
-    /// warm batch allocates no DP working memory at all. The pool grows
-    /// to at most the peak number of concurrent solves, bounded by
-    /// [`Engine::set_scratch_cap`].
-    fn with_scratch<R>(&self, f: impl FnOnce(&mut DpScratch) -> R) -> R {
-        let mut scratch = self
-            .scratches
-            .lock()
-            .expect("scratch pool")
-            .pop()
-            .unwrap_or_default();
-        let result = f(&mut scratch);
-        let cap = self.scratch_cap.load(Ordering::Relaxed);
-        let mut pool = self.scratches.lock().expect("scratch pool");
-        if cap == 0 || pool.len() < cap {
-            pool.push(scratch);
-        }
-        result
-    }
-
-    /// The tree analogue of [`Engine::with_scratch`]: every tree DP stage
-    /// of one `solve_tree` call reuses the same pooled [`TreeScratch`].
-    fn with_tree_scratch<R>(&self, f: impl FnOnce(&mut TreeScratch) -> R) -> R {
-        let mut scratch = self
-            .tree_scratches
-            .lock()
-            .expect("tree scratch pool")
-            .pop()
-            .unwrap_or_default();
-        let result = f(&mut scratch);
-        let cap = self.scratch_cap.load(Ordering::Relaxed);
-        let mut pool = self.tree_scratches.lock().expect("tree scratch pool");
-        if cap == 0 || pool.len() < cap {
-            pool.push(scratch);
-        }
-        result
     }
 
     // ---- τ_min memo ------------------------------------------------------
@@ -765,26 +701,15 @@ impl Engine {
 
     // ---- chain solving ---------------------------------------------------
 
-    /// Runs algorithm RIP (Fig. 6) on one two-pin net with a pooled
-    /// scratch. Semantics are identical to [`rip`](crate::rip); see there
-    /// for the stage walkthrough and the robustness extensions.
+    /// Runs algorithm RIP (Fig. 6) on one two-pin net. Semantics are
+    /// identical to [`rip`](crate::rip); see there for the stage
+    /// walkthrough and the robustness extensions.
     ///
     /// # Errors
     ///
     /// * [`RipError::Infeasible`] when no stage can meet the target;
     /// * [`RipError::Dp`] / [`RipError::Refine`] for invalid inputs.
     pub fn solve(&self, net: &TwoPinNet, target_fs: f64) -> Result<RipOutcome, RipError> {
-        self.with_scratch(|scratch| self.solve_with_scratch(net, target_fs, scratch))
-    }
-
-    /// [`Engine::solve`] against one checked-out scratch: every DP stage
-    /// of the pipeline reuses the same working memory.
-    fn solve_with_scratch(
-        &self,
-        net: &TwoPinNet,
-        target_fs: f64,
-        scratch: &mut DpScratch,
-    ) -> Result<RipOutcome, RipError> {
         self.counters.nets_solved.fetch_add(1, Ordering::Relaxed);
         let device = self.tech.device();
         let config = &self.config;
@@ -795,8 +720,7 @@ impl Engine {
         let coarse_cands = CandidateSet::uniform(net, config.coarse.candidate_step_um);
         self.metrics.chain_grid.observe_since(t0);
         let t0_dp = Instant::now();
-        let coarse = match solve_min_power_with(
-            scratch,
+        let coarse = match solve_min_power(
             net,
             device,
             &config.coarse.library,
@@ -807,7 +731,7 @@ impl Engine {
             // Coarse library can't meet the target: seed REFINE from the
             // fastest coarse placement instead.
             Err(DpError::InfeasibleTarget { .. }) => {
-                solve_min_delay_with(scratch, net, device, &config.coarse.library, &coarse_cands)
+                solve_min_delay(net, device, &config.coarse.library, &coarse_cands)
             }
             Err(e) => return Err(e.into()),
         };
@@ -839,20 +763,15 @@ impl Engine {
         if refined.positions.is_empty() {
             let t2 = Instant::now();
             let empty_cands = CandidateSet::from_positions(net, vec![])?;
-            let solution = solve_min_power_with(
-                scratch,
-                net,
-                device,
-                &config.coarse.library,
-                &empty_cands,
-                target_fs,
-            )?;
+            let solution =
+                solve_min_power(net, device, &config.coarse.library, &empty_cands, target_fs)?;
             self.metrics.chain_fine.observe_since(t2);
             self.metrics
                 .chain_fine_options
                 .observe(solution.stats.options_created);
             runtime.fine = t2.elapsed();
             return Ok(RipOutcome {
+                target_fs,
                 solution,
                 coarse,
                 refined: Some(refined),
@@ -864,7 +783,7 @@ impl Engine {
 
         // ---- Stages 3-4 on the n-repeater branch.
         let t2 = Instant::now();
-        let mut best = self.finish_from_refined(net, &refined, target_fs, scratch);
+        let mut best = self.finish_from_refined(net, &refined, target_fs);
 
         // Extension (`FineDpConfig::try_fewer_repeaters`): REFINE cannot
         // change the repeater *count* it inherited from the coarse DP, and
@@ -903,7 +822,7 @@ impl Engine {
                         continue;
                     }
                 }
-                let alt = self.finish_from_refined(net, &fewer, target_fs, scratch);
+                let alt = self.finish_from_refined(net, &fewer, target_fs);
                 let better = match (&best, &alt) {
                     (Ok(b), Ok(a)) => a.0.total_width < b.0.total_width,
                     (Err(_), Ok(_)) => true,
@@ -939,6 +858,7 @@ impl Engine {
         };
 
         Ok(RipOutcome {
+            target_fs,
             solution,
             coarse,
             refined: Some(refined),
@@ -961,7 +881,6 @@ impl Engine {
         net: &TwoPinNet,
         refined: &RefineOutcome,
         target_fs: f64,
-        scratch: &mut DpScratch,
     ) -> Result<(DpSolution, RepeaterLibrary, usize), f64> {
         let device = self.tech.device();
         let config = &self.config;
@@ -976,8 +895,7 @@ impl Engine {
         );
         let mut final_lib = synthesized_library(&rounded, grid, config.fine.enrich_steps, false)
             .expect("enriched widths are positive");
-        let mut solution =
-            solve_min_power_with(scratch, net, device, &final_lib, &cands, target_fs);
+        let mut solution = solve_min_power(net, device, &final_lib, &cands, target_fs);
         if matches!(solution, Err(DpError::InfeasibleTarget { .. })) {
             // Infeasible after rounding: only *wider* fallbacks can help,
             // so the retry enriches upward only (keeps the library small -
@@ -985,7 +903,7 @@ impl Engine {
             final_lib =
                 synthesized_library(&rounded, grid, config.fine.enrich_steps.max(1) * 3, true)
                     .expect("positive widths");
-            solution = solve_min_power_with(scratch, net, device, &final_lib, &cands, target_fs);
+            solution = solve_min_power(net, device, &final_lib, &cands, target_fs);
         }
         match solution {
             Ok(sol) => Ok((sol, final_lib, cands.len())),
@@ -1030,7 +948,7 @@ impl Engine {
 
     // ---- baseline + comparison ------------------------------------------
 
-    /// Runs the Lillis-style baseline DP with a pooled scratch.
+    /// Runs the Lillis-style baseline DP.
     ///
     /// # Errors
     ///
@@ -1043,16 +961,7 @@ impl Engine {
         target_fs: f64,
     ) -> Result<DpSolution, DpError> {
         let cands = CandidateSet::uniform(net, config.candidate_step_um);
-        self.with_scratch(|scratch| {
-            solve_min_power_with(
-                scratch,
-                net,
-                self.tech.device(),
-                &config.library,
-                &cands,
-                target_fs,
-            )
-        })
+        solve_min_power(net, self.tech.device(), &config.library, &cands, target_fs)
     }
 
     /// Runs the Lillis-style baseline power DP on a tree — one uniform
@@ -1077,17 +986,14 @@ impl Engine {
     ) -> Result<rip_dp::TreeSolution, DpError> {
         let allowed = effective_mask(tree, allowed)?;
         let (sites, sites_allowed) = subdivide(tree, config.candidate_step_um, allowed);
-        self.with_tree_scratch(|scratch| {
-            tree_min_power_with(
-                scratch,
-                &sites,
-                self.tech.device(),
-                driver_width,
-                &config.library,
-                sites_allowed.as_deref(),
-                target_fs,
-            )
-        })
+        tree_min_power(
+            &sites,
+            self.tech.device(),
+            driver_width,
+            &config.library,
+            sites_allowed.as_deref(),
+            target_fs,
+        )
     }
 
     /// RIP vs baseline over a batch, in parallel: per-net
@@ -1170,16 +1076,13 @@ impl Engine {
         };
         self.memo_tau_min(key, || {
             let (sites, sites_allowed) = subdivide(tree, config.coarse_step_um, allowed);
-            self.with_tree_scratch(|scratch| {
-                tree_min_delay_with(
-                    scratch,
-                    &sites,
-                    self.tech.device(),
-                    driver_width,
-                    &tmin::paper_library(),
-                    sites_allowed.as_deref(),
-                )
-            })
+            tree_min_delay(
+                &sites,
+                self.tech.device(),
+                driver_width,
+                &tmin::paper_library(),
+                sites_allowed.as_deref(),
+            )
             .map(|sol| sol.delay_fs)
             .map_err(RipError::from)
         })
@@ -1189,9 +1092,6 @@ impl Engine {
     /// identical to [`tree_rip`](crate::tree_rip); the chain knobs are
     /// taken from `config.base` (not the engine's chain configuration,
     /// which governs two-pin solves only).
-    ///
-    /// Every tree DP stage draws its working memory from the pooled
-    /// [`TreeScratch`]es.
     ///
     /// `allowed` is an optional buffer-legality mask: `allowed[v]` says
     /// whether a buffer may occupy node `v` of the **original** tree
@@ -1231,33 +1131,6 @@ impl Engine {
         allowed: Option<&[bool]>,
     ) -> Result<TreeRipOutcome, RipError> {
         let allowed = effective_mask(tree, allowed)?;
-        self.with_tree_scratch(|scratch| {
-            self.solve_tree_with_scratch(tree, driver_width, target_fs, config, allowed, scratch)
-        })
-    }
-
-    /// Records the work of one successful fine tree DP.
-    fn observe_fine_work(&self, stats: &DpStats) {
-        self.metrics
-            .tree_fine_options
-            .observe(stats.options_created);
-        self.metrics
-            .tree_merge_products_max
-            .observe(stats.merge_products_max);
-    }
-
-    /// [`Engine::solve_tree_masked`] against one checked-out scratch.
-    /// `allowed` must already be validated/normalized
-    /// ([`effective_mask`]).
-    fn solve_tree_with_scratch(
-        &self,
-        tree: &RcTree,
-        driver_width: f64,
-        target_fs: f64,
-        config: &TreeRipConfig,
-        allowed: Option<&[bool]>,
-        scratch: &mut TreeScratch,
-    ) -> Result<TreeRipOutcome, RipError> {
         self.counters.trees_solved.fetch_add(1, Ordering::Relaxed);
         let device = self.tech.device();
         let mut runtime = RipRuntime::default();
@@ -1269,8 +1142,7 @@ impl Engine {
         self.metrics.tree_subdivide_coarse.observe_since(t0);
         let coarse_mask = coarse_allowed.as_deref();
         let t0_dp = Instant::now();
-        let coarse = match tree_min_power_with(
-            scratch,
+        let coarse = match tree_min_power(
             &coarse_tree,
             device,
             driver_width,
@@ -1281,8 +1153,7 @@ impl Engine {
             Ok(sol) => sol,
             Err(DpError::InfeasibleTarget { .. }) => {
                 // Seed from the fastest coarse buffering, as on chains.
-                let fastest = tree_min_delay_with(
-                    scratch,
+                let fastest = tree_min_delay(
                     &coarse_tree,
                     device,
                     driver_width,
@@ -1329,8 +1200,7 @@ impl Engine {
         let t2 = Instant::now();
         if trimmed_widths.is_empty() {
             let (fine_tree, _) = tree.subdivided(config.fine_step_um);
-            let unbuffered = tree_min_power_with(
-                scratch,
+            let unbuffered = tree_min_power(
                 &fine_tree,
                 device,
                 driver_width,
@@ -1342,6 +1212,7 @@ impl Engine {
             self.observe_fine_work(&unbuffered.stats);
             runtime.fine = t2.elapsed();
             return Ok(TreeRipOutcome {
+                target_fs,
                 solution: unbuffered,
                 fine_tree,
                 coarse_width: coarse.total_width,
@@ -1398,8 +1269,7 @@ impl Engine {
         let t_fine = Instant::now();
         let mut library =
             synthesized_library(&rounded, grid, config.base.fine.enrich_steps, false)?;
-        let mut solution = tree_min_power_with(
-            scratch,
+        let mut solution = tree_min_power(
             &fine_tree,
             device,
             driver_width,
@@ -1414,8 +1284,7 @@ impl Engine {
                 config.base.fine.enrich_steps.max(1) * 3,
                 false,
             )?;
-            solution = tree_min_power_with(
-                scratch,
+            solution = tree_min_power(
                 &fine_tree,
                 device,
                 driver_width,
@@ -1440,6 +1309,7 @@ impl Engine {
         self.observe_fine_work(&solution.stats);
 
         Ok(TreeRipOutcome {
+            target_fs,
             solution,
             fine_tree,
             coarse_width: coarse.total_width,
@@ -1448,6 +1318,16 @@ impl Engine {
             candidate_count,
             runtime,
         })
+    }
+
+    /// Records the work of one successful fine tree DP.
+    fn observe_fine_work(&self, stats: &DpStats) {
+        self.metrics
+            .tree_fine_options
+            .observe(stats.options_created);
+        self.metrics
+            .tree_merge_products_max
+            .observe(stats.merge_products_max);
     }
 
     /// Solves a batch of `(tree, driver width, allowed)` entries in
@@ -1759,16 +1639,6 @@ mod tests {
             again.to_bits(),
             tmin::tau_min_paper(&nets[0], engine.tech.device()).to_bits()
         );
-    }
-
-    #[test]
-    fn scratch_cap_bounds_the_pools() {
-        let engine = engine();
-        engine.set_scratch_cap(1);
-        assert_eq!(engine.scratch_cap(), 1);
-        let nets = nets(13, 3);
-        let _ = engine.solve_batch(&nets, &BatchTarget::TauMinMultiple(1.4));
-        assert!(engine.scratches.lock().unwrap().len() <= 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! The implementation lives in [`crate::Engine`]; the [`rip`] free
 //! function here is a one-shot convenience wrapper over a fresh engine.
 //! Multi-net workloads should construct an [`crate::Engine`] directly to
-//! reuse its `τ_min` memo and DP scratch pools.
+//! reuse its `τ_min` memo.
 
 use crate::config::RipConfig;
 use crate::engine::Engine;
@@ -46,6 +46,9 @@ impl RipRuntime {
 /// Complete result of a RIP run, with per-stage diagnostics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RipOutcome {
+    /// The timing target this run solved for, fs (a batch's
+    /// [`BatchTarget`](crate::BatchTarget) resolved for this net).
+    pub target_fs: f64,
     /// The final solution (stage 4; falls back to the best earlier stage
     /// in the rare cases discussed in [`rip`]).
     pub solution: DpSolution,

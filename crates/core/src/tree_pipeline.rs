@@ -71,6 +71,9 @@ impl TreeRipConfig {
 /// subdivision** returned in [`TreeRipOutcome::fine_tree`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeRipOutcome {
+    /// The timing target this run solved for, fs (a batch's
+    /// [`BatchTarget`](crate::BatchTarget) resolved for this tree).
+    pub target_fs: f64,
     /// The final buffered solution on the fine tree.
     pub solution: TreeSolution,
     /// The fine subdivision the solution indexes into.

@@ -20,10 +20,9 @@
 //! [`buffer_added_delay`], the admission test `delay ≤ target`, and a
 //! [`TraceArena`] record at the candidate's position. The surviving set
 //! stays sorted by capacitance, so each prune is a single linear merge
-//! instead of a full re-sort. All working memory comes from a reusable
-//! [`DpScratch`], so the `_with` entry points ([`solve_min_power_with`]
-//! etc.) allocate nothing after warm-up; the plain free functions draw
-//! from a thread-local scratch.
+//! instead of a full re-sort. All working memory comes from the
+//! thread's [`DpScratch`], so a thread's solves after its first
+//! allocate nothing.
 //! The seed implementation survives in [`crate::reference`] and the
 //! test suite pins both to byte-identical solutions.
 
@@ -101,19 +100,16 @@ impl DpSolution {
 }
 
 thread_local! {
-    /// Scratch backing the free functions: one per thread, reused across
-    /// calls so even scratch-unaware callers stop allocating after their
-    /// first solve on a thread.
-    static SCRATCH: RefCell<DpScratch> = RefCell::new(DpScratch::new());
+    /// The thread's chain-DP working memory: every solve on this thread
+    /// reuses it, and it is freed when the thread exits.
+    static SCRATCH: RefCell<DpScratch> = RefCell::default();
 }
 
 /// Minimum-delay repeater insertion (van Ginneken over the candidate
 /// grid). Always succeeds: the unbuffered solution is in the search
 /// space.
 ///
-/// Uses a thread-local [`DpScratch`]; batch callers that manage their
-/// own scratch (or pool scratches across threads, like
-/// `rip_core::Engine`) should prefer [`solve_min_delay_with`].
+/// Solves on the calling thread's reusable scratch memory.
 ///
 /// # Examples
 ///
@@ -140,11 +136,11 @@ pub fn solve_min_delay(
     library: &RepeaterLibrary,
     candidates: &CandidateSet,
 ) -> DpSolution {
-    SCRATCH.with(|s| solve_min_delay_with(&mut s.borrow_mut(), net, device, library, candidates))
+    SCRATCH.with(|s| min_delay_in(&mut s.borrow_mut(), net, device, library, candidates))
 }
 
-/// [`solve_min_delay`] with caller-provided scratch memory.
-pub fn solve_min_delay_with(
+/// [`solve_min_delay`] on a borrowed scratch.
+fn min_delay_in(
     scratch: &mut DpScratch,
     net: &TwoPinNet,
     device: &RepeaterDevice,
@@ -160,8 +156,7 @@ pub fn solve_min_delay_with(
 /// Minimum-power repeater insertion under a timing target (Lillis-style
 /// power-mode DP; the baseline scheme \[14\] of the paper's experiments).
 ///
-/// Uses a thread-local [`DpScratch`]; batch callers should prefer
-/// [`solve_min_power_with`].
+/// Solves on the calling thread's reusable scratch memory.
 ///
 /// # Errors
 ///
@@ -178,7 +173,7 @@ pub fn solve_min_power(
     target_fs: f64,
 ) -> Result<DpSolution, DpError> {
     SCRATCH.with(|s| {
-        solve_min_power_with(
+        min_power_in(
             &mut s.borrow_mut(),
             net,
             device,
@@ -189,12 +184,9 @@ pub fn solve_min_power(
     })
 }
 
-/// [`solve_min_power`] with caller-provided scratch memory.
-///
-/// # Errors
-///
-/// See [`solve_min_power`].
-pub fn solve_min_power_with(
+/// [`solve_min_power`] on a borrowed scratch. The infeasible fallback
+/// reuses that scratch: the thread's scratch is already borrowed here.
+fn min_power_in(
     scratch: &mut DpScratch,
     net: &TwoPinNet,
     device: &RepeaterDevice,
@@ -210,7 +202,7 @@ pub fn solve_min_power_with(
     match select(&scratch.cur, objective) {
         Some(i) => Ok(materialize(&scratch.cur, i, &scratch.arena, stats)),
         None => {
-            let fastest = solve_min_delay_with(scratch, net, device, library, candidates);
+            let fastest = min_delay_in(scratch, net, device, library, candidates);
             Err(DpError::InfeasibleTarget {
                 target_fs,
                 achievable_fs: fastest.delay_fs,
@@ -529,15 +521,14 @@ mod tests {
         let lib = RepeaterLibrary::range_step(10.0, 400.0, 40.0).unwrap();
         let cands = CandidateSet::uniform(&net, 200.0);
         let zcands = CandidateSet::uniform(&zoned, 200.0);
-        let mut shared = DpScratch::new();
 
-        let fastest = solve_min_delay_with(&mut shared, &net, tech.device(), &lib, &cands);
+        // The free functions reuse this thread's scratch.
+        let fastest = solve_min_delay(&net, tech.device(), &lib, &cands);
         for mult in [1.1, 1.6, 0.5, 1.3] {
             let target = fastest.delay_fs * mult;
-            let reused =
-                solve_min_power_with(&mut shared, &net, tech.device(), &lib, &cands, target);
-            let fresh = solve_min_power_with(
-                &mut DpScratch::new(),
+            let reused = solve_min_power(&net, tech.device(), &lib, &cands, target);
+            let fresh = min_power_in(
+                &mut DpScratch::default(),
                 &net,
                 tech.device(),
                 &lib,
@@ -546,7 +537,7 @@ mod tests {
             );
             assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "mult {mult}");
             // Interleave a different net to try to poison the scratch.
-            let _ = solve_min_delay_with(&mut shared, &zoned, tech.device(), &lib, &zcands);
+            let _ = solve_min_delay(&zoned, tech.device(), &lib, &zcands);
         }
     }
 }

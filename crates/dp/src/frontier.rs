@@ -59,9 +59,8 @@
 //! corpora), only the work to compute them changes.
 //!
 //! All buffers live in [`DpScratch`] (or the tree's
-//! [`TreeScratch`](crate::TreeScratch)) so a warm solver allocates
-//! nothing: `rip_core::Engine` pools scratches across batch solves, and
-//! the crate's free functions fall back to a thread-local scratch.
+//! [`TreeScratch`](crate::tree::TreeScratch)), one per thread behind
+//! the crate's free functions, so a warm thread allocates nothing.
 
 use crate::chain::Objective;
 use crate::options::{Staircase, TraceArena};
@@ -165,51 +164,18 @@ struct BucketItem {
 /// buffer-insertion step's buffers and the traceback arena.
 ///
 /// A scratch is plain reusable memory — it carries no configuration and
-/// never influences results. Solvers reset it on entry, so a single
-/// scratch can serve any interleaving of solves; reusing one across a
-/// batch merely skips the per-solve allocations. `rip_core::Engine`
-/// keeps a pool of these for its worker threads; the free functions
-/// ([`crate::solve_min_power`] etc.) use a thread-local one.
-///
-/// # Examples
-///
-/// ```
-/// use rip_dp::{solve_min_delay_with, solve_min_power_with, CandidateSet, DpScratch};
-/// use rip_net::{NetBuilder, Segment};
-/// use rip_tech::{RepeaterLibrary, Technology};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let tech = Technology::generic_180nm();
-/// let net = NetBuilder::new()
-///     .segment(Segment::new(9000.0, 0.08, 0.2))
-///     .build()?;
-/// let lib = RepeaterLibrary::paper_coarse();
-/// let cands = CandidateSet::uniform(&net, 200.0);
-/// let mut scratch = DpScratch::new();
-/// // The warm-up solve allocates; subsequent solves reuse the buffers.
-/// let tau_min = solve_min_delay_with(&mut scratch, &net, tech.device(), &lib, &cands).delay_fs;
-/// for mult in [2.0, 1.5, 1.2] {
-///     let target = tau_min * mult;
-///     let sol = solve_min_power_with(&mut scratch, &net, tech.device(), &lib, &cands, target)?;
-///     assert!(sol.meets(target));
-/// }
-/// # Ok(())
-/// # }
-/// ```
+/// never influences results. Solvers reset it on entry, so one scratch
+/// serves any interleaving of solves. Each thread owns one, behind the
+/// crate's free functions ([`crate::solve_min_power`] etc.), so a
+/// thread's solves after its first allocate nothing.
 #[derive(Debug, Default)]
-pub struct DpScratch {
+pub(crate) struct DpScratch {
     pub(crate) cur: OptionBuf,
     pub(crate) step: InsertStep,
     pub(crate) arena: TraceArena,
 }
 
 impl DpScratch {
-    /// Creates an empty scratch. Buffers grow on first use and are
-    /// retained across solves.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Resets per-solve state, keeping capacity.
     pub(crate) fn reset(&mut self) {
         self.cur.clear();
@@ -884,7 +850,7 @@ mod tests {
 
     #[test]
     fn scratch_reset_keeps_capacity() {
-        let mut s = DpScratch::new();
+        let mut s = DpScratch::default();
         for _ in 0..100 {
             s.cur.push(1.0, 2.0, 3.0, 0, f64::NAN);
         }

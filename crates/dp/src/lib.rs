@@ -19,18 +19,17 @@
 //! * [`tree_min_delay`] / [`tree_min_power`] — the tree extension
 //!   announced in the paper's conclusion, cross-validated against the
 //!   chain engines on path topologies; like the chain sweep it runs on
-//!   the sorted struct-of-arrays frontier with a reusable
-//!   [`TreeScratch`] (`_with` entry points for batch callers), drops
-//!   options that a target-aware bound proves infeasible, and merges
-//!   branches with per-width two-pointer walks. Both sweeps run one
-//!   shared buffer-insertion step at every buffer site (try each width,
-//!   keep each width class's best insertion, reduce each width bucket,
-//!   merge into the frontier, record traces for the survivors), and one
-//!   final pick;
-//! * [`DpScratch`] and the `_with` entry points
-//!   ([`solve_min_power_with`] etc.) — caller-managed scratch memory so
-//!   batch workloads allocate nothing after warm-up (the plain free
-//!   functions fall back to a thread-local scratch);
+//!   the sorted struct-of-arrays frontier, drops options that a
+//!   target-aware bound proves infeasible, and merges branches with
+//!   per-width two-pointer walks. Both sweeps run one shared
+//!   buffer-insertion step at every buffer site (try each width, keep
+//!   each width class's best insertion, reduce each width bucket, merge
+//!   into the frontier, record traces for the survivors), and one final
+//!   pick;
+//! * one scratch per thread — the four DP functions solve on their
+//!   thread's reusable working memory (frontiers, merge buffers, trace
+//!   arenas), so a thread allocates nothing after its first solve and
+//!   frees that memory when it exits;
 //! * [`mod@reference`] — the seed chain sweep and the pre-SoA tree
 //!   engine ([`mod@reference::tree`]), kept verbatim so the sorted
 //!   struct-of-arrays frontiers that now power the production engines
@@ -75,16 +74,9 @@ mod tree;
 
 pub use brute::{brute_min_delay, brute_min_power, brute_tree_min_delay, brute_tree_min_power};
 pub use candidates::CandidateSet;
-pub use chain::{
-    solve_min_delay, solve_min_delay_with, solve_min_power, solve_min_power_with, DpSolution,
-    DpStats,
-};
+pub use chain::{solve_min_delay, solve_min_power, DpSolution, DpStats};
 pub use error::DpError;
-pub use frontier::DpScratch;
-pub use tree::{
-    tree_min_delay, tree_min_delay_with, tree_min_power, tree_min_power_with, TreeScratch,
-    TreeSolution,
-};
+pub use tree::{tree_min_delay, tree_min_power, TreeSolution};
 
 #[cfg(test)]
 mod tests {

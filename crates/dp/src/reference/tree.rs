@@ -1,8 +1,8 @@
 //! The pre-SoA tree DP, preserved verbatim as a reference.
 //!
 //! The production tree engine ([`crate::tree_min_power`]) moved to the
-//! sorted struct-of-arrays frontier with a reusable
-//! [`TreeScratch`](crate::TreeScratch). This module keeps the previous
+//! sorted struct-of-arrays frontier on a reusable per-thread scratch.
+//! This module keeps the previous
 //! implementation — per-node option `Vec`s, clone + full re-sort
 //! (`prune_2d`/`prune_3d`) cross-merges — for two jobs:
 //!

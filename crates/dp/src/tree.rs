@@ -13,8 +13,8 @@
 //! frontier of [`crate::frontier`]:
 //!
 //! * per-node option sets are sorted `(cap, delay[, width])` frontiers
-//!   parked in one append-only SoA **store arena** inside a reusable
-//!   [`TreeScratch`] — no per-node `Vec` allocations;
+//!   parked in one append-only SoA **store arena** inside the thread's
+//!   reusable [`TreeScratch`] — no per-node `Vec` allocations;
 //! * edge propagation is a linear **in-place** pass over the store's
 //!   columns (the child frontier is consumed exactly once, by its
 //!   parent, so it can be lifted where it lies);
@@ -183,39 +183,12 @@ const _: () = assert!(std::mem::size_of::<CrossItem>() == 32);
 /// the trace arena.
 ///
 /// A scratch is plain reusable memory — it carries no configuration and
-/// never influences results. Solvers reset it on entry, so a single
-/// scratch can serve any interleaving of solves; reusing one across a
-/// batch merely skips the per-solve allocations. `rip_core::Engine`
-/// keeps a pool of these for its tree workloads; the free functions
-/// ([`crate::tree_min_power`] etc.) use a thread-local one.
-///
-/// # Examples
-///
-/// ```
-/// use rip_delay::RcTree;
-/// use rip_dp::{tree_min_delay_with, tree_min_power_with, TreeScratch};
-/// use rip_tech::{RepeaterLibrary, Technology};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let tech = Technology::generic_180nm();
-/// let mut tree = RcTree::with_root();
-/// let a = tree.add_uniform_child(0, 400.0, 1200.0)?;
-/// let s = tree.add_uniform_child(a, 300.0, 800.0)?;
-/// tree.set_sink_cap(s, 60.0)?;
-/// let lib = RepeaterLibrary::range_step(10.0, 400.0, 40.0)?;
-/// let mut scratch = TreeScratch::new();
-/// // The warm-up solve allocates; subsequent solves reuse the buffers.
-/// let fastest = tree_min_delay_with(&mut scratch, &tree, tech.device(), 120.0, &lib, None)?;
-/// for mult in [2.0, 1.5] {
-///     let target = fastest.delay_fs * mult;
-///     let sol = tree_min_power_with(&mut scratch, &tree, tech.device(), 120.0, &lib, None, target)?;
-///     assert!(sol.delay_fs <= target);
-/// }
-/// # Ok(())
-/// # }
-/// ```
+/// never influences results. Solvers reset it on entry, so one scratch
+/// serves any interleaving of solves. Each thread owns one, behind
+/// [`tree_min_delay`] and [`tree_min_power`], so a thread's solves after
+/// its first allocate nothing.
 #[derive(Debug, Default)]
-pub struct TreeScratch {
+pub(crate) struct TreeScratch {
     /// Append-only SoA store: every finished per-node frontier lives
     /// here, addressed by `ranges`.
     store: OptionBuf,
@@ -237,12 +210,6 @@ pub struct TreeScratch {
 }
 
 impl TreeScratch {
-    /// Creates an empty scratch. Buffers grow on first use and are
-    /// retained across solves.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Resets per-solve state for a tree of `nodes` nodes, keeping
     /// capacity.
     fn reset(&mut self, nodes: usize) {
@@ -359,10 +326,9 @@ fn stage_walk(
 }
 
 thread_local! {
-    /// Scratch backing the free functions: one per thread, reused across
-    /// calls so even scratch-unaware callers stop allocating after their
-    /// first solve on a thread.
-    static TREE_SCRATCH: RefCell<TreeScratch> = RefCell::new(TreeScratch::new());
+    /// The thread's tree-DP working memory: every solve on this thread
+    /// reuses it, and it is freed when the thread exits.
+    static TREE_SCRATCH: RefCell<TreeScratch> = RefCell::default();
 }
 
 /// Prunes the staged cross-merge products to their non-dominated
@@ -417,9 +383,7 @@ fn cross_merge_prune(
 ///   zones mapped onto tree nodes); the root entry is ignored (the root
 ///   is the driver). Default: buffers allowed everywhere but the root.
 ///
-/// Uses a thread-local [`TreeScratch`]; batch callers that manage their
-/// own scratch (or pool scratches across threads, like
-/// `rip_core::Engine`) should prefer [`tree_min_delay_with`].
+/// Solves on the calling thread's reusable scratch memory.
 ///
 /// # Errors
 ///
@@ -454,46 +418,22 @@ pub fn tree_min_delay(
     allowed: Option<&[bool]>,
 ) -> Result<TreeSolution, DpError> {
     TREE_SCRATCH.with(|s| {
-        tree_min_delay_with(
+        solve_tree(
             &mut s.borrow_mut(),
             tree,
             device,
             driver_width,
             library,
             allowed,
+            Objective::MinDelay,
         )
     })
-}
-
-/// [`tree_min_delay`] with caller-provided scratch memory.
-///
-/// # Errors
-///
-/// See [`tree_min_delay`].
-pub fn tree_min_delay_with(
-    scratch: &mut TreeScratch,
-    tree: &RcTree,
-    device: &RepeaterDevice,
-    driver_width: f64,
-    library: &RepeaterLibrary,
-    allowed: Option<&[bool]>,
-) -> Result<TreeSolution, DpError> {
-    solve_tree(
-        scratch,
-        tree,
-        device,
-        driver_width,
-        library,
-        allowed,
-        Objective::MinDelay,
-    )
 }
 
 /// Minimum-total-width buffering of an RC tree under a timing target
 /// (max over sinks).
 ///
-/// Uses a thread-local [`TreeScratch`]; batch callers should prefer
-/// [`tree_min_power_with`].
+/// Solves on the calling thread's reusable scratch memory.
 ///
 /// # Errors
 ///
@@ -508,47 +448,24 @@ pub fn tree_min_power(
     allowed: Option<&[bool]>,
     target_fs: f64,
 ) -> Result<TreeSolution, DpError> {
+    if !target_fs.is_finite() || target_fs <= 0.0 {
+        return Err(DpError::InvalidTarget { target_fs });
+    }
     TREE_SCRATCH.with(|s| {
-        tree_min_power_with(
+        solve_tree(
             &mut s.borrow_mut(),
             tree,
             device,
             driver_width,
             library,
             allowed,
-            target_fs,
+            Objective::MinPowerUnderDelay { target_fs },
         )
     })
 }
 
-/// [`tree_min_power`] with caller-provided scratch memory.
-///
-/// # Errors
-///
-/// See [`tree_min_power`].
-pub fn tree_min_power_with(
-    scratch: &mut TreeScratch,
-    tree: &RcTree,
-    device: &RepeaterDevice,
-    driver_width: f64,
-    library: &RepeaterLibrary,
-    allowed: Option<&[bool]>,
-    target_fs: f64,
-) -> Result<TreeSolution, DpError> {
-    if !target_fs.is_finite() || target_fs <= 0.0 {
-        return Err(DpError::InvalidTarget { target_fs });
-    }
-    solve_tree(
-        scratch,
-        tree,
-        device,
-        driver_width,
-        library,
-        allowed,
-        Objective::MinPowerUnderDelay { target_fs },
-    )
-}
-
+/// One tree DP on a borrowed scratch. The infeasible fallback re-enters
+/// here with the same scratch: the thread's scratch is already borrowed.
 fn solve_tree(
     scratch: &mut TreeScratch,
     tree: &RcTree,
@@ -931,27 +848,25 @@ mod tests {
         let cands = CandidateSet::uniform(&net, 600.0);
         let path = chain_as_tree(&net, tech.device(), &cands);
         let lib = RepeaterLibrary::range_step(10.0, 400.0, 40.0).unwrap();
-        let mut shared = TreeScratch::new();
 
-        let fastest =
-            tree_min_delay_with(&mut shared, &tree, tech.device(), 120.0, &lib, None).unwrap();
+        // The free functions reuse this thread's scratch.
+        let fastest = tree_min_delay(&tree, tech.device(), 120.0, &lib, None).unwrap();
         for mult in [1.1, 1.6, 0.5, 1.3] {
             let target = fastest.delay_fs * mult;
-            let reused =
-                tree_min_power_with(&mut shared, &tree, tech.device(), 120.0, &lib, None, target);
-            let fresh = tree_min_power_with(
-                &mut TreeScratch::new(),
+            let reused = tree_min_power(&tree, tech.device(), 120.0, &lib, None, target);
+            let fresh = solve_tree(
+                &mut TreeScratch::default(),
                 &tree,
                 tech.device(),
                 120.0,
                 &lib,
                 None,
-                target,
+                Objective::MinPowerUnderDelay { target_fs: target },
             );
             assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "mult {mult}");
             // Interleave a different topology to try to poison the
             // scratch.
-            let _ = tree_min_delay_with(&mut shared, &path, tech.device(), 120.0, &lib, None);
+            let _ = tree_min_delay(&path, tech.device(), 120.0, &lib, None);
         }
     }
 

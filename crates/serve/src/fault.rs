@@ -245,23 +245,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The recipe a respawn rebuilds the engine from: technology,
-/// configuration, `τ_min` memo cap and scratch-pool size, captured once at
-/// startup (the engine itself is not retained).
+/// configuration and `τ_min` memo cap, captured once at startup (the
+/// engine itself is not retained).
 #[derive(Debug)]
 struct EngineTemplate {
     tech: Technology,
     config: RipConfig,
     value_cache_cap: usize,
-    scratch_cap: usize,
 }
 
 impl EngineTemplate {
-    fn of(engine: &Engine, scratch_cap: usize) -> Self {
+    fn of(engine: &Engine) -> Self {
         Self {
             tech: engine.technology().clone(),
             config: engine.config().clone(),
             value_cache_cap: engine.value_cache_cap(),
-            scratch_cap,
         }
     }
 
@@ -274,7 +272,6 @@ impl EngineTemplate {
     fn respawn_state(&self, old: &ServeState) -> Arc<ServeState> {
         let mut engine = Engine::new(self.tech.clone(), self.config.clone());
         engine.set_value_cache_cap(self.value_cache_cap);
-        engine.set_scratch_cap(self.scratch_cap);
         engine.adopt_metrics(Arc::clone(old.engine().metrics_registry()));
         let state = Arc::new(ServeState::new(engine));
         state.set_server_info(old.server_info());
@@ -295,11 +292,10 @@ pub(crate) struct EngineSlot {
 }
 
 impl EngineSlot {
-    /// Wraps `state`, whose engine the respawn recipe is captured from
-    /// (`scratch_cap` is the scratch-pool size a fresh engine gets).
-    pub(crate) fn new(state: ServeState, scratch_cap: usize) -> Self {
+    /// Wraps `state`, whose engine the respawn recipe is captured from.
+    pub(crate) fn new(state: ServeState) -> Self {
         Self {
-            template: EngineTemplate::of(state.engine(), scratch_cap),
+            template: EngineTemplate::of(state.engine()),
             live: Mutex::new(Arc::new(state)),
             panics: AtomicU64::new(0),
             respawns: AtomicU64::new(0),

@@ -1057,16 +1057,11 @@ impl ServeState {
         if nets.is_empty() {
             return Vec::new();
         }
-        let outcomes = self.engine.solve_batch(nets, &batch_target(target));
-        outcomes
-            .iter()
-            .zip(nets)
-            .map(|(outcome, net)| match outcome {
-                Ok(out) => {
-                    // Warm hit: τ_min was just computed in the batch.
-                    let target_fs = self.resolve_target(net, target);
-                    Ok(solve_result(target_fs, &out.solution))
-                }
+        self.engine
+            .solve_batch(nets, &batch_target(target))
+            .into_iter()
+            .map(|outcome| match outcome {
+                Ok(out) => Ok(solve_result(out.target_fs, &out.solution)),
                 Err(e) => Err(e.to_string()),
             })
             .collect()
@@ -1091,17 +1086,12 @@ impl ServeState {
                 )
             })
             .collect();
-        let outcomes =
-            self.engine
-                .solve_tree_batch_masked(&entries, &batch_target(target), &self.tree_config);
-        outcomes
-            .iter()
-            .zip(trees)
-            .map(|(outcome, entry)| {
-                let out = outcome.as_ref().map_err(|e| e.to_string())?;
-                // A warm τ_min hit: the batch resolved it already.
-                let (.., target_fs) = self.resolve_tree(entry, target)?;
-                Ok(tree_solve_result(target_fs, &out.solution))
+        self.engine
+            .solve_tree_batch_masked(&entries, &batch_target(target), &self.tree_config)
+            .into_iter()
+            .map(|outcome| match outcome {
+                Ok(out) => Ok(tree_solve_result(out.target_fs, &out.solution)),
+                Err(e) => Err(e.to_string()),
             })
             .collect()
     }
@@ -1748,6 +1738,38 @@ mod tests {
             assert_eq!(r.get("ok"), Some(&Json::Bool(false)));
             assert!(r.get("error").unwrap().as_str().is_some());
         }
+    }
+
+    #[test]
+    fn a_batch_looks_up_each_items_tau_min_once() {
+        // The engine resolves every `target_mult` once, inside the
+        // batch; rendering the answers must not look `τ_min` up again.
+        let state = state();
+        let nets = NetGenerator::suite(RandomNetConfig::default(), 41, 3).unwrap();
+        let trees = TreeNetGenerator::suite(RandomTreeConfig::compact(), 42, 2).unwrap();
+        let request = Request::Batch {
+            nets,
+            trees: trees
+                .into_iter()
+                .map(|tree| TreeEntry {
+                    tree,
+                    allowed: None,
+                })
+                .collect(),
+            target: Target::TauMinMultiple(1.4),
+        };
+        let Response::Batch {
+            results,
+            tree_results,
+        } = state.handle_request(&request)
+        else {
+            panic!("a batch request answers with a batch response");
+        };
+        assert!(results.iter().all(Result::is_ok), "{results:?}");
+        assert!(tree_results.iter().all(Result::is_ok), "{tree_results:?}");
+        let stats = state.engine().stats();
+        assert_eq!(stats.hits() + stats.misses(), 5, "{stats:?}");
+        assert_eq!(stats.misses(), 5, "{stats:?}");
     }
 
     /// A small masked tree: node 2 (the mid node) is blocked.

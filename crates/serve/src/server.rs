@@ -70,7 +70,9 @@ pub struct ServeConfig {
     /// are accepted — pair them with `max_conns` and the timeouts.
     pub addr: String,
     /// Connection worker threads (each serving one connection at a
-    /// time). The engine's scratch pool is sized to this.
+    /// time). Each keeps one DP scratch for its solves, so this also
+    /// bounds the DP working memory that stays resident between
+    /// requests.
     pub workers: usize,
     /// LRU bound for the engine's `τ_min` memo
     /// ([`Engine::set_value_cache_cap`]); 0 = unbounded.
@@ -466,8 +468,8 @@ impl ServerMonitor {
 /// Binds the listener and spawns the connection workers over one
 /// supervised [`ServeState`] wrapping `engine`.
 ///
-/// The engine's `τ_min` memo bound and scratch pool are set from `config`
-/// before the first worker starts.
+/// The engine's `τ_min` memo bound is set from `config` before the first
+/// worker starts.
 ///
 /// # Errors
 ///
@@ -491,14 +493,13 @@ impl ServerMonitor {
 pub fn start_server(engine: Engine, config: &ServeConfig) -> io::Result<ServerHandle> {
     let workers = config.workers.max(1);
     engine.set_value_cache_cap(config.value_cache_cap);
-    engine.set_scratch_cap(workers);
     let state = ServeState::new(engine);
     state.set_server_info(ServerInfo {
         workers,
         max_conns: config.max_conns,
     });
     let shared = Arc::new(Shared {
-        engine: EngineSlot::new(state, workers),
+        engine: EngineSlot::new(state),
         metrics: EdgeMetrics::new(),
         faults: Arc::new(FaultInjector::new(config.faults)),
         rejected: AtomicU64::new(0),
