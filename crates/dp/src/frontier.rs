@@ -24,12 +24,14 @@
 //!    carries the same width bits: the class's `(delay, index)` minimum
 //!    sorts before the rest of its class, and the bucket's `(delay,
 //!    width)` staircase would drop the rest. The frontier is therefore
-//!    grouped by exact width once per site ([`WidthRuns`]), and a bucket
-//!    receives only each class's admitted minimum — one scan per (width
-//!    class, library width) — before it is sorted and reduced to its
-//!    staircase. Minima of distinct classes whose `+ w` sums round to the
-//!    same bits are still resolved by that staircase, so the survivors
-//!    and their order are those of reducing the full bucket. The
+//!    grouped by exact width once per site ([`WidthRuns`]), in linear
+//!    time (hash each width to its class, sort only the distinct widths,
+//!    scatter the indices with a counting pass), and a bucket receives
+//!    only each class's admitted minimum — one scan per (width class,
+//!    library width) — before it is sorted and reduced to its staircase.
+//!    Minima of distinct classes whose `+ w` sums round to the same bits
+//!    are still resolved by that staircase, so the survivors and their
+//!    order are those of reducing the full bucket. The
 //!    min-delay objective ignores width: its frontier is one class, whose
 //!    earliest minimum is the bucket's single survivor. Either way the
 //!    merge sees only options that could survive same-`cap` dominance.
@@ -366,12 +368,44 @@ fn reduce_bucket(bucket: &mut [BucketItem], mut emit: impl FnMut(&BucketItem)) {
 /// width: the width classes of the buffer-insertion step and of the tree
 /// DP's branch merge. Within a run the options keep their index order,
 /// so their caps stay non-decreasing.
+///
+/// Classing is linear in the options: a hash table gives each option
+/// its class, only the few distinct widths are sorted, and a counting
+/// pass scatters the indices stably into their runs. A frontier holds
+/// about 30 classes among hundreds of options, so sorting the classes
+/// costs far less than sorting every index. The table's slot is the
+/// top bits of a multiplicative hash: widths on the library grid end in
+/// dozens of zero mantissa bits, so the product's low bits are zero too
+/// and a low-bit slot would put every class in slot 0.
 #[derive(Debug, Default)]
 pub(crate) struct WidthRuns {
     /// Option indices, sorted by width, then index.
     order: Vec<u32>,
     /// Offset of each run in `order`, then `order.len()`.
     starts: Vec<u32>,
+    /// Open-addressing table of class ids (`EMPTY` = free slot), a power
+    /// of two at most half full.
+    slots: Vec<u32>,
+    /// Each class's width key, `(w + 0.0).to_bits()`.
+    keys: Vec<u64>,
+    /// Each class's option count, then its next free offset in `order`.
+    counts: Vec<u32>,
+    /// The class of each option of the range, in index order.
+    class_of: Vec<u32>,
+    /// Class ids in ascending width order.
+    ranked: Vec<u32>,
+}
+
+const EMPTY: u32 = u32::MAX;
+/// Slots of the class table at the start of each grouping.
+const MIN_SLOTS: usize = 64;
+
+/// The table slot of width key `bits` among `len` (a power of two)
+/// slots: the top bits of a multiplicative (Fibonacci) hash, which
+/// depend on every bit of the key.
+#[inline]
+fn slot_of(bits: u64, len: usize) -> usize {
+    (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - len.trailing_zeros())) as usize
 }
 
 impl WidthRuns {
@@ -381,21 +415,73 @@ impl WidthRuns {
     }
 
     /// Groups the options `range` of a frontier by `widths`, or keeps
-    /// them as one run when `by_width` is off.
+    /// them as one run when `by_width` is off. Widths compare under
+    /// `==`, so `-0.0` and `0.0` share a class.
     pub(crate) fn group(&mut self, widths: &[f64], range: Range<usize>, by_width: bool) {
         self.clear();
-        self.order.extend(range.map(|i| i as u32));
-        let width = |k: u32| widths[k as usize];
-        if by_width {
-            self.order
-                .sort_unstable_by(|&x, &y| cmp_f64(width(x), width(y)).then(x.cmp(&y)));
-        }
-        for (k, &i) in self.order.iter().enumerate() {
-            if k == 0 || (by_width && width(i) != width(self.order[k - 1])) {
-                self.starts.push(k as u32);
+        if !by_width {
+            self.order.extend(range.map(|i| i as u32));
+            if !self.order.is_empty() {
+                self.starts.push(0);
             }
+            self.starts.push(self.order.len() as u32);
+            return;
         }
-        self.starts.push(self.order.len() as u32);
+        let Self {
+            order,
+            starts,
+            slots,
+            keys,
+            counts,
+            class_of,
+            ranked,
+        } = self;
+        keys.clear();
+        counts.clear();
+        class_of.clear();
+        slots.clear();
+        slots.resize(MIN_SLOTS, EMPTY);
+        for &w in &widths[range.clone()] {
+            let bits = (w + 0.0).to_bits();
+            let mut s = slot_of(bits, slots.len());
+            let class = loop {
+                match slots[s] {
+                    EMPTY => {
+                        let class = keys.len() as u32;
+                        slots[s] = class;
+                        keys.push(bits);
+                        counts.push(0);
+                        if 2 * keys.len() > slots.len() {
+                            grow(slots, keys);
+                        }
+                        break class;
+                    }
+                    c if keys[c as usize] == bits => break c,
+                    _ => s = (s + 1) & (slots.len() - 1),
+                }
+            };
+            counts[class as usize] += 1;
+            class_of.push(class);
+        }
+        // Distinct keys are distinct widths, so the sort has no ties.
+        ranked.clear();
+        ranked.extend(0..keys.len() as u32);
+        let width = |c: &u32| f64::from_bits(keys[*c as usize]);
+        ranked.sort_unstable_by(|x, y| cmp_f64(width(x), width(y)));
+        let mut offset = 0;
+        for &c in ranked.iter() {
+            starts.push(offset);
+            let count = counts[c as usize];
+            counts[c as usize] = offset;
+            offset += count;
+        }
+        starts.push(offset);
+        order.resize(offset as usize, 0);
+        for (&c, i) in class_of.iter().zip(range) {
+            let next = &mut counts[c as usize];
+            order[*next as usize] = i as u32;
+            *next += 1;
+        }
     }
 
     /// The runs in ascending width order, each listing its option
@@ -404,6 +490,20 @@ impl WidthRuns {
         self.starts
             .windows(2)
             .map(|w| &self.order[w[0] as usize..w[1] as usize])
+    }
+}
+
+/// Doubles the class table and re-inserts every class.
+fn grow(slots: &mut Vec<u32>, keys: &[u64]) {
+    let len = 2 * slots.len();
+    slots.clear();
+    slots.resize(len, EMPTY);
+    for (class, &bits) in keys.iter().enumerate() {
+        let mut s = slot_of(bits, len);
+        while slots[s] != EMPTY {
+            s = (s + 1) & (len - 1);
+        }
+        slots[s] = class as u32;
     }
 }
 
@@ -790,6 +890,65 @@ mod tests {
         assert_eq!(grouped, vec![vec![1, 4], vec![3], vec![2, 5]]);
         runs.group(&widths, 0..3, false);
         assert_eq!(runs.runs().count(), 1);
+    }
+
+    /// The grouping `WidthRuns::group` replaced: every index of `range`
+    /// sorted by width, then index, and cut where the width changes.
+    fn sorted_runs(widths: &[f64], range: Range<usize>, by_width: bool) -> Vec<Vec<u32>> {
+        let mut order: Vec<u32> = range.map(|i| i as u32).collect();
+        let width = |k: u32| widths[k as usize];
+        if by_width {
+            order.sort_unstable_by(|&x, &y| cmp_f64(width(x), width(y)).then(x.cmp(&y)));
+        }
+        let mut runs: Vec<Vec<u32>> = Vec::new();
+        for (k, &i) in order.iter().enumerate() {
+            if k == 0 || (by_width && width(i) != width(order[k - 1])) {
+                runs.push(Vec::new());
+            }
+            runs.last_mut().expect("a run is open").push(i);
+        }
+        runs
+    }
+
+    #[test]
+    fn width_runs_group_matches_sort_oracle_on_fuzz() {
+        let mut state = 0xC1A55u64;
+        let mut runs = WidthRuns::default();
+        let (mut grew, mut signed_zero, mut neighbours) = (false, false, false);
+        for round in 0..600 {
+            let n = round % 97;
+            let widths: Vec<f64> = (0..n)
+                .map(|_| {
+                    let k = lcg(&mut state);
+                    match round % 4 {
+                        // Few classes on the 10 u grid.
+                        0 => 10.0 * k,
+                        // Up to 97 classes, so the table grows.
+                        1 => 10.0 * (k * 8.0 + lcg(&mut state)),
+                        // Bit neighbours and signed zeros.
+                        2 => [0.3, 0.2 + 0.1, 0.0, -0.0, 370.0][k as usize % 5],
+                        // Fractional widths a DP accumulates.
+                        _ => 0.1 * k + 0.7 * lcg(&mut state),
+                    }
+                })
+                .collect();
+            let start = if round % 3 == 0 { 0 } else { n / 3 };
+            let end = if round % 5 == 0 { start } else { n };
+            for by_width in [true, false] {
+                runs.group(&widths, start..end, by_width);
+                let got: Vec<Vec<u32>> = runs.runs().map(<[u32]>::to_vec).collect();
+                let expect = sorted_runs(&widths, start..end, by_width);
+                assert_eq!(got, expect, "round {round} by_width {by_width}");
+            }
+            grew |= runs.slots.len() > MIN_SLOTS;
+            let slice = &widths[start..end];
+            signed_zero |= slice.iter().any(|w| w.to_bits() == 0)
+                && slice.iter().any(|w| w.to_bits() == (-0.0f64).to_bits());
+            neighbours |= slice.contains(&0.3) && slice.contains(&(0.2 + 0.1));
+        }
+        assert!(grew, "the class table never grew");
+        assert!(signed_zero, "no range held both -0.0 and 0.0");
+        assert!(neighbours, "no range held both 0.3 and 0.2 + 0.1");
     }
 
     #[test]

@@ -77,7 +77,14 @@ impl Staircase {
         while end < self.pts.len() && self.pts[end].1 >= p {
             end += 1;
         }
-        self.pts.splice(idx..end, std::iter::once((d, p)));
+        if end == idx {
+            self.pts.insert(idx, (d, p));
+        } else {
+            self.pts[idx] = (d, p);
+            if end > idx + 1 {
+                self.pts.drain(idx + 1..end);
+            }
+        }
     }
 }
 
@@ -114,30 +121,28 @@ pub(crate) fn prune_3d<T>(items: &mut Vec<T>, key: impl Fn(&T) -> (f64, f64, f64
 /// produced each surviving option, as a linked structure indexed by
 /// `u32` handles. Handle 0 is the shared "no repeaters" root.
 ///
-/// A sweep records all the insertions at one candidate in a row, so
-/// each position is stored once, in `positions`, and a node holds its
-/// index: 16 bytes a node instead of 24, on the largest buffer of a
-/// chain solve.
+/// A sweep records all the insertions at one candidate in a row, in
+/// ascending width, so each `(position, width)` pair is stored once, in
+/// `pairs`, and a node holds its index: 8 bytes a node instead of 24,
+/// on the largest buffer of a chain solve. Any other recording order
+/// stays correct; it only shares fewer pairs.
 #[derive(Debug)]
 pub(crate) struct TraceArena {
     nodes: Vec<TraceNode>,
-    /// Repeater positions, µm; consecutive nodes at one position share
-    /// an entry.
-    positions: Vec<f64>,
+    /// Repeater `(position µm, width u)` pairs; consecutive nodes with
+    /// one pair share an entry.
+    pairs: Vec<(f64, f64)>,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct TraceNode {
-    /// Repeater width, u (unused for the root).
-    width: f64,
-    /// Index of the repeater position in `positions` (unused for the
-    /// root).
-    position: u32,
+    /// Index of the repeater's pair in `pairs` (unused for the root).
+    pair: u32,
     /// Previous insertion (downstream of this one), or 0 for the root.
     prev: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<TraceNode>() == 16);
+const _: () = assert!(std::mem::size_of::<TraceNode>() == 8);
 
 /// The shared empty-trace handle.
 pub(crate) const TRACE_ROOT: u32 = 0;
@@ -151,12 +156,8 @@ impl Default for TraceArena {
 impl TraceArena {
     pub(crate) fn new() -> Self {
         Self {
-            nodes: vec![TraceNode {
-                width: f64::NAN,
-                position: 0,
-                prev: 0,
-            }],
-            positions: Vec::new(),
+            nodes: vec![TraceNode { pair: 0, prev: 0 }],
+            pairs: Vec::new(),
         }
     }
 
@@ -164,19 +165,19 @@ impl TraceArena {
     /// shared root (scratch reuse across solves).
     pub(crate) fn reset(&mut self) {
         self.nodes.truncate(1);
-        self.positions.clear();
+        self.pairs.clear();
     }
 
     /// Records a repeater insertion on top of `prev`; returns the new
     /// handle.
     pub(crate) fn push(&mut self, position: f64, width: f64, prev: u32) -> u32 {
-        if self.positions.last().map(|p| p.to_bits()) != Some(position.to_bits()) {
-            self.positions.push(position);
+        let bits = |(p, w): (f64, f64)| (p.to_bits(), w.to_bits());
+        if self.pairs.last().map(|&pair| bits(pair)) != Some(bits((position, width))) {
+            self.pairs.push((position, width));
         }
         let idx = self.nodes.len() as u32;
         self.nodes.push(TraceNode {
-            width,
-            position: (self.positions.len() - 1) as u32,
+            pair: (self.pairs.len() - 1) as u32,
             prev,
         });
         idx
@@ -194,7 +195,7 @@ impl TraceArena {
         let mut out = Vec::new();
         while handle != TRACE_ROOT {
             let node = self.nodes[handle as usize];
-            out.push((self.positions[node.position as usize], node.width));
+            out.push(self.pairs[node.pair as usize]);
             handle = node.prev;
         }
         out
@@ -363,6 +364,33 @@ mod tests {
     }
 
     #[test]
+    fn staircase_insert_matches_splice_on_fuzz() {
+        // Insertion writes in place, inserts or drains; the points must be
+        // those of replacing the redundant run with one splice.
+        let mut next = quantized_stream(0x57A1);
+        let mut s = Staircase::new();
+        let mut oracle: Vec<(f64, f64)> = Vec::new();
+        let mut cases = [false; 3];
+        for round in 0..2000 {
+            if round % 50 == 0 {
+                s.clear();
+                oracle.clear();
+            }
+            let (d, p) = (next(), next());
+            if s.dominates(d, p) {
+                continue;
+            }
+            let idx = oracle.partition_point(|&(d2, _)| d2 < d);
+            let end = idx + oracle[idx..].iter().take_while(|x| x.1 >= p).count();
+            cases[(end - idx).min(2)] = true;
+            oracle.splice(idx..end, std::iter::once((d, p)));
+            s.insert(d, p);
+            assert_eq!(s.pts, oracle, "round {round}");
+        }
+        assert_eq!(cases, [true; 3], "insert, overwrite and drain all occur");
+    }
+
+    #[test]
     fn staircase_clear_resets_state() {
         let mut s = Staircase::new();
         s.insert(1.0, 1.0);
@@ -399,5 +427,43 @@ mod tests {
         );
         assert!(arena.collect(TRACE_ROOT).is_empty());
         assert_eq!(arena.len(), 5);
+    }
+
+    #[test]
+    fn trace_arena_returns_the_exact_pair_bits() {
+        let bits = |pairs: Vec<(f64, f64)>| -> Vec<(u64, u64)> {
+            pairs
+                .into_iter()
+                .map(|(p, w)| (p.to_bits(), w.to_bits()))
+                .collect()
+        };
+        let (x1, x2) = (1500.0, 0.1 + 0.2);
+        let (w1, w2) = (0.3, -0.0);
+        let mut arena = TraceArena::new();
+        // w1, w2, w1 at one position: the repeat of w1 follows w2, so it
+        // gets a pair of its own.
+        let a = arena.push(x1, w1, TRACE_ROOT);
+        let b = arena.push(x1, w2, a);
+        let c = arena.push(x1, w1, b);
+        // A new position, then an earlier pair again after it.
+        let d = arena.push(x2, w1, c);
+        let e = arena.push(x1, w2, d);
+        let f = arena.push(x1, w2, TRACE_ROOT);
+        assert_eq!(arena.pairs.len(), 5, "only consecutive equal pairs share");
+        assert_eq!(arena.len(), 7);
+        assert_eq!(bits(arena.collect(a)), bits(vec![(x1, w1)]));
+        assert_eq!(
+            bits(arena.collect(e)),
+            bits(vec![(x1, w2), (x2, w1), (x1, w1), (x1, w2), (x1, w1)])
+        );
+        assert_eq!(bits(arena.collect(f)), bits(vec![(x1, w2)]));
+        // `-0.0` and `0.0` are kept apart, as are `0.3` and `0.1 + 0.2`.
+        let g = arena.push(x1, 0.0, TRACE_ROOT);
+        assert_eq!(bits(arena.collect(g)), bits(vec![(x1, 0.0)]));
+        let h = arena.push(x2, w1, TRACE_ROOT);
+        let i = arena.push(0.3, w1, TRACE_ROOT);
+        assert_eq!(bits(arena.collect(h)), bits(vec![(x2, w1)]));
+        assert_eq!(bits(arena.collect(i)), bits(vec![(0.3, w1)]));
+        assert_eq!(arena.pairs.len(), 8);
     }
 }
