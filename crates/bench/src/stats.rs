@@ -1,15 +1,13 @@
-//! Statistical benchmark harness: repeated timed runs with warm-up
-//! discard, summarized by median and MAD (median absolute deviation) —
-//! robust location/scale estimators that a single scheduler hiccup
-//! cannot drag around, unlike mean/stddev.
+//! Statistical benchmark summaries: the timed runs of each bench (which
+//! discards its own warm-up runs) summarized by median and MAD (median
+//! absolute deviation) — robust location/scale estimators that a single
+//! scheduler hiccup cannot drag around, unlike mean/stddev.
 //!
 //! Every performance claim in this repository flows through here: the
 //! `rip bench` CLI subcommand summarizes its runs with [`summarize`]
 //! and serializes them with [`JsonObject`] into the committed
 //! `BENCH_*.json` baselines (the workspace builds offline, so the writer
 //! is deliberately tiny and flat).
-
-use std::time::Instant;
 
 /// Robust summary of repeated timed runs, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,21 +71,6 @@ pub fn summarize(samples: &[f64]) -> StatSummary {
         max_s,
         mean_s,
     }
-}
-
-/// Times `runs` invocations of `f` after `warmup` discarded invocations,
-/// returning the per-run wall-clock seconds.
-pub fn measure_runs(warmup: usize, runs: usize, mut f: impl FnMut()) -> Vec<f64> {
-    for _ in 0..warmup {
-        f();
-    }
-    (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect()
 }
 
 /// A tiny flat-JSON object writer (the workspace builds without serde).
@@ -170,14 +153,5 @@ mod tests {
         assert_eq!(s.median_s, 2.5);
         assert_eq!(s.mean_s, 2.5);
         assert!(s.min_s <= s.median_s && s.median_s <= s.max_s);
-    }
-
-    #[test]
-    fn measure_runs_discards_warmup() {
-        let mut calls = 0u32;
-        let samples = measure_runs(2, 3, || calls += 1);
-        assert_eq!(calls, 5);
-        assert_eq!(samples.len(), 3);
-        assert!(samples.iter().all(|&s| s >= 0.0));
     }
 }

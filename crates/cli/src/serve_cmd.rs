@@ -258,10 +258,9 @@ fn send_file(client: &mut Client, path: &str, target: Option<Target>) -> Result<
 }
 
 /// `rip client --metrics`: one `metrics` request, rendered as
-/// Prometheus-style exposition text (counters and gauges as plain
-/// samples; histograms as `_count`/`_sum` plus `quantile`-labelled p50,
-/// p90 and p99 samples — log2-bucket upper bounds, see the README's
-/// observability section).
+/// Prometheus-style exposition text: each histogram as `_count`/`_sum`
+/// plus `quantile`-labelled p50, p90 and p99 samples (log2-bucket upper
+/// bounds, see the README's observability section).
 fn fetch_metrics(client: &mut Client) -> Result<String, CliError> {
     let response = client.request_line(r#"{"id":0,"cmd":"metrics"}"#)?;
     let value = parse_json(&response)
@@ -271,23 +270,14 @@ fn fetch_metrics(client: &mut Client) -> Result<String, CliError> {
             "metrics request failed: {response}"
         )));
     }
-    let fields = |key: &str| -> Result<Vec<(String, Json)>, CliError> {
-        match value.get(key) {
-            Some(Json::Obj(fields)) => Ok(fields.clone()),
-            _ => Err(CliError::Protocol(format!(
-                "metrics response missing {key:?} object: {response}"
-            ))),
-        }
+    let Some(Json::Obj(histograms)) = value.get("histograms") else {
+        return Err(CliError::Protocol(format!(
+            "metrics response missing \"histograms\" object: {response}"
+        )));
     };
     let num = |v: &Json| v.as_f64().unwrap_or(0.0);
     let mut out = String::new();
-    for (name, v) in fields("counters")? {
-        let _ = writeln!(out, "# TYPE {name} counter\n{name} {}", num(&v));
-    }
-    for (name, v) in fields("gauges")? {
-        let _ = writeln!(out, "# TYPE {name} gauge\n{name} {}", num(&v));
-    }
-    for (name, h) in fields("histograms")? {
+    for (name, h) in histograms {
         let _ = writeln!(out, "# TYPE {name} summary");
         for q in ["p50", "p90", "p99"] {
             let quantile = format!("0.{}", &q[1..]);

@@ -31,13 +31,15 @@
 //!
 //! Memoizing never changes results: a cached `τ_min` is exactly the
 //! value the DP would recompute, which the batch-determinism test suite
-//! pins (`tests/engine_batch.rs`). The memo can be bounded with
+//! pins (`tests/engine_batch.rs`). The memo is a `HashMap` from key to
+//! `(τ_min, use stamp)`. It can be bounded with
 //! [`Engine::set_value_cache_cap`]: beyond the cap the *least recently
-//! used* entries are evicted (hits promote, counted in
-//! [`EngineStats::promotions`]; drops in [`EngineStats::evictions`]),
-//! trading recomputation for flat memory on unbounded streams of
-//! distinct nets — the sizing knob of a resident solver service
-//! (`rip_serve`).
+//! used* entry (the smallest stamp, found by a linear scan on the miss
+//! that overflows) is evicted. Hits re-stamp their entry, counted in
+//! [`EngineStats::promotions`]; drops count in
+//! [`EngineStats::evictions`]. The bound trades recomputation for flat
+//! memory on unbounded streams of distinct nets — the sizing knob of a
+//! resident solver service (`rip_serve`).
 
 use crate::baseline::BaselineConfig;
 use crate::compare::{summarize_savings, SavingsSummary};
@@ -55,11 +57,9 @@ use rip_net::TwoPinNet;
 use rip_obs::{Histogram, MetricsRegistry};
 use rip_refine::{refine, trim_tree_widths, RefineError, RefineOutcome, TreeTrimOutcome};
 use rip_tech::{RepeaterLibrary, TechError, Technology};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -131,14 +131,6 @@ struct Counters {
     promotions: AtomicU64,
 }
 
-/// A 64-bit fingerprint of any `Debug`-printable value, used only for
-/// the informational [`Engine::config_hash`].
-fn fingerprint(value: &impl fmt::Debug) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    format!("{value:?}").hash(&mut hasher);
-    hasher.finish()
-}
-
 /// An exact in-memory cache key: the `Debug` rendering of the inputs.
 ///
 /// Rust's `{:?}` for `f64` prints the shortest representation that
@@ -148,13 +140,6 @@ fn fingerprint(value: &impl fmt::Debug) -> u64 {
 /// or wrong cached value.
 fn cache_key(value: &impl fmt::Debug) -> String {
     format!("{value:?}")
-}
-
-fn combine(a: u64, b: u64) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    a.hash(&mut hasher);
-    b.hash(&mut hasher);
-    hasher.finish()
 }
 
 /// Validates a caller-supplied tree buffer-legality mask and normalizes
@@ -238,170 +223,85 @@ fn synthesized_library(
     RepeaterLibrary::from_widths(widths)
 }
 
-/// Sentinel "no neighbour" slot index for [`LruCache`]'s intrusive
-/// recency list.
-const LRU_NIL: usize = usize::MAX;
-
-#[derive(Debug)]
-struct LruEntry<V> {
-    key: String,
-    /// `None` only while the slot sits on the free list — eviction must
-    /// drop the value immediately (the cap exists to bound memory), not
-    /// when the slot is eventually reused.
-    value: Option<V>,
-    /// Neighbour towards the most-recently-used end (`LRU_NIL` at the
-    /// head).
-    prev: usize,
-    /// Neighbour towards the least-recently-used end (`LRU_NIL` at the
-    /// tail).
-    next: usize,
+/// The `τ_min` memo: key → `(τ_min, stamp)`, where `stamp` is the use
+/// clock's reading at the entry's last use. Stamps are unique and grow
+/// with every insert and every promoting hit, so they order the entries
+/// by recency exactly as a linked LRU list would: a hit re-stamps its
+/// entry (a promotion, unless it already holds the newest stamp), and an
+/// insert past the cap evicts the smallest stamp. That eviction is a
+/// linear scan, run only by a miss at the cap, which has just paid for a
+/// min-delay DP that costs far more than the scan. Eviction never
+/// changes results: a dropped entry is recomputed to the same bits on
+/// its next lookup, because every value is a pure function of its key.
+#[derive(Debug, Default)]
+struct TauMinMemo {
+    entries: HashMap<String, (f64, u64)>,
+    /// The newest stamp handed out (0 before the first insert).
+    clock: u64,
 }
 
-/// A `HashMap` with recency-aware (LRU) eviction: every entry sits on an
-/// intrusive doubly-linked recency list threaded through a slab, a hit
-/// promotes the entry to the most-recently-used position in O(1), and
-/// inserts past the cap drop the *least recently used* entries — so a
-/// hot working set survives an unbounded stream of one-shot keys, which
-/// a FIFO bound could not guarantee (a popular early entry aged out
-/// regardless of use). Eviction never changes results — a dropped entry
-/// is simply recomputed on its next lookup — because every value is a
-/// pure function of its key.
-#[derive(Debug)]
-struct LruCache<V> {
-    /// Key → slot in `entries`.
-    map: HashMap<String, usize>,
-    /// Slot slab; freed slots are recycled via `free`.
-    entries: Vec<LruEntry<V>>,
-    free: Vec<usize>,
-    /// Most-recently-used slot (`LRU_NIL` when empty).
-    head: usize,
-    /// Least-recently-used slot (`LRU_NIL` when empty).
-    tail: usize,
-}
-
-// Derived `Default` would needlessly require `V: Default`.
-impl<V> Default for LruCache<V> {
-    fn default() -> Self {
-        Self {
-            map: HashMap::new(),
-            entries: Vec::new(),
-            free: Vec::new(),
-            head: LRU_NIL,
-            tail: LRU_NIL,
-        }
-    }
-}
-
-impl<V: Clone> LruCache<V> {
-    /// Entry count (test/diagnostic helper; the hot paths read
-    /// `map.len()` directly).
+impl TauMinMemo {
+    /// Entry count.
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
-    /// Detaches `slot` from the recency list without freeing it.
-    fn unlink(&mut self, slot: usize) {
-        let (prev, next) = (self.entries[slot].prev, self.entries[slot].next);
-        match prev {
-            LRU_NIL => self.head = next,
-            p => self.entries[p].next = next,
-        }
-        match next {
-            LRU_NIL => self.tail = prev,
-            n => self.entries[n].prev = prev,
-        }
-    }
-
-    /// Attaches `slot` at the most-recently-used end.
-    fn push_front(&mut self, slot: usize) {
-        self.entries[slot].prev = LRU_NIL;
-        self.entries[slot].next = self.head;
-        match self.head {
-            LRU_NIL => self.tail = slot,
-            h => self.entries[h].prev = slot,
-        }
-        self.head = slot;
-    }
-
-    /// Looks up `key`; a hit promotes the entry to most-recently-used
-    /// (counted in `promotions` when the entry actually moves — a hit
-    /// on the entry already at the head is free and uncounted).
-    fn get_promote(&mut self, key: &str, promotions: &AtomicU64) -> Option<V> {
-        let &slot = self.map.get(key)?;
-        if self.head != slot {
-            self.unlink(slot);
-            self.push_front(slot);
+    /// Looks up `key`; a hit re-stamps the entry as most recently used
+    /// (counted in `promotions` unless it already held the newest
+    /// stamp — a hit on the hottest entry is free and uncounted).
+    fn get_promote(&mut self, key: &str, promotions: &AtomicU64) -> Option<f64> {
+        let (value, stamp) = self.entries.get_mut(key)?;
+        if *stamp != self.clock {
+            self.clock += 1;
+            *stamp = self.clock;
             promotions.fetch_add(1, Ordering::Relaxed);
         }
-        Some(
-            self.entries[slot]
-                .value
-                .clone()
-                .expect("mapped slots hold live values"),
-        )
+        Some(*value)
     }
 
     /// Completes a lookup whose value was computed outside the lock:
     /// returns the existing value when another worker won the race
-    /// (`false` = hit, promoting it), otherwise inserts `value` at the
-    /// most-recently-used position, evicts LRU entries down to `cap`
-    /// (0 = unbounded, counting drops into `evictions`), and returns it
+    /// (`false` = hit, promoting it), otherwise inserts `value` with the
+    /// newest stamp, evicts the smallest stamps down to `cap` (0 =
+    /// unbounded, counting drops into `evictions`), and returns it
     /// (`true` = miss).
     fn finish(
         &mut self,
         key: String,
-        value: V,
+        value: f64,
         cap: usize,
         evictions: &AtomicU64,
         promotions: &AtomicU64,
-    ) -> (V, bool) {
+    ) -> (f64, bool) {
         if let Some(existing) = self.get_promote(&key, promotions) {
             return (existing, false);
         }
-        let entry = LruEntry {
-            key: key.clone(),
-            value: Some(value.clone()),
-            prev: LRU_NIL,
-            next: LRU_NIL,
-        };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.entries[slot] = entry;
-                slot
-            }
-            None => {
-                self.entries.push(entry);
-                self.entries.len() - 1
-            }
-        };
-        self.map.insert(key, slot);
-        self.push_front(slot);
-        if cap > 0 {
-            while self.map.len() > cap {
-                let victim = self.tail;
-                debug_assert_ne!(victim, LRU_NIL, "the recency list tracks every entry");
-                self.unlink(victim);
-                let key = std::mem::take(&mut self.entries[victim].key);
-                self.map.remove(&key);
-                self.entries[victim].value = None;
-                self.free.push(victim);
-                evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        self.clock += 1;
+        self.entries.insert(key, (value, self.clock));
+        while cap > 0 && self.entries.len() > cap {
+            let victim = self
+                .entries
+                .iter()
+                .min_by_key(|(_, &(_, stamp))| stamp)
+                .map(|(key, _)| key.clone())
+                .expect("an over-cap memo is not empty");
+            self.entries.remove(&victim);
+            evictions.fetch_add(1, Ordering::Relaxed);
         }
         (value, true)
     }
 
-    /// Keys from most- to least-recently-used (test/diagnostic helper).
+    /// Keys from most- to least-recently-used.
     #[cfg(test)]
     fn recency_order(&self) -> Vec<String> {
-        let mut keys = Vec::with_capacity(self.map.len());
-        let mut slot = self.head;
-        while slot != LRU_NIL {
-            keys.push(self.entries[slot].key.clone());
-            slot = self.entries[slot].next;
-        }
-        keys
+        let mut by_stamp: Vec<(u64, &String)> = self
+            .entries
+            .iter()
+            .map(|(key, &(_, stamp))| (stamp, key))
+            .collect();
+        by_stamp.sort_unstable_by_key(|&(stamp, _)| std::cmp::Reverse(stamp));
+        by_stamp.into_iter().map(|(_, key)| key.clone()).collect()
     }
 }
 
@@ -468,8 +368,7 @@ fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> 
 pub struct Engine {
     tech: Technology,
     config: RipConfig,
-    config_hash: u64,
-    tau_mins: Mutex<LruCache<f64>>,
+    tau_mins: Mutex<TauMinMemo>,
     value_cache_cap: AtomicUsize,
     counters: Counters,
     metrics: EngineMetrics,
@@ -528,12 +427,10 @@ impl EngineMetrics {
 impl Engine {
     /// Creates a session over a technology and pipeline configuration.
     pub fn new(tech: Technology, config: RipConfig) -> Self {
-        let config_hash = combine(fingerprint(&tech), fingerprint(&config));
         Self {
             tech,
             config,
-            config_hash,
-            tau_mins: Mutex::new(LruCache::default()),
+            tau_mins: Mutex::new(TauMinMemo::default()),
             value_cache_cap: AtomicUsize::new(0),
             counters: Counters::default(),
             metrics: EngineMetrics::resolve(Arc::new(MetricsRegistry::new())),
@@ -553,18 +450,6 @@ impl Engine {
     /// The session's pipeline configuration.
     pub fn config(&self) -> &RipConfig {
         &self.config
-    }
-
-    /// In-process fingerprint of the `(technology, configuration)` pair,
-    /// for logging and diagnostics (e.g. tagging results with the
-    /// session that produced them).
-    ///
-    /// Unequal hashes guarantee different configurations; equal hashes
-    /// make identical configurations overwhelmingly likely but are not
-    /// proof (64-bit digest), and the underlying hasher is unspecified
-    /// across Rust releases — do not key persisted caches on this value.
-    pub fn config_hash(&self) -> u64 {
-        self.config_hash
     }
 
     /// Bounds the `τ_min` memo (chain and tree entries together) to at
@@ -1570,31 +1455,32 @@ mod tests {
 
     #[test]
     fn lru_recency_order_tracks_hits_and_inserts() {
-        let mut cache: LruCache<u32> = LruCache::default();
+        let mut cache = TauMinMemo::default();
         let evictions = AtomicU64::new(0);
         let promotions = AtomicU64::new(0);
         for (i, key) in ["a", "b", "c"].iter().enumerate() {
-            cache.finish(key.to_string(), i as u32, 0, &evictions, &promotions);
+            cache.finish(key.to_string(), i as f64, 0, &evictions, &promotions);
         }
         assert_eq!(cache.recency_order(), ["c", "b", "a"]);
-        // A hit promotes; a hit on the head is free.
-        assert_eq!(cache.get_promote("a", &promotions), Some(0));
+        // A hit promotes; a hit on the newest entry is free.
+        assert_eq!(cache.get_promote("a", &promotions), Some(0.0));
         assert_eq!(cache.recency_order(), ["a", "c", "b"]);
         assert_eq!(promotions.load(Ordering::Relaxed), 1);
-        assert_eq!(cache.get_promote("a", &promotions), Some(0));
+        assert_eq!(cache.get_promote("a", &promotions), Some(0.0));
         assert_eq!(promotions.load(Ordering::Relaxed), 1, "head hit is free");
-        // Capacity is respected and the tail ("b") is the victim.
-        cache.finish("d".to_string(), 3, 3, &evictions, &promotions);
+        // Capacity is respected and the oldest stamp ("b") is the victim.
+        cache.finish("d".to_string(), 3.0, 3, &evictions, &promotions);
         assert_eq!(cache.recency_order(), ["d", "a", "c"]);
         assert_eq!(evictions.load(Ordering::Relaxed), 1);
         assert_eq!(cache.get_promote("b", &promotions), None);
         // A lost insert race is a hit that promotes the survivor.
-        let (v, miss) = cache.finish("c".to_string(), 99, 3, &evictions, &promotions);
-        assert_eq!((v, miss), (2, false), "existing value wins the race");
+        let (v, miss) = cache.finish("c".to_string(), 99.0, 3, &evictions, &promotions);
+        assert_eq!((v, miss), (2.0, false), "existing value wins the race");
         assert_eq!(cache.recency_order(), ["c", "d", "a"]);
-        // Freed slots are recycled: len never exceeds the cap.
+        assert_eq!(promotions.load(Ordering::Relaxed), 2);
+        // Every insert past the cap evicts: len never exceeds it.
         for key in ["e", "f", "g"] {
-            cache.finish(key.to_string(), 7, 3, &evictions, &promotions);
+            cache.finish(key.to_string(), 7.0, 3, &evictions, &promotions);
         }
         assert_eq!(cache.len(), 3);
         assert_eq!(evictions.load(Ordering::Relaxed), 4);
@@ -1602,23 +1488,23 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_drops_the_value_immediately() {
-        // The cap bounds *memory*, so an evicted value must be dropped
-        // at eviction time — not parked in the slab until the free slot
-        // is reused by some later insert.
-        let mut cache: LruCache<Arc<u32>> = LruCache::default();
-        let evictions = AtomicU64::new(0);
-        let promotions = AtomicU64::new(0);
-        let first = Arc::new(7u32);
-        let weak = Arc::downgrade(&first);
-        cache.finish("a".to_string(), first, 1, &evictions, &promotions);
-        assert!(weak.upgrade().is_some());
-        cache.finish("b".to_string(), Arc::new(8), 1, &evictions, &promotions);
-        assert_eq!(evictions.load(Ordering::Relaxed), 1);
-        assert!(
-            weak.upgrade().is_none(),
-            "the evicted Arc must be dropped by the eviction itself"
-        );
+    fn cap_one_memo_alternating_two_nets_only_misses() {
+        // CI's chaos smoke runs the service at `--value-cache-cap 1`:
+        // two nets taking turns evict each other on every lookup, and a
+        // miss is never a promotion.
+        let engine = engine();
+        engine.set_value_cache_cap(1);
+        let nets = nets(61, 2);
+        let lookups = 6;
+        for i in 0..lookups {
+            let _ = engine.tau_min(&nets[i % 2]);
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.tau_min_hits, 0);
+        assert_eq!(stats.tau_min_misses, lookups as u64);
+        assert_eq!(stats.evictions, lookups as u64 - 1);
+        assert_eq!(stats.promotions, 0);
+        assert_eq!(engine.tau_mins.lock().unwrap().len(), 1);
     }
 
     #[test]
@@ -1823,17 +1709,6 @@ mod tests {
         let after = engine.stats();
         assert_eq!(after.misses(), 0, "reset must not drop memo contents");
         assert!(after.hits() > 0);
-    }
-
-    #[test]
-    fn config_hash_distinguishes_configurations() {
-        let a = Engine::paper(Technology::generic_180nm());
-        let mut config = RipConfig::paper();
-        config.fine.window_half_slots = 7;
-        let b = Engine::new(Technology::generic_180nm(), config);
-        assert_ne!(a.config_hash(), b.config_hash());
-        let c = Engine::paper(Technology::generic_180nm());
-        assert_eq!(a.config_hash(), c.config_hash());
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod tests {
     }
 
     #[test]
-    fn tau_min_is_below_unbuffered_delay() {
+    fn tau_min_is_below_the_delay_without_repeaters() {
         let tech = Technology::generic_180nm();
         let net = net();
         let tmin = tau_min_paper(&net, tech.device());

@@ -15,6 +15,10 @@
 //! * [`RcTree`] — RC trees with buffered Elmore evaluation, the substrate
 //!   for the paper's announced tree extension.
 //!
+//! Elmore is the only delay model. Section 4.1 allows a more accurate
+//! one, but the DP pruning and REFINE's derivatives rely on Elmore's
+//! additivity and monotonicity, and every stage of the pipeline uses it.
+//!
 //! # Example
 //!
 //! ```
@@ -44,7 +48,6 @@
 mod assignment;
 mod chain;
 mod error;
-mod moments;
 mod power;
 mod rctree;
 mod stage;
@@ -52,7 +55,6 @@ mod stage;
 pub use assignment::{evaluate, NetTiming, Repeater, RepeaterAssignment};
 pub use chain::ChainView;
 pub use error::DelayError;
-pub use moments::{compare_delay_models, stage_moments, DelayModelComparison, StageMoments};
 pub use power::{assignment_power, PowerBreakdown};
 pub use rctree::{RcTree, TreeTiming};
 pub use stage::{buffer_added_delay, stage_delay, wire_added_delay};

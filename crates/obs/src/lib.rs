@@ -1,20 +1,18 @@
 //! Std-only observability primitives for the RIP reproduction.
 //!
-//! Three instrument kinds, all lock-free on the hot path:
+//! One instrument kind, lock-free on the hot path: [`Histogram`], a
+//! fixed 64-bucket log2 histogram with an exact `count` and `sum`, from
+//! which p50/p90/p99 estimates derive. It records latencies in
+//! nanoseconds and per-solve work (DP options created, merge products)
+//! as plain counts; a histogram's `count` doubles as an event counter.
 //!
-//! * [`Counter`] — a monotonically increasing `u64`;
-//! * [`Gauge`] — a settable `i64` level (queue depths, active
-//!   connections);
-//! * [`Histogram`] — a fixed 64-bucket log2 latency histogram with an
-//!   exact `count` and `sum`, from which p50/p90/p99 estimates derive.
-//!
-//! Instruments live behind a named [`MetricsRegistry`]: `get-or-create`
+//! Histograms live behind a named [`MetricsRegistry`]: `get-or-create`
 //! by name, so independently constructed components (an engine, its
 //! serving edge, a respawned engine) resolve the *same*
-//! instrument handles and their observations accumulate in one place.
+//! histogram handles and their observations accumulate in one place.
 //! Registries snapshot into plain data ([`RegistrySnapshot`]) that can
-//! be merged across registries and rendered as JSON or Prometheus-style
-//! text.
+//! be merged across registries; the serve layer renders it as JSON and
+//! `rip client --metrics` renders that JSON as Prometheus-style text.
 //!
 //! # Histogram bucket semantics
 //!
@@ -30,78 +28,12 @@
 #![warn(missing_debug_implementations)]
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Number of histogram buckets (log2 buckets over the `u64` range).
 pub const HISTOGRAM_BUCKETS: usize = 64;
-
-/// A monotonically increasing counter.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// A fresh zero counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Rezeroes the counter (monitoring-window resets).
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A settable level (queue depth, active connections, …).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// A fresh zero gauge.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the level.
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n` (negative to decrease).
-    pub fn add(&self, n: i64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current level.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Rezeroes the gauge.
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
-}
 
 /// A fixed 64-bucket log2 histogram over `u64` observations
 /// (typically nanoseconds), with an exact count and sum.
@@ -267,22 +199,14 @@ impl HistogramSnapshot {
     }
 }
 
-/// One named instrument slot of a registry.
-#[derive(Debug, Clone)]
-enum Instrument {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-/// A named set of instruments with get-or-create semantics: resolving
+/// A named set of histograms with get-or-create semantics: resolving
 /// the same name twice (even from different components, even after a
-/// worker respawn) yields the same instrument, so observations
+/// worker respawn) yields the same histogram, so observations
 /// accumulate across component lifetimes as long as the registry
 /// itself is shared.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    instruments: Mutex<BTreeMap<String, Instrument>>,
+    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
 impl MetricsRegistry {
@@ -291,83 +215,32 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Resolves (creating on first use) the counter named `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `name` already names a different instrument kind —
-    /// a programming error, not an operational condition.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.lock();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Counter(Arc::new(Counter::new())))
-        {
-            Instrument::Counter(c) => Arc::clone(c),
-            other => panic!("metric {name:?} already registered as {other:?}"),
-        }
-    }
-
-    /// Resolves (creating on first use) the gauge named `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `name` already names a different instrument kind.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.lock();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Gauge(Arc::new(Gauge::new())))
-        {
-            Instrument::Gauge(g) => Arc::clone(g),
-            other => panic!("metric {name:?} already registered as {other:?}"),
-        }
-    }
-
     /// Resolves (creating on first use) the histogram named `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `name` already names a different instrument kind.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.lock();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Histogram(Arc::new(Histogram::new())))
-        {
-            Instrument::Histogram(h) => Arc::clone(h),
-            other => panic!("metric {name:?} already registered as {other:?}"),
-        }
+        Arc::clone(self.lock().entry(name.to_string()).or_default())
     }
 
-    /// Rezeroes every registered instrument (names stay registered, so
+    /// Rezeroes every registered histogram (names stay registered, so
     /// outstanding handles keep working) — the `reset_stats` hook.
     pub fn reset(&self) {
-        for instrument in self.lock().values() {
-            match instrument {
-                Instrument::Counter(c) => c.reset(),
-                Instrument::Gauge(g) => g.reset(),
-                Instrument::Histogram(h) => h.reset(),
-            }
+        for histogram in self.lock().values() {
+            histogram.reset();
         }
     }
 
-    /// A point-in-time copy of every instrument, sorted by name.
+    /// A point-in-time copy of every histogram, sorted by name.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let map = self.lock();
-        let mut snapshot = RegistrySnapshot::default();
-        for (name, instrument) in map.iter() {
-            match instrument {
-                Instrument::Counter(c) => snapshot.counters.push((name.clone(), c.get())),
-                Instrument::Gauge(g) => snapshot.gauges.push((name.clone(), g.get())),
-                Instrument::Histogram(h) => snapshot.histograms.push((name.clone(), h.snapshot())),
-            }
+        RegistrySnapshot {
+            histograms: self
+                .lock()
+                .iter()
+                .map(|(name, h)| (name.clone(), h.snapshot()))
+                .collect(),
         }
-        snapshot
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Instrument>> {
-        self.instruments
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Arc<Histogram>>> {
+        self.histograms
             .lock()
             .expect("metrics registry lock is never poisoned")
     }
@@ -377,31 +250,14 @@ impl MetricsRegistry {
 /// into `metrics` responses, merging the edge and engine registries.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RegistrySnapshot {
-    /// `(name, value)` counters, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// `(name, level)` gauges, sorted by name.
-    pub gauges: Vec<(String, i64)>,
     /// `(name, snapshot)` histograms, sorted by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
 impl RegistrySnapshot {
-    /// Folds `other` into `self`: counters and histograms with the same
-    /// name sum, gauges sum levels, and new names interleave in sorted
-    /// order.
+    /// Folds `other` into `self`: histograms with the same name sum
+    /// bucket-wise, and new names interleave in sorted order.
     pub fn merge(&mut self, other: &RegistrySnapshot) {
-        let mut counters: BTreeMap<String, u64> = self.counters.drain(..).collect();
-        for (name, value) in &other.counters {
-            *counters.entry(name.clone()).or_insert(0) += value;
-        }
-        self.counters = counters.into_iter().collect();
-
-        let mut gauges: BTreeMap<String, i64> = self.gauges.drain(..).collect();
-        for (name, value) in &other.gauges {
-            *gauges.entry(name.clone()).or_insert(0) += value;
-        }
-        self.gauges = gauges.into_iter().collect();
-
         let mut histograms: BTreeMap<String, HistogramSnapshot> =
             self.histograms.drain(..).collect();
         for (name, snapshot) in &other.histograms {
@@ -416,39 +272,6 @@ impl RegistrySnapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, h)| h)
-    }
-
-    /// The counter named `name`, if present.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-    }
-
-    /// Renders the snapshot as Prometheus-style exposition text:
-    /// counters and gauges as `name value` lines, histograms as
-    /// `name_count`, `name_sum` and `name{quantile="…"}` estimate
-    /// lines.
-    pub fn to_prometheus_text(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
-        }
-        for (name, value) in &self.gauges {
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
-        }
-        for (name, h) in &self.histograms {
-            out.push_str(&format!("# TYPE {name} summary\n"));
-            for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
-                out.push_str(&format!(
-                    "{name}{{quantile=\"{label}\"}} {}\n",
-                    h.quantile(q)
-                ));
-            }
-            out.push_str(&format!("{name}_sum {}\n{name}_count {}\n", h.sum, h.count));
-        }
-        out
     }
 }
 
@@ -558,65 +381,55 @@ mod tests {
     #[test]
     fn registry_get_or_create_is_idempotent_and_shared() {
         let registry = MetricsRegistry::new();
-        let a = registry.counter("requests");
-        let b = registry.counter("requests");
-        a.inc();
-        b.add(2);
-        assert_eq!(a.get(), 3, "both handles hit one instrument");
         let h1 = registry.histogram("latency_ns");
         let h2 = registry.histogram("latency_ns");
         h1.observe(10);
         h2.observe(20);
-        assert_eq!(h1.count(), 2);
-        let g = registry.gauge("depth");
-        g.set(4);
+        assert_eq!(h1.count(), 2, "both handles hit one histogram");
+        assert!(Arc::ptr_eq(&h1, &h2));
+        registry.histogram("depth").observe(4);
         let snapshot = registry.snapshot();
-        assert_eq!(snapshot.counters, vec![("requests".to_string(), 3)]);
-        assert_eq!(snapshot.gauges, vec![("depth".to_string(), 4)]);
-        assert_eq!(snapshot.histograms.len(), 1);
+        let names: Vec<&str> = snapshot
+            .histograms
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .collect();
+        assert_eq!(names, vec!["depth", "latency_ns"]);
         assert_eq!(snapshot.histogram("latency_ns").unwrap().count, 2);
+        assert_eq!(snapshot.histogram("latency_ns").unwrap().sum, 30);
+        assert_eq!(snapshot.histogram("missing"), None);
         // Reset zeroes values but keeps names and handles live.
         registry.reset();
-        assert_eq!(a.get(), 0);
-        a.inc();
-        assert_eq!(registry.snapshot().counter("requests"), Some(1));
+        assert_eq!(h1.count(), 0);
+        h1.observe(7);
+        let after = registry.snapshot();
+        assert_eq!(after.histograms.len(), 2, "reset keeps every name");
+        assert_eq!(after.histogram("latency_ns").unwrap().count, 1);
+        assert_eq!(after.histogram("latency_ns").unwrap().sum, 7);
+        assert_eq!(after.histogram("depth").unwrap().count, 0);
     }
 
     #[test]
     fn snapshot_merge_sums_by_name_and_unions_the_rest() {
         let r1 = MetricsRegistry::new();
         let r2 = MetricsRegistry::new();
-        r1.counter("shared").add(5);
-        r2.counter("shared").add(7);
-        r2.counter("only_b").add(1);
         r1.histogram("lat").observe(100);
         r2.histogram("lat").observe(200);
-        r2.gauge("depth").set(3);
+        r2.histogram("only_b").observe(1);
+        r1.histogram("only_a").observe(3);
         let mut merged = r1.snapshot();
         merged.merge(&r2.snapshot());
-        assert_eq!(merged.counter("shared"), Some(12));
-        assert_eq!(merged.counter("only_b"), Some(1));
         let lat = merged.histogram("lat").unwrap();
         assert_eq!(lat.count, 2);
         assert_eq!(lat.sum, 300);
-        assert_eq!(merged.gauges, vec![("depth".to_string(), 3)]);
+        assert_eq!(
+            lat.nonzero_buckets(),
+            vec![(bucket_upper_bound(7), 1), (bucket_upper_bound(8), 1)]
+        );
+        assert_eq!(merged.histogram("only_a").unwrap().sum, 3);
+        assert_eq!(merged.histogram("only_b").unwrap().sum, 1);
         // Merged names stay sorted.
-        let names: Vec<&str> = merged.counters.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["only_b", "shared"]);
-    }
-
-    #[test]
-    fn prometheus_text_renders_every_instrument() {
-        let registry = MetricsRegistry::new();
-        registry.counter("requests_total").add(3);
-        registry.gauge("queue_depth").set(2);
-        registry.histogram("solve_ns").observe(1000);
-        let text = registry.snapshot().to_prometheus_text();
-        assert!(text.contains("# TYPE requests_total counter"), "{text}");
-        assert!(text.contains("requests_total 3"), "{text}");
-        assert!(text.contains("queue_depth 2"), "{text}");
-        assert!(text.contains("solve_ns_count 1"), "{text}");
-        assert!(text.contains("solve_ns_sum 1000"), "{text}");
-        assert!(text.contains("solve_ns{quantile=\"0.5\"}"), "{text}");
+        let names: Vec<&str> = merged.histograms.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, vec!["lat", "only_a", "only_b"]);
     }
 }

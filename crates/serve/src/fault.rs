@@ -113,16 +113,6 @@ impl FaultInjector {
         }
     }
 
-    /// An injector that never fires (the production default).
-    pub fn disabled() -> Self {
-        Self::new(FaultPlan::none())
-    }
-
-    /// The schedule this injector executes.
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
-    }
-
     /// Arms or disarms the injector at runtime. Disarming stops new
     /// faults without touching the tallies — how the chaos suite runs
     /// its post-fault clean round against the same server.
@@ -370,7 +360,7 @@ mod tests {
 
     #[test]
     fn an_inactive_plan_never_counts_or_fires() {
-        let faults = FaultInjector::disabled();
+        let faults = FaultInjector::new(FaultPlan::none());
         let mut ordinals = FaultOrdinals::default();
         for _ in 0..50 {
             faults.before_handle(&mut ordinals);

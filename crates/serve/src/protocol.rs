@@ -41,6 +41,7 @@
 //! | `tau_min`    | `net`                           | `tau_min_fs`                      |
 //! | `hello`      | —                               | server capabilities (workers, caps, version, commands) |
 //! | `stats`      | —                               | engine + server counters          |
+//! | `metrics`    | —                               | `histograms: {name: {count, sum, p50, p90, p99, buckets}}` |
 //! | `reset_stats`| —                               | the pre-reset counters, `reset: true`; counters rezero |
 //! | `drain`      | opt. `deadline_ms`              | `draining: true`, `deadline_ms`; the server stops taking work, answers what is in flight, then stops |
 //! | `shutdown`   | —                               | `stopping: true`, then the server drains |
@@ -688,26 +689,6 @@ impl Response {
                 }
             }
             Response::Metrics { snapshot } => {
-                push(
-                    "counters",
-                    Json::Obj(
-                        snapshot
-                            .counters
-                            .iter()
-                            .map(|(name, v)| (name.clone(), Json::from(*v)))
-                            .collect(),
-                    ),
-                );
-                push(
-                    "gauges",
-                    Json::Obj(
-                        snapshot
-                            .gauges
-                            .iter()
-                            .map(|(name, v)| (name.clone(), Json::Num(*v as f64)))
-                            .collect(),
-                    ),
-                );
                 push(
                     "histograms",
                     Json::Obj(
@@ -2044,6 +2025,11 @@ mod tests {
         let (response, stop) = state.handle_line(r#"{"id":7,"cmd":"metrics"}"#);
         assert!(!stop);
         assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
+        // Histograms are the registry's only instrument kind: no empty
+        // `counters`/`gauges` objects ride along.
+        assert!(matches!(response.get("histograms"), Some(Json::Obj(_))));
+        assert_eq!(response.get("counters"), None);
+        assert_eq!(response.get("gauges"), None);
         let histograms = response.get("histograms").expect("histograms object");
         let coarse = histograms
             .get("engine_chain_coarse_dp_ns")

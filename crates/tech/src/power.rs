@@ -114,13 +114,6 @@ impl PowerParams {
     pub fn repeater_power(&self, device: &RepeaterDevice, total_width: f64) -> f64 {
         self.gamma(device) * total_width
     }
-
-    /// Absolute power of a repeatered net: repeater power plus the constant
-    /// wire + receiver switching term, in W.
-    #[inline]
-    pub fn net_power(&self, device: &RepeaterDevice, total_width: f64, wire_cap_ff: f64) -> f64 {
-        self.repeater_power(device, total_width) + self.dynamic_power(wire_cap_ff)
-    }
 }
 
 #[cfg(test)]
@@ -162,16 +155,6 @@ mod tests {
         let p = params();
         let w = p.dynamic_power(2000.0);
         assert!(w > 1e-4 && w < 1e-2, "P = {w} W");
-    }
-
-    #[test]
-    fn net_power_adds_constant_term() {
-        let p = params();
-        let d = dev();
-        let with_wire = p.net_power(&d, 100.0, 1000.0);
-        let repeaters_only = p.repeater_power(&d, 100.0);
-        assert!(with_wire > repeaters_only);
-        assert!((with_wire - repeaters_only - p.dynamic_power(1000.0)).abs() < 1e-18);
     }
 
     #[test]

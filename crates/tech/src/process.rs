@@ -106,13 +106,6 @@ impl Technology {
     pub fn power(&self) -> &PowerParams {
         &self.power
     }
-
-    /// Returns a copy with a different device model (builder-style).
-    #[must_use]
-    pub fn with_device(mut self, device: RepeaterDevice) -> Self {
-        self.device = device;
-        self
-    }
 }
 
 impl Default for Technology {
@@ -164,14 +157,5 @@ mod tests {
         let t = Technology::generic_180nm();
         let result = Technology::new("x", *t.device(), vec![], *t.power());
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn builder_style_updates() {
-        let t = Technology::generic_180nm();
-        let fast = RepeaterDevice::new(3000.0, 1.8, 1.4).unwrap();
-        let t2 = t.clone().with_device(fast);
-        assert_eq!(t2.device().rs(), 3000.0);
-        assert_eq!(t2.layers(), t.layers());
     }
 }

@@ -19,17 +19,8 @@
 /// Femtoseconds per nanosecond (10⁶).
 pub const FS_PER_NS: f64 = 1.0e6;
 
-/// Femtoseconds per picosecond (10³).
-pub const FS_PER_PS: f64 = 1.0e3;
-
 /// Farads per femtofarad (10⁻¹⁵).
 pub const FARAD_PER_FF: f64 = 1.0e-15;
-
-/// Seconds per femtosecond (10⁻¹⁵).
-pub const SECOND_PER_FS: f64 = 1.0e-15;
-
-/// Micrometres per millimetre (10³).
-pub const UM_PER_MM: f64 = 1.0e3;
 
 /// Converts a time in femtoseconds (the internal unit) to nanoseconds.
 ///
@@ -55,51 +46,6 @@ pub fn fs_from_ns(ns: f64) -> f64 {
     ns * FS_PER_NS
 }
 
-/// Converts a time in femtoseconds to picoseconds.
-#[inline]
-pub fn ps_from_fs(fs: f64) -> f64 {
-    fs / FS_PER_PS
-}
-
-/// Converts a capacitance in femtofarads to farads.
-#[inline]
-pub fn farad_from_ff(ff: f64) -> f64 {
-    ff * FARAD_PER_FF
-}
-
-/// Converts a length in micrometres to millimetres.
-#[inline]
-pub fn mm_from_um(um: f64) -> f64 {
-    um / UM_PER_MM
-}
-
-/// Relative tolerance used when comparing physical quantities that went
-/// through different but algebraically equivalent computations (e.g. the
-/// π-ladder Elmore sum vs. the closed-form prefix integrals).
-pub const REL_TOL: f64 = 1.0e-9;
-
-/// Returns `true` when `a` and `b` are equal within [`REL_TOL`] relative
-/// tolerance (with an absolute floor for values near zero).
-///
-/// # Examples
-///
-/// ```
-/// assert!(rip_tech::units::approx_eq(1.0, 1.0 + 1e-12));
-/// assert!(!rip_tech::units::approx_eq(1.0, 1.01));
-/// ```
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    approx_eq_tol(a, b, REL_TOL)
-}
-
-/// Returns `true` when `a` and `b` are equal within the given relative
-/// tolerance (with the same tolerance used as an absolute floor near zero).
-#[inline]
-pub fn approx_eq_tol(a: f64, b: f64, tol: f64) -> bool {
-    let scale = a.abs().max(b.abs()).max(1.0);
-    (a - b).abs() <= tol * scale
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,38 +59,10 @@ mod tests {
     #[test]
     fn one_ohm_times_one_ff_is_one_fs() {
         // The invariant that motivates the unit system: R [Ω] * C [fF]
-        // directly yields fs, i.e. 1e-15 s.
+        // directly yields fs, i.e. the same product in Ω·F is 1e-15 s.
         let r_ohm = 1.0;
         let c_ff = 1.0;
-        let tau_fs = r_ohm * c_ff;
-        assert!((tau_fs * SECOND_PER_FS - 1e-15).abs() < 1e-30);
-    }
-
-    #[test]
-    fn ps_conversion() {
-        assert_eq!(ps_from_fs(1500.0), 1.5);
-    }
-
-    #[test]
-    fn farad_conversion() {
-        assert!((farad_from_ff(250.0) - 2.5e-13).abs() < 1e-25);
-    }
-
-    #[test]
-    fn mm_conversion() {
-        assert_eq!(mm_from_um(12_000.0), 12.0);
-    }
-
-    #[test]
-    fn approx_eq_handles_zero_neighbourhood() {
-        assert!(approx_eq(0.0, 1e-12));
-        assert!(approx_eq(1e9, 1e9 * (1.0 + 1e-10)));
-        assert!(!approx_eq(0.0, 1e-3));
-    }
-
-    #[test]
-    fn approx_eq_tol_is_scale_aware() {
-        assert!(approx_eq_tol(1000.0, 1001.0, 1e-2));
-        assert!(!approx_eq_tol(1000.0, 1020.0, 1e-2));
+        let tau_s = r_ohm * (c_ff * FARAD_PER_FF);
+        assert!((tau_s - 1e-15).abs() < 1e-30);
     }
 }

@@ -87,16 +87,6 @@ impl WireLayer {
     pub fn capacitance(&self, length_um: f64) -> f64 {
         self.c_per_um * length_um
     }
-
-    /// Intrinsic distributed RC delay of an *unbuffered* wire of the given
-    /// length on this layer: `r·c·L²/2`, in fs.
-    ///
-    /// Useful as a scale anchor: repeater insertion exists precisely
-    /// because this quantity grows quadratically with length.
-    #[inline]
-    pub fn unbuffered_delay(&self, length_um: f64) -> f64 {
-        0.5 * self.r_per_um * self.c_per_um * length_um * length_um
-    }
 }
 
 #[cfg(test)]
@@ -118,26 +108,6 @@ mod tests {
         let m4 = WireLayer::metal4_180nm();
         assert!((m4.resistance(2000.0) - 2.0 * m4.resistance(1000.0)).abs() < 1e-12);
         assert!((m4.capacitance(2000.0) - 2.0 * m4.capacitance(1000.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unbuffered_delay_is_quadratic() {
-        let m4 = WireLayer::metal4_180nm();
-        let d1 = m4.unbuffered_delay(1000.0);
-        let d2 = m4.unbuffered_delay(2000.0);
-        assert!((d2 / d1 - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ten_mm_unbuffered_delay_is_nanoseconds_scale() {
-        // 10 mm of metal4: 0.5 * 0.08 * 0.2 * (1e4)^2 = 8e5 fs = 0.8 ns.
-        let m4 = WireLayer::metal4_180nm();
-        let d_ns = rip_tech_units_ns(m4.unbuffered_delay(10_000.0));
-        assert!(d_ns > 0.1 && d_ns < 10.0, "d = {d_ns} ns");
-    }
-
-    fn rip_tech_units_ns(fs: f64) -> f64 {
-        crate::units::ns_from_fs(fs)
     }
 
     #[test]
