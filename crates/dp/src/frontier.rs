@@ -109,14 +109,25 @@ impl OptionBuf {
         self.pending.push(pending);
     }
 
-    /// Appends every option of `src`, column by column (the tree DP
-    /// parks each node's finished frontier in its store arena this way).
-    pub(crate) fn append_from(&mut self, src: &OptionBuf) {
-        self.cap.extend_from_slice(&src.cap);
-        self.delay.extend_from_slice(&src.delay);
-        self.width.extend_from_slice(&src.width);
-        self.trace.extend_from_slice(&src.trace);
-        self.pending.extend_from_slice(&src.pending);
+    /// Appends the options `range` of `src`, column by column (the tree
+    /// DP parks each node's finished frontier in its store arena this
+    /// way, and reads a first child's survivors back out of it).
+    pub(crate) fn extend_from(&mut self, src: &OptionBuf, range: Range<usize>) {
+        self.cap.extend_from_slice(&src.cap[range.clone()]);
+        self.delay.extend_from_slice(&src.delay[range.clone()]);
+        self.width.extend_from_slice(&src.width[range.clone()]);
+        self.trace.extend_from_slice(&src.trace[range.clone()]);
+        self.pending.extend_from_slice(&src.pending[range]);
+    }
+
+    /// Overwrites option `at` with the given columns.
+    #[inline]
+    pub(crate) fn set(&mut self, at: usize, cap: f64, delay: f64, width: f64, trace: u32) {
+        self.cap[at] = cap;
+        self.delay[at] = delay;
+        self.width[at] = width;
+        self.trace[at] = trace;
+        self.pending[at] = f64::NAN;
     }
 
     /// Drops every option whose delay exceeds `target_fs`, preserving
@@ -288,6 +299,18 @@ impl InsertStep {
         created
     }
 
+    /// Whether the last [`InsertStep::generate`] left any insertion to
+    /// merge. Without one, [`InsertStep::merge_into`] only re-runs the
+    /// `(delay[, width])` dominance sweep over `front` in index order,
+    /// which keeps every option of a frontier that already left such a
+    /// sweep in key order: a constant cap shift or a subset cannot make
+    /// an option dominate a later one. The tree DP skips the merge then;
+    /// the chain sweep does not, because its wire crossing is not
+    /// followed by a prune.
+    pub(crate) fn generated_any(&self) -> bool {
+        self.fresh.len() > 0
+    }
+
     /// Merges the insertions of the last [`InsertStep::generate`] into
     /// the sorted frontier `front`, leaving the objective's Pareto
     /// frontier there, then records each surviving insertion:
@@ -364,35 +387,28 @@ fn reduce_bucket(bucket: &mut [BucketItem], mut emit: impl FnMut(&BucketItem)) {
     }
 }
 
-/// A frontier (or a range of one) regrouped into runs of exactly equal
-/// width: the width classes of the buffer-insertion step and of the tree
-/// DP's branch merge. Within a run the options keep their index order,
-/// so their caps stay non-decreasing.
+/// Exact-value classes of `f64` keys: an open-addressing table from a
+/// key's bits, `(x + 0.0).to_bits()` (so `-0.0` and `0.0` share a class),
+/// to a dense class id, with each class's count. After
+/// [`ClassTable::lay_out`] the classes are ranked by ascending key and
+/// each count becomes its class's next free offset in a key-ordered
+/// layout. This is the one hash table of both grouping passes: the width
+/// classes of [`WidthRuns`] and the exact-cap buckets that order the
+/// tree DP's branch-merge products.
 ///
-/// Classing is linear in the options: a hash table gives each option
-/// its class, only the few distinct widths are sorted, and a counting
-/// pass scatters the indices stably into their runs. A frontier holds
-/// about 30 classes among hundreds of options, so sorting the classes
-/// costs far less than sorting every index. The table's slot is the
-/// top bits of a multiplicative hash: widths on the library grid end in
-/// dozens of zero mantissa bits, so the product's low bits are zero too
-/// and a low-bit slot would put every class in slot 0.
+/// The table's slot is the top bits of a multiplicative hash: widths on
+/// the library grid end in dozens of zero mantissa bits, so the
+/// product's low bits are zero too and a low-bit slot would put every
+/// class in slot 0.
 #[derive(Debug, Default)]
-pub(crate) struct WidthRuns {
-    /// Option indices, sorted by width, then index.
-    order: Vec<u32>,
-    /// Offset of each run in `order`, then `order.len()`.
-    starts: Vec<u32>,
-    /// Open-addressing table of class ids (`EMPTY` = free slot), a power
-    /// of two at most half full.
+pub(crate) struct ClassTable {
+    /// Class ids (`EMPTY` = free slot), a power of two at most half full.
     slots: Vec<u32>,
-    /// Each class's width key, `(w + 0.0).to_bits()`.
+    /// Each class's key bits.
     keys: Vec<u64>,
-    /// Each class's option count, then its next free offset in `order`.
+    /// Each class's count, then (after `lay_out`) its next free offset.
     counts: Vec<u32>,
-    /// The class of each option of the range, in index order.
-    class_of: Vec<u32>,
-    /// Class ids in ascending width order.
+    /// Class ids in ascending key order (after `lay_out`).
     ranked: Vec<u32>,
 }
 
@@ -400,12 +416,157 @@ const EMPTY: u32 = u32::MAX;
 /// Slots of the class table at the start of each grouping.
 const MIN_SLOTS: usize = 64;
 
-/// The table slot of width key `bits` among `len` (a power of two)
-/// slots: the top bits of a multiplicative (Fibonacci) hash, which
-/// depend on every bit of the key.
+/// The table slot of key `bits` among `len` (a power of two) slots: the
+/// top bits of a multiplicative (Fibonacci) hash, which depend on every
+/// bit of the key.
 #[inline]
 fn slot_of(bits: u64, len: usize) -> usize {
     (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - len.trailing_zeros())) as usize
+}
+
+impl ClassTable {
+    /// Forgets every class, keeping capacity.
+    pub(crate) fn reset(&mut self) {
+        self.keys.clear();
+        self.counts.clear();
+        self.slots.clear();
+        self.slots.resize(MIN_SLOTS, EMPTY);
+    }
+
+    /// The slot holding the class of key `bits`, or the free slot where
+    /// it belongs.
+    #[inline]
+    fn probe(&self, bits: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut s = slot_of(bits, self.slots.len());
+        loop {
+            match self.slots[s] {
+                EMPTY => return s,
+                c if self.keys[c as usize] == bits => return s,
+                _ => s = (s + 1) & mask,
+            }
+        }
+    }
+
+    /// Counts one occurrence of `x` and returns its class, created on
+    /// first sight.
+    #[inline]
+    pub(crate) fn insert(&mut self, x: f64) -> u32 {
+        let bits = (x + 0.0).to_bits();
+        let s = self.probe(bits);
+        let class = match self.slots[s] {
+            EMPTY => {
+                let class = self.keys.len() as u32;
+                self.slots[s] = class;
+                self.keys.push(bits);
+                self.counts.push(0);
+                if 2 * self.keys.len() > self.slots.len() {
+                    self.grow();
+                }
+                class
+            }
+            c => c,
+        };
+        self.counts[class as usize] += 1;
+        class
+    }
+
+    /// The class of `x`, which must have been inserted since the last
+    /// reset.
+    #[inline]
+    pub(crate) fn find(&self, x: f64) -> u32 {
+        let class = self.slots[self.probe((x + 0.0).to_bits())];
+        debug_assert_ne!(class, EMPTY, "key {x} was never inserted");
+        class
+    }
+
+    /// Doubles the table and re-inserts every class.
+    fn grow(&mut self) {
+        let len = 2 * self.slots.len();
+        self.slots.clear();
+        self.slots.resize(len, EMPTY);
+        for (class, &bits) in self.keys.iter().enumerate() {
+            let mut s = slot_of(bits, len);
+            while self.slots[s] != EMPTY {
+                s = (s + 1) & (len - 1);
+            }
+            self.slots[s] = class as u32;
+        }
+    }
+
+    /// Lays the classes out in ascending key order, each as one
+    /// contiguous run of its count: appends each run's start offset, in
+    /// rank order, and then the total to `starts`, and turns each
+    /// class's count into its run's start (see [`ClassTable::take`]).
+    /// Distinct keys are distinct values, so the ranking has no ties.
+    pub(crate) fn lay_out(&mut self, starts: &mut Vec<u32>) {
+        let Self {
+            keys,
+            counts,
+            ranked,
+            ..
+        } = self;
+        ranked.clear();
+        ranked.extend(0..keys.len() as u32);
+        let key = |c: &u32| f64::from_bits(keys[*c as usize]);
+        ranked.sort_unstable_by(|x, y| cmp_f64(key(x), key(y)));
+        let mut offset = 0;
+        for &c in ranked.iter() {
+            starts.push(offset);
+            let count = counts[c as usize];
+            counts[c as usize] = offset;
+            offset += count;
+        }
+        starts.push(offset);
+    }
+
+    /// The key of `class`.
+    pub(crate) fn key(&self, class: u32) -> f64 {
+        f64::from_bits(self.keys[class as usize])
+    }
+
+    /// The class ids in ascending key order, after
+    /// [`ClassTable::lay_out`].
+    pub(crate) fn ranked(&self) -> &[u32] {
+        &self.ranked
+    }
+
+    /// The next free offset in `class`'s run, after
+    /// [`ClassTable::lay_out`].
+    #[inline]
+    pub(crate) fn next(&self, class: u32) -> usize {
+        self.counts[class as usize] as usize
+    }
+
+    /// Takes the next free offset in `class`'s run.
+    #[inline]
+    pub(crate) fn take(&mut self, class: u32) -> usize {
+        let next = &mut self.counts[class as usize];
+        *next += 1;
+        *next as usize - 1
+    }
+}
+
+/// A frontier (or a range of one) regrouped into runs of exactly equal
+/// width: the width classes of the buffer-insertion step and of the tree
+/// DP's branch merge. Within a run the options keep their index order,
+/// so their caps stay non-decreasing.
+///
+/// Classing is linear in the options: the [`ClassTable`] gives each
+/// option its class, only the few distinct widths are sorted, and a
+/// counting pass scatters the indices stably into their runs. A frontier
+/// holds about 30 classes among hundreds of options, so sorting the
+/// classes costs far less than sorting every index.
+#[derive(Debug, Default)]
+pub(crate) struct WidthRuns {
+    /// Option indices, sorted by width, then index.
+    order: Vec<u32>,
+    /// Offset of each run in `order`, then `order.len()`.
+    starts: Vec<u32>,
+    /// The width classes.
+    table: ClassTable,
+    /// The class of each option of the range, in index order.
+    class_of: Vec<u32>,
 }
 
 impl WidthRuns {
@@ -430,57 +591,19 @@ impl WidthRuns {
         let Self {
             order,
             starts,
-            slots,
-            keys,
-            counts,
+            table,
             class_of,
-            ranked,
         } = self;
-        keys.clear();
-        counts.clear();
+        table.reset();
         class_of.clear();
-        slots.clear();
-        slots.resize(MIN_SLOTS, EMPTY);
-        for &w in &widths[range.clone()] {
-            let bits = (w + 0.0).to_bits();
-            let mut s = slot_of(bits, slots.len());
-            let class = loop {
-                match slots[s] {
-                    EMPTY => {
-                        let class = keys.len() as u32;
-                        slots[s] = class;
-                        keys.push(bits);
-                        counts.push(0);
-                        if 2 * keys.len() > slots.len() {
-                            grow(slots, keys);
-                        }
-                        break class;
-                    }
-                    c if keys[c as usize] == bits => break c,
-                    _ => s = (s + 1) & (slots.len() - 1),
-                }
-            };
-            counts[class as usize] += 1;
-            class_of.push(class);
-        }
-        // Distinct keys are distinct widths, so the sort has no ties.
-        ranked.clear();
-        ranked.extend(0..keys.len() as u32);
-        let width = |c: &u32| f64::from_bits(keys[*c as usize]);
-        ranked.sort_unstable_by(|x, y| cmp_f64(width(x), width(y)));
-        let mut offset = 0;
-        for &c in ranked.iter() {
-            starts.push(offset);
-            let count = counts[c as usize];
-            counts[c as usize] = offset;
-            offset += count;
-        }
-        starts.push(offset);
-        order.resize(offset as usize, 0);
+        class_of.extend(widths[range.clone()].iter().map(|&w| table.insert(w)));
+        table.lay_out(starts);
+        order.resize(
+            *starts.last().expect("lay_out pushes the total") as usize,
+            0,
+        );
         for (&c, i) in class_of.iter().zip(range) {
-            let next = &mut counts[c as usize];
-            order[*next as usize] = i as u32;
-            *next += 1;
+            order[table.take(c)] = i as u32;
         }
     }
 
@@ -490,20 +613,6 @@ impl WidthRuns {
         self.starts
             .windows(2)
             .map(|w| &self.order[w[0] as usize..w[1] as usize])
-    }
-}
-
-/// Doubles the class table and re-inserts every class.
-fn grow(slots: &mut Vec<u32>, keys: &[u64]) {
-    let len = 2 * slots.len();
-    slots.clear();
-    slots.resize(len, EMPTY);
-    for (class, &bits) in keys.iter().enumerate() {
-        let mut s = slot_of(bits, len);
-        while slots[s] != EMPTY {
-            s = (s + 1) & (len - 1);
-        }
-        slots[s] = class as u32;
     }
 }
 
@@ -940,7 +1049,7 @@ mod tests {
                 let expect = sorted_runs(&widths, start..end, by_width);
                 assert_eq!(got, expect, "round {round} by_width {by_width}");
             }
-            grew |= runs.slots.len() > MIN_SLOTS;
+            grew |= runs.table.slots.len() > MIN_SLOTS;
             let slice = &widths[start..end];
             signed_zero |= slice.iter().any(|w| w.to_bits() == 0)
                 && slice.iter().any(|w| w.to_bits() == (-0.0f64).to_bits());

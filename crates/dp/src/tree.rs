@@ -15,22 +15,37 @@
 //! * per-node option sets are sorted `(cap, delay[, width])` frontiers
 //!   parked in one append-only SoA **store arena** inside the thread's
 //!   reusable [`TreeScratch`] — no per-node `Vec` allocations;
-//! * edge propagation is a linear **in-place** pass over the store's
-//!   columns (the child frontier is consumed exactly once, by its
-//!   parent, so it can be lifted where it lies);
+//! * edge propagation lifts the child frontier **in place**, and the
+//!   first child is pruned where it lies: it is consumed exactly once,
+//!   by its parent. Merged with the unit accumulator, its products are
+//!   `(0 + cap, max(0, delay), 0 + width)` in range order, so when the
+//!   admitted ones are non-decreasing in the key (one read-only check)
+//!   the prune sweep reads them straight from the store and compacts the
+//!   survivors inside the child's range. A node with one child and no
+//!   buffer site (a **pass-through** node) then adds its tap and applies
+//!   the bound there too, and its frontier is that range: nothing is
+//!   staged or copied. When rounding in the lift breaks the key order
+//!   (about 2 % of first children), the products are staged and ordered
+//!   like a branch merge's;
 //! * branch cross-merges stage only the products that can survive, then
-//!   prune with an in-place unstable sort on the full key plus the
-//!   product's source indices `(a, b)` (generation order, so the sort is
-//!   order-equivalent to the reference's clone + stable sort, without
-//!   either allocation) followed by a single binary-search [`Staircase`]
-//!   dominance sweep;
+//!   order them by the full key plus the product's source indices
+//!   `(a, b)` without a comparison sort of the whole set: each product's
+//!   exact cap is classed by the shared [`ClassTable`], only the
+//!   distinct caps are sorted, the products are permuted in place into
+//!   ascending-cap buckets, and each bucket is sorted on
+//!   `(delay[, width], a, b)`. `(a, b)` is unique, so the key is total
+//!   and the order is the one a full sort would give (the reference's
+//!   stable sort, since `(a, b)` is generation order). One
+//!   binary-search [`Staircase`] dominance sweep follows;
 //! * each legal node runs the buffer-insertion step that the chain sweep
 //!   runs at each candidate ([`InsertStep`]): the tree supplies the load
 //!   `tap + C_in(w)`, the stage delay `(d + i) + R·c`, the admission
 //!   test [`Bound::admits`] and a [`TArena`] buffer record, and the
 //!   step's linear merge combines the fresh insertions with the
-//!   unbuffered options. The answer comes from the chain's final pick
-//!   ([`select`]) over the root frontier.
+//!   unbuffered options (skipped when no insertion was generated: the
+//!   frontier just left a prune sweep, so the merge would keep it as
+//!   is). The answer comes from the chain's final pick ([`select`]) over
+//!   the root frontier.
 //!
 //! Two rules keep the staged products few without changing a survivor:
 //!
@@ -56,8 +71,8 @@
 //!   staged product, no smaller cap or delay, and a later `(a, b)`, so
 //!   it sorts after that product and the sweep would have dropped it:
 //!   the pruner emits the same survivors in the same order as if all
-//!   `|A|×|B|` products had been staged. The unit accumulator (each
-//!   node's first child) stages in order, without regrouping.
+//!   `|A|×|B|` products had been staged. The first child merges with
+//!   the unit accumulator, without regrouping.
 //!
 //! Traces are lazy, as in the chain sweep: a staged product carries only
 //! its source indices and a fresh insertion only its pending width, and
@@ -72,11 +87,12 @@
 
 use crate::chain::{DpStats, Objective};
 use crate::error::DpError;
-use crate::frontier::{cmp_f64, select, InsertStep, OptionBuf, WidthRuns};
+use crate::frontier::{cmp_f64, select, ClassTable, InsertStep, OptionBuf, WidthRuns};
 use crate::options::Staircase;
 use rip_delay::RcTree;
 use rip_tech::{RepeaterDevice, RepeaterLibrary};
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::ops::Range;
 
 /// A buffered-tree solution.
@@ -159,10 +175,10 @@ impl TArena {
 
 /// One staged cross-merge product before pruning: accumulator option `a`
 /// joined with child store option `b`. Products are generated a-outer,
-/// b-inner, so an in-place unstable sort on the full
-/// `(cap, delay[, width], a, b)` key reproduces the reference pruner's
-/// stable sort without its clone or temporary allocation, and the trace
-/// join can wait until the product survives.
+/// b-inner, so ordering them on the full `(cap, delay[, width], a, b)`
+/// key ([`Products::order`]) reproduces the reference pruner's stable
+/// sort without its clone or temporary allocation, and the trace join
+/// can wait until the product survives.
 #[derive(Debug, Clone, Copy)]
 struct CrossItem {
     cap: f64,
@@ -176,11 +192,161 @@ struct CrossItem {
 // solve; the lazy trace must not widen it.
 const _: () = assert!(std::mem::size_of::<CrossItem>() == 32);
 
+/// The staged products of a cross-merge, and the exact-cap buckets that
+/// order them.
+#[derive(Debug, Default)]
+struct Products {
+    /// Staged products, ordered and pruned in place.
+    items: Vec<CrossItem>,
+    /// The distinct caps of `items`.
+    caps: ClassTable,
+    /// Start of each bucket, in ascending cap order, then the total.
+    starts: Vec<u32>,
+}
+
+impl Products {
+    /// Orders the products by `(cap, delay[, width], a, b)` in place:
+    /// classes each one by its exact cap ([`ClassTable`], so `-0.0` and
+    /// `0.0` share a bucket, as they compare equal), sorts only the
+    /// distinct caps, permutes the products into ascending-cap buckets by
+    /// following displacement cycles (American-flag sort), and sorts each
+    /// bucket on `(delay[, width], a, b)`. A paper-scale branch merge
+    /// stages some 32K products on about 1.2K distinct caps, so a product
+    /// pays two table probes and a sort among its bucket, not `log₂ n`
+    /// comparisons against the whole set. No per-product side buffer is
+    /// kept: a displaced product's class is looked up again. With more
+    /// than [`GROUPED_ABOVE`] distinct caps the products are first moved
+    /// into groups of consecutive caps ([`group_by_cap`]).
+    fn order(&mut self, objective: Objective) {
+        let Self {
+            items: products,
+            caps,
+            starts,
+        } = self;
+        caps.reset();
+        for p in products.iter() {
+            caps.insert(p.cap);
+        }
+        starts.clear();
+        caps.lay_out(starts);
+        if starts.len() - 1 > GROUPED_ABOVE {
+            group_by_cap(products, caps, starts);
+        }
+        let by_width = matches!(objective, Objective::MinPowerUnderDelay { .. });
+        for r in 0..starts.len() - 1 {
+            let (c, end) = (caps.ranked()[r], starts[r + 1] as usize);
+            // Fill bucket `c`: each product taken from its next free slot
+            // goes to its own bucket's next free slot, and the displaced
+            // one moves on, until a product of `c` closes the cycle.
+            while caps.next(c) < end {
+                let i = caps.next(c);
+                let mut item = products[i];
+                let mut k = caps.find(item.cap);
+                while k != c {
+                    std::mem::swap(&mut item, &mut products[caps.take(k)]);
+                    k = caps.find(item.cap);
+                }
+                products[caps.take(c)] = item;
+            }
+            let bucket = &mut products[starts[r] as usize..end];
+            if bucket.len() > 1 {
+                bucket.sort_unstable_by(|x, y| {
+                    cmp_f64(x.delay, y.delay)
+                        .then_with(|| {
+                            if by_width {
+                                cmp_f64(x.width, y.width)
+                            } else {
+                                Ordering::Equal
+                            }
+                        })
+                        .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
+                });
+            }
+        }
+    }
+
+    /// Prunes the staged products to their non-dominated frontier and
+    /// emits the survivors in sorted, reference order: the products are
+    /// put in `(cap, delay[, width], a, b)` order by
+    /// [`Products::order`] — the order of the reference's stable
+    /// `prune_2d`/`prune_3d` sort — and fed to the [`Sweep`].
+    fn prune(
+        &mut self,
+        objective: Objective,
+        stairs: &mut Staircase,
+        mut emit: impl FnMut(&CrossItem),
+    ) {
+        self.order(objective);
+        let mut sweep = Sweep::new(objective, stairs);
+        for p in &self.items {
+            if sweep.keeps(p.delay, p.width) {
+                emit(p);
+            }
+        }
+    }
+}
+
+/// Distinct caps above which [`Products::order`] groups the products
+/// first. Its cycles keep one cursor per distinct cap; past 2¹⁵ of them
+/// (2 MB of cache lines) the cursors outgrow a core's cache and nearly
+/// every step of a cycle misses: on stream tree 21 a 1.1M-product merge
+/// on 122K caps spent 325 ms in the cycles, against 115 ms grouped.
+const GROUPED_ABOVE: usize = 1 << 15;
+
+/// Most groups [`group_by_cap`] makes: few enough cursors to stay cached.
+const GROUPS: usize = 256;
+
+/// Moves every product into its group of `2^shift` consecutive cap
+/// ranks — at most [`GROUPS`] groups, laid out as [`ClassTable::lay_out`]
+/// laid out the caps — by the same in-place cycles, with a product's group
+/// found by binary search over the groups' least caps. The per-cap cycles
+/// that follow then stay inside one group's span of the array.
+fn group_by_cap(products: &mut [CrossItem], caps: &ClassTable, starts: &[u32]) {
+    let classes = starts.len() - 1;
+    let shift = classes
+        .div_ceil(GROUPS)
+        .next_power_of_two()
+        .trailing_zeros();
+    let groups = classes.div_ceil(1 << shift);
+    let (mut least, mut next) = ([0.0; GROUPS], [0; GROUPS]);
+    for g in 0..groups {
+        least[g] = caps.key(caps.ranked()[g << shift]);
+        next[g] = starts[g << shift] as usize;
+    }
+    let least = &least[..groups];
+    let group = |cap: f64| least.partition_point(|&c| c <= cap) - 1;
+    for g in 0..groups {
+        let end = starts[((g + 1) << shift).min(classes)] as usize;
+        while next[g] < end {
+            let i = next[g];
+            let mut item = products[i];
+            let mut h = group(item.cap);
+            while h != g {
+                std::mem::swap(&mut item, &mut products[next[h]]);
+                next[h] += 1;
+                h = group(item.cap);
+            }
+            products[i] = item;
+            next[g] += 1;
+        }
+    }
+    debug_assert!(
+        (0..groups).all(|g| {
+            let span =
+                starts[g << shift] as usize..starts[((g + 1) << shift).min(classes)] as usize;
+            products[span].iter().all(|p| group(p.cap) == g)
+        }),
+        "a product left outside its cap group"
+    );
+}
+
 /// Reusable working memory for the tree DP: the per-node frontier store
 /// (one append-only SoA arena plus `(start, len)` ranges), the running
 /// cross-merge accumulator, the width runs of both merge sides, the
-/// staged cross-merge products, the buffer-insertion step's buffers, and
-/// the trace arena.
+/// staged cross-merge products and their cap buckets, the
+/// buffer-insertion step's buffers, and the trace arena. A first child
+/// in key order stages nothing: it is pruned inside the store, where a
+/// pass-through node's frontier then stays.
 ///
 /// A scratch is plain reusable memory — it carries no configuration and
 /// never influences results. Solvers reset it on entry, so one scratch
@@ -200,8 +366,8 @@ pub(crate) struct TreeScratch {
     runs_a: WidthRuns,
     /// The child side of a branch merge, grouped by width.
     runs_b: WidthRuns,
-    /// Staged cross-merge products, pruned in place.
-    products: Vec<CrossItem>,
+    /// Staged cross-merge products.
+    products: Products,
     /// The buffer-insertion step; its merge buffer and staircase also
     /// serve the cross-merge.
     step: InsertStep,
@@ -219,7 +385,7 @@ impl TreeScratch {
         self.acc.clear();
         self.runs_a.clear();
         self.runs_b.clear();
-        self.products.clear();
+        self.products.items.clear();
         self.step.clear();
         self.arena.reset();
     }
@@ -259,6 +425,17 @@ impl Bound {
     }
 }
 
+/// The `(cap, delay, width)` of the product of accumulator option `a`
+/// and store option `b`.
+#[inline]
+fn product(acc: &OptionBuf, a: usize, store: &OptionBuf, b: usize) -> (f64, f64, f64) {
+    (
+        acc.cap[a] + store.cap[b],
+        acc.delay[a].max(store.delay[b]),
+        acc.width[a] + store.width[b],
+    )
+}
+
 /// Stages the product of accumulator option `a` and store option `b`
 /// when the bound admits it.
 #[inline]
@@ -270,13 +447,12 @@ fn stage(
     b: usize,
     admits: &impl Fn(f64, f64) -> bool,
 ) {
-    let delay = acc.delay[a].max(store.delay[b]);
-    let cap = acc.cap[a] + store.cap[b];
+    let (cap, delay, width) = product(acc, a, store, b);
     if admits(delay, cap) {
         products.push(CrossItem {
             cap,
             delay,
-            width: acc.width[a] + store.width[b],
+            width,
             a: a as u32,
             b: b as u32,
         });
@@ -302,7 +478,7 @@ fn stage_all(
 /// Stages the admitted products of each run pair with the two-pointer
 /// walk. A skipped product has the width of the staged product it
 /// passed, no smaller cap or delay, and a later `(a, b)`, so
-/// [`cross_merge_prune`] would drop it anyway.
+/// [`Products::prune`] would drop it anyway.
 fn stage_walk(
     products: &mut Vec<CrossItem>,
     acc: &OptionBuf,
@@ -331,50 +507,129 @@ thread_local! {
     static TREE_SCRATCH: RefCell<TreeScratch> = RefCell::default();
 }
 
-/// Prunes the staged cross-merge products to their non-dominated
-/// frontier and emits the survivors in sorted, reference order: an
-/// in-place unstable sort on `(cap, delay[, width], a, b)` —
-/// order-equivalent to the reference's stable `prune_2d`/`prune_3d`
-/// sort — followed by one linear dominance sweep (min-delay record in
-/// 2D, binary-search [`Staircase`] in 3D).
-fn cross_merge_prune(
-    products: &mut [CrossItem],
+/// The one prune of the tree DP's cross-merges, fed options in key order
+/// `(cap, delay[, width])`: the min-delay record in 2D, the binary-search
+/// [`Staircase`] over `(delay, width)` in 3D. An option survives when no
+/// earlier one dominates it; key order makes exact duplicates collapse
+/// to the first fed.
+struct Sweep<'a> {
     objective: Objective,
-    stairs: &mut Staircase,
-    mut emit: impl FnMut(&CrossItem),
-) {
-    let generation = |x: &CrossItem, y: &CrossItem| (x.a, x.b).cmp(&(y.a, y.b));
-    match objective {
-        Objective::MinDelay => {
-            products.sort_unstable_by(|x, y| {
-                cmp_f64(x.cap, y.cap)
-                    .then_with(|| cmp_f64(x.delay, y.delay))
-                    .then_with(|| generation(x, y))
-            });
-            let mut best_delay = f64::INFINITY;
-            for p in products.iter() {
-                if p.delay < best_delay {
-                    best_delay = p.delay;
-                    emit(p);
-                }
-            }
+    best_delay: f64,
+    stairs: &'a mut Staircase,
+}
+
+impl<'a> Sweep<'a> {
+    fn new(objective: Objective, stairs: &'a mut Staircase) -> Self {
+        stairs.clear();
+        Self {
+            objective,
+            best_delay: f64::INFINITY,
+            stairs,
         }
-        Objective::MinPowerUnderDelay { .. } => {
-            products.sort_unstable_by(|x, y| {
-                cmp_f64(x.cap, y.cap)
-                    .then_with(|| cmp_f64(x.delay, y.delay))
-                    .then_with(|| cmp_f64(x.width, y.width))
-                    .then_with(|| generation(x, y))
-            });
-            stairs.clear();
-            for p in products.iter() {
-                if !stairs.dominates(p.delay, p.width) {
-                    stairs.insert(p.delay, p.width);
-                    emit(p);
+    }
+
+    /// Whether the next option in key order survives.
+    #[inline]
+    fn keeps(&mut self, delay: f64, width: f64) -> bool {
+        match self.objective {
+            Objective::MinDelay => {
+                let keep = delay < self.best_delay;
+                if keep {
+                    self.best_delay = delay;
                 }
+                keep
+            }
+            Objective::MinPowerUnderDelay { .. } => {
+                let keep = !self.stairs.dominates(delay, width);
+                if keep {
+                    self.stairs.insert(delay, width);
+                }
+                keep
             }
         }
     }
+}
+
+/// Cross-merges the unit accumulator `unit` with a node's first child,
+/// the lifted frontier `store[range]`, and leaves the survivors at the
+/// front of `range`. Returns the number of staged (admitted) products
+/// and of survivors.
+///
+/// The unit's products are the child's options in range order, each
+/// `(0 + cap, max(0, delay), 0 + width)` with the child's trace (the
+/// unit's trace is empty). When the admitted ones are non-decreasing in
+/// the objective's key — the generation index `b` then breaks ties, as
+/// in a full sort — range order is key order: one read-only pass checks
+/// that, and the [`Sweep`] reads them where they lie, writing each
+/// survivor at or before its own slot. Otherwise the products are
+/// staged in `products`, ordered and pruned by [`Products::prune`] into
+/// `merged`, and copied back.
+fn merge_first_child(
+    store: &mut OptionBuf,
+    range: Range<usize>,
+    unit: &OptionBuf,
+    objective: Objective,
+    admits: &impl Fn(f64, f64) -> bool,
+    products: &mut Products,
+    step: &mut InsertStep,
+) -> (usize, usize) {
+    debug_assert!(unit.len() == 1 && unit.trace[0] == 0);
+    let by_width = matches!(objective, Objective::MinPowerUnderDelay { .. });
+    let key = |p: (f64, f64, f64), q: (f64, f64, f64)| {
+        let two = cmp_f64(p.0, q.0).then_with(|| cmp_f64(p.1, q.1));
+        if by_width {
+            two.then_with(|| cmp_f64(p.2, q.2))
+        } else {
+            two
+        }
+    };
+    // The admitted products' key order, checked read-only.
+    let mut last = (f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
+    let in_order = range.clone().all(|b| {
+        let p = product(unit, 0, store, b);
+        if !admits(p.1, p.0) {
+            return true;
+        }
+        let ordered = key(last, p) != Ordering::Greater;
+        last = p;
+        ordered
+    });
+
+    let start = range.start;
+    if in_order {
+        let mut sweep = Sweep::new(objective, &mut step.stairs);
+        let (mut staged, mut kept) = (0, start);
+        for b in range {
+            let (cap, delay, width) = product(unit, 0, store, b);
+            if admits(delay, cap) {
+                staged += 1;
+                if sweep.keeps(delay, width) {
+                    let trace = store.trace[b];
+                    store.set(kept, cap, delay, width, trace);
+                    kept += 1;
+                }
+            }
+        }
+        return (staged, kept - start);
+    }
+
+    products.items.clear();
+    stage_all(&mut products.items, unit, store, range, admits);
+    let merged = &mut step.merged;
+    merged.clear();
+    products.prune(objective, &mut step.stairs, |p| {
+        merged.push(p.cap, p.delay, p.width, store.trace[p.b as usize], f64::NAN);
+    });
+    for i in 0..merged.len() {
+        store.set(
+            start + i,
+            merged.cap[i],
+            merged.delay[i],
+            merged.width[i],
+            merged.trace[i],
+        );
+    }
+    (products.items.len(), merged.len())
 }
 
 /// Minimum-delay buffering of an RC tree.
@@ -524,7 +779,7 @@ fn solve_tree(
         // non-dominated set looking into node v from its parent edge
         // (load the edge would see at v, worst delay from v's input to
         // any sink below, width spent below).
-        for v in (0..tree.len()).rev() {
+        'nodes: for v in (0..tree.len()).rev() {
             // Cross-merge the children (lifted across their edges).
             acc.clear();
             acc.push(0.0, 0.0, 0.0, 0, f64::NAN);
@@ -535,46 +790,78 @@ fn solve_tree(
                     bound.admits(delay, cap)
                 }
             };
-            for (k, &u) in tree.children(v).iter().enumerate() {
+            let children = tree.children(v);
+            let tap = tree.sink_cap(v);
+            for (k, &u) in children.iter().enumerate() {
                 let wire = tree.wire(u);
                 // Lift the child frontier across its edge, in place: it
                 // is consumed exactly once, right here. The constant cap
-                // shift and within-equal-cap-uniform delay shift
-                // preserve the sort order.
+                // shift and within-equal-cap-uniform delay shift keep
+                // the order up to rounding.
                 let (start, len) = ranges[u];
-                let (start, end) = (start as usize, (start + len) as usize);
-                for i in start..end {
+                let range = start as usize..(start + len) as usize;
+                for i in range.clone() {
                     let c = store.cap[i];
                     store.delay[i] = store.delay[i] + wire.elmore + wire.resistance * c;
                     store.cap[i] = c + wire.capacitance;
                 }
-                // The unit accumulator stages in order; later merges
-                // walk each pair of equal-width runs.
-                products.clear();
-                if k == 0 {
-                    stage_all(products, acc, store, start..end, &admits);
+                let staged = if k == 0 {
+                    let (staged, survivors) = merge_first_child(
+                        store,
+                        range.clone(),
+                        acc,
+                        objective,
+                        &admits,
+                        products,
+                        step,
+                    );
+                    let survivors = range.start..range.start + survivors;
+                    if v != 0 && children.len() == 1 && !buffer_ok(v) {
+                        // Pass-through node: no insertion to generate or
+                        // merge, so add the tap and apply the bound where
+                        // the survivors lie; that range is v's frontier.
+                        stats.options_created += (staged + survivors.len()) as u64;
+                        stats.merge_products_max = stats.merge_products_max.max(staged as u64);
+                        let mut kept = range.start;
+                        for i in survivors {
+                            let (cap, delay) = (store.cap[i] + tap, store.delay[i]);
+                            if bound.admits(delay, cap) {
+                                let (width, trace) = (store.width[i], store.trace[i]);
+                                store.set(kept, cap, delay, width, trace);
+                                kept += 1;
+                            }
+                        }
+                        stats.options_peak = stats.options_peak.max(kept - range.start);
+                        ranges[v] = (start, (kept - range.start) as u32);
+                        continue 'nodes;
+                    }
+                    acc.clear();
+                    acc.extend_from(store, survivors);
+                    staged
                 } else {
+                    // Later merges walk each pair of equal-width runs.
+                    products.items.clear();
                     runs_a.group(&acc.width, 0..acc.len(), by_width);
-                    runs_b.group(&store.width, start..end, by_width);
-                    stage_walk(products, acc, store, runs_a, runs_b, &admits);
-                }
-                stats.options_created += products.len() as u64;
-                stats.merge_products_max = stats.merge_products_max.max(products.len() as u64);
-                // Join traces for survivors only; they go to `merged`
-                // so `acc.trace` stays readable until the swap.
-                let merged = &mut step.merged;
-                merged.clear();
-                cross_merge_prune(products, objective, &mut step.stairs, |p| {
-                    let trace = arena.join(acc.trace[p.a as usize], store.trace[p.b as usize]);
-                    merged.push(p.cap, p.delay, p.width, trace, f64::NAN);
-                });
-                std::mem::swap(acc, merged);
+                    runs_b.group(&store.width, range, by_width);
+                    stage_walk(&mut products.items, acc, store, runs_a, runs_b, &admits);
+                    // Join traces for survivors only; they go to `merged`
+                    // so `acc.trace` stays readable until the swap.
+                    let merged = &mut step.merged;
+                    merged.clear();
+                    products.prune(objective, &mut step.stairs, |p| {
+                        let trace = arena.join(acc.trace[p.a as usize], store.trace[p.b as usize]);
+                        merged.push(p.cap, p.delay, p.width, trace, f64::NAN);
+                    });
+                    std::mem::swap(acc, merged);
+                    products.items.len()
+                };
+                stats.options_created += staged as u64;
+                stats.merge_products_max = stats.merge_products_max.max(staged as u64);
             }
 
             if v == 0 {
                 // Driver stage at the root (tap at the root loads the
                 // driver alongside the subtree).
-                let tap = tree.sink_cap(0);
                 for i in 0..acc.len() {
                     acc.delay[i] += device.intrinsic_delay()
                         + device.output_resistance(driver_width) * (acc.cap[i] + tap);
@@ -584,7 +871,6 @@ fn solve_tree(
 
             // Buffered at v: the buffer drives the merged subtree;
             // upstream sees tap + buffer input cap.
-            let tap = tree.sink_cap(v);
             let widths = if buffer_ok(v) { library.widths() } else { &[] };
             stats.options_created += step.generate(
                 acc,
@@ -598,16 +884,19 @@ fn solve_tree(
             );
             // Unbuffered at v: the node's tap joins the stage load (a
             // constant shift, so the sorted order survives and the prune
-            // is a single linear merge).
+            // is a single linear merge, skipped when there is nothing to
+            // merge: `acc` just left a prune sweep).
             for i in 0..acc.len() {
                 acc.cap[i] += tap;
             }
             acc.retain_by(|cap, delay| bound.admits(delay, cap));
-            step.merge_into(acc, objective, |w, prev| arena.buffer(v, w, prev));
+            if step.generated_any() {
+                step.merge_into(acc, objective, |w, prev| arena.buffer(v, w, prev));
+            }
             stats.options_peak = stats.options_peak.max(acc.len());
             // Park the finished frontier in the store arena.
             ranges[v] = (store.len() as u32, acc.len() as u32);
-            store.append_from(acc);
+            store.extend_from(acc, 0..acc.len());
         }
 
         select(acc, objective).map(|i| (acc.delay[i], acc.width[i], acc.trace[i]))
@@ -655,6 +944,7 @@ mod tests {
     use super::*;
     use crate::candidates::CandidateSet;
     use crate::chain::{solve_min_delay, solve_min_power};
+    use crate::options::{prune_2d, prune_3d};
     use rip_net::{NetBuilder, Segment, TwoPinNet};
     use rip_tech::Technology;
 
@@ -670,6 +960,30 @@ mod tests {
         let s2 = tree.add_uniform_child(trunk, 500.0, 1500.0).unwrap();
         tree.set_sink_cap(s1, dev.input_cap(60.0)).unwrap();
         tree.set_sink_cap(s2, dev.input_cap(40.0)).unwrap();
+        tree
+    }
+
+    /// Nodes of the broom's trunk.
+    const BROOM_TRUNK: usize = 12;
+
+    /// A broom: a trunk of [`BROOM_TRUNK`] nodes above three branches of
+    /// three nodes, each ending in a sink.
+    fn broom_tree(dev: &RepeaterDevice) -> RcTree {
+        let mut tree = RcTree::with_root();
+        let mut top = 0;
+        for _ in 0..BROOM_TRUNK {
+            top = tree.add_uniform_child(top, 70.0, 210.0).unwrap();
+        }
+        for b in 0..3 {
+            let mut v = top;
+            for _ in 0..3 {
+                v = tree
+                    .add_uniform_child(v, 90.0 + 10.0 * b as f64, 300.0)
+                    .unwrap();
+            }
+            tree.set_sink_cap(v, dev.input_cap(40.0 + 20.0 * b as f64))
+                .unwrap();
+        }
         tree
     }
 
@@ -841,32 +1155,50 @@ mod tests {
     fn reused_tree_scratch_matches_fresh_scratch() {
         // A single scratch driven through an interleaving of solves must
         // give exactly what fresh scratches give: scratch is memory, not
-        // state.
+        // state. The broom's masked trunk is a chain of pass-through
+        // nodes, whose frontiers are pruned inside the store, and the
+        // branch sums it lifts round out of key order there, so the staged
+        // first-child fallback runs on a reused scratch too.
         let tech = tech();
-        let tree = y_tree(tech.device());
+        let dev = tech.device();
+        let tree = y_tree(dev);
         let net = chain_net();
-        let cands = CandidateSet::uniform(&net, 600.0);
-        let path = chain_as_tree(&net, tech.device(), &cands);
+        let path = chain_as_tree(&net, dev, &CandidateSet::uniform(&net, 600.0));
+        let broom = broom_tree(dev);
+        let trunk: Vec<bool> = (0..broom.len()).map(|v| v > BROOM_TRUNK).collect();
         let lib = RepeaterLibrary::range_step(10.0, 400.0, 40.0).unwrap();
 
-        // The free functions reuse this thread's scratch.
-        let fastest = tree_min_delay(&tree, tech.device(), 120.0, &lib, None).unwrap();
-        for mult in [1.1, 1.6, 0.5, 1.3] {
-            let target = fastest.delay_fs * mult;
-            let reused = tree_min_power(&tree, tech.device(), 120.0, &lib, None, target);
+        for (tree, mask, other) in [(&tree, None, &path), (&broom, Some(&trunk[..]), &tree)] {
+            // The free functions reuse this thread's scratch.
+            let fastest = tree_min_delay(tree, dev, 120.0, &lib, mask);
             let fresh = solve_tree(
                 &mut TreeScratch::default(),
-                &tree,
-                tech.device(),
+                tree,
+                dev,
                 120.0,
                 &lib,
-                None,
-                Objective::MinPowerUnderDelay { target_fs: target },
+                mask,
+                Objective::MinDelay,
             );
-            assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "mult {mult}");
-            // Interleave a different topology to try to poison the
-            // scratch.
-            let _ = tree_min_delay(&path, tech.device(), 120.0, &lib, None);
+            assert_eq!(format!("{fastest:?}"), format!("{fresh:?}"));
+            let fastest = fastest.unwrap();
+            for mult in [1.1, 1.6, 0.5, 1.3] {
+                let target = fastest.delay_fs * mult;
+                let reused = tree_min_power(tree, dev, 120.0, &lib, mask, target);
+                let fresh = solve_tree(
+                    &mut TreeScratch::default(),
+                    tree,
+                    dev,
+                    120.0,
+                    &lib,
+                    mask,
+                    Objective::MinPowerUnderDelay { target_fs: target },
+                );
+                assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "mult {mult}");
+                // Interleave a different topology to try to poison the
+                // scratch.
+                let _ = tree_min_delay(other, dev, 120.0, &lib, None);
+            }
         }
     }
 
@@ -915,9 +1247,10 @@ mod tests {
         // engine's prune_2d/prune_3d fuzz suites.
         let mut state = 0xC0FFEEu64;
         let mut stairs = Staircase::new();
+        let mut products = Products::default();
         for round in 0..50 {
             let n = 1 + (round * 5) % 80;
-            let mut products: Vec<CrossItem> = (0..n)
+            products.items = (0..n)
                 .map(|s| CrossItem {
                     cap: lcg(&mut state),
                     delay: lcg(&mut state),
@@ -926,9 +1259,9 @@ mod tests {
                     b: s % 8,
                 })
                 .collect();
-            let items: Vec<(f64, f64)> = products.iter().map(|p| (p.cap, p.delay)).collect();
+            let items: Vec<(f64, f64)> = products.items.iter().map(|p| (p.cap, p.delay)).collect();
             let mut got: Vec<(f64, f64)> = Vec::new();
-            cross_merge_prune(&mut products, Objective::MinDelay, &mut stairs, |p| {
+            products.prune(Objective::MinDelay, &mut stairs, |p| {
                 got.push((p.cap, p.delay));
             });
             assert!(
@@ -954,9 +1287,10 @@ mod tests {
     fn cross_merge_fuzz_matches_naive_oracle_min_power() {
         let mut state = 0xBEEFu64;
         let mut stairs = Staircase::new();
+        let mut products = Products::default();
         for round in 0..50 {
             let n = 1 + (round * 7) % 100;
-            let mut products: Vec<CrossItem> = (0..n)
+            products.items = (0..n)
                 .map(|s| CrossItem {
                     cap: lcg(&mut state),
                     delay: lcg(&mut state),
@@ -965,10 +1299,13 @@ mod tests {
                     b: s % 8,
                 })
                 .collect();
-            let items: Vec<(f64, f64, f64)> =
-                products.iter().map(|p| (p.cap, p.delay, p.width)).collect();
+            let items: Vec<(f64, f64, f64)> = products
+                .items
+                .iter()
+                .map(|p| (p.cap, p.delay, p.width))
+                .collect();
             let mut got: Vec<(f64, f64, f64)> = Vec::new();
-            cross_merge_prune(&mut products, POWER, &mut stairs, |p| {
+            products.prune(POWER, &mut stairs, |p| {
                 got.push((p.cap, p.delay, p.width));
             });
             assert!(
@@ -1006,7 +1343,7 @@ mod tests {
 
     #[test]
     fn walk_staging_prunes_to_the_all_pairs_survivors() {
-        // The two-pointer walk may skip products, but cross_merge_prune
+        // The two-pointer walk may skip products, but `Products::prune`
         // must emit exactly the (a, b) sequence it emits when every
         // product is staged — with and without a finite bound.
         let mut state = 0x5EEDu64;
@@ -1020,9 +1357,13 @@ mod tests {
             let admits = |delay: f64, cap: f64| delay + cap <= limit;
             for objective in [Objective::MinDelay, POWER] {
                 let by_width = objective != Objective::MinDelay;
-                let emitted = |products: &mut Vec<CrossItem>, stairs: &mut Staircase| {
+                let emitted = |items: Vec<CrossItem>, stairs: &mut Staircase| {
                     let mut out = Vec::new();
-                    cross_merge_prune(products, objective, stairs, |p| out.push((p.a, p.b)));
+                    let mut products = Products {
+                        items,
+                        ..Products::default()
+                    };
+                    products.prune(objective, stairs, |p| out.push((p.a, p.b)));
                     out
                 };
                 let mut all = Vec::new();
@@ -1034,8 +1375,8 @@ mod tests {
                 assert!(walked.len() <= all.len());
                 skipped += all.len() - walked.len();
                 assert_eq!(
-                    emitted(&mut walked, &mut stairs),
-                    emitted(&mut all, &mut stairs),
+                    emitted(walked, &mut stairs),
+                    emitted(all, &mut stairs),
                     "round {round} {objective:?}"
                 );
             }
@@ -1055,10 +1396,13 @@ mod tests {
         };
         // Staged out of generation order: the (a, b) key, not the slot,
         // decides which duplicate survives.
-        let mut products = vec![item(1, 0), item(0, 5), item(0, 2)];
+        let mut products = Products {
+            items: vec![item(1, 0), item(0, 5), item(0, 2)],
+            ..Products::default()
+        };
         for objective in [Objective::MinDelay, POWER] {
             let mut survivors = Vec::new();
-            cross_merge_prune(&mut products, objective, &mut stairs, |p| {
+            products.prune(objective, &mut stairs, |p| {
                 survivors.push((p.a, p.b));
             });
             assert_eq!(
@@ -1067,5 +1411,225 @@ mod tests {
                 "{objective:?}: generation-earliest duplicate survives"
             );
         }
+    }
+
+    /// The order [`Products::order`] replaced: one comparison sort of
+    /// every product on the full `(cap, delay[, width], a, b)` key.
+    fn sort_oracle(products: &mut [CrossItem], objective: Objective) {
+        let generation = |x: &CrossItem, y: &CrossItem| (x.a, x.b).cmp(&(y.a, y.b));
+        match objective {
+            Objective::MinDelay => products.sort_unstable_by(|x, y| {
+                cmp_f64(x.cap, y.cap)
+                    .then_with(|| cmp_f64(x.delay, y.delay))
+                    .then_with(|| generation(x, y))
+            }),
+            Objective::MinPowerUnderDelay { .. } => products.sort_unstable_by(|x, y| {
+                cmp_f64(x.cap, y.cap)
+                    .then_with(|| cmp_f64(x.delay, y.delay))
+                    .then_with(|| cmp_f64(x.width, y.width))
+                    .then_with(|| generation(x, y))
+            }),
+        }
+    }
+
+    /// Every field of each product, floats as bits.
+    fn bits(products: &[CrossItem]) -> Vec<(u64, u64, u64, u32, u32)> {
+        products
+            .iter()
+            .map(|p| {
+                (
+                    p.cap.to_bits(),
+                    p.delay.to_bits(),
+                    p.width.to_bits(),
+                    p.a,
+                    p.b,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bucket_order_matches_sort_oracle_on_fuzz() {
+        // Quantised caps, so buckets hold several products; every third
+        // round mixes `-0.0` with `0.0` (one bucket, as they compare
+        // equal); every third draws up to 81 caps, so the class table
+        // grows; three rounds draw some 38K distinct caps among 40K
+        // products, so the products are grouped before the per-cap
+        // cycles. Products arrive shuffled, as the run-pair walk stages
+        // them out of `(a, b)` order, and exact key duplicates differ only
+        // in `(a, b)`.
+        let mut state = 0xB0C4E7u64;
+        let mut staged = Products::default();
+        let (mut grew, mut grouped, mut signed_zero) = (false, false, false);
+        let (mut duplicate, mut shared) = (false, false);
+        for round in 0..600 {
+            let wide = round % 200 == 199;
+            let n = if wide { 40_000 } else { round % 211 };
+            let mut products: Vec<CrossItem> = (0..n)
+                .map(|s| {
+                    let k = lcg(&mut state);
+                    let cap = match round % 3 {
+                        _ if wide => (0..5).fold(k, |c, _| c * 9.0 + lcg(&mut state)),
+                        0 => k,
+                        1 => k * 9.0 + lcg(&mut state),
+                        _ => [0.0, -0.0, 0.5, -0.0, 2.0][k as usize % 5],
+                    };
+                    CrossItem {
+                        cap,
+                        delay: lcg(&mut state),
+                        width: lcg(&mut state),
+                        a: s as u32 / 13,
+                        b: s as u32 % 13,
+                    }
+                })
+                .collect();
+            for i in (1..products.len()).rev() {
+                lcg(&mut state);
+                products.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            for objective in [Objective::MinDelay, POWER] {
+                staged.items.clone_from(&products);
+                staged.order(objective);
+                let got = &staged.items;
+                let mut expect = products.clone();
+                sort_oracle(&mut expect, objective);
+                assert_eq!(bits(got), bits(&expect), "round {round} {objective:?}");
+            }
+            let mut keys: Vec<[u64; 3]> = products
+                .iter()
+                .map(|p| [p.cap, p.delay, p.width].map(|x| (x + 0.0).to_bits()))
+                .collect();
+            keys.sort_unstable();
+            duplicate |= keys.windows(2).any(|w| w[0] == w[1]);
+            let mut caps: Vec<u64> = keys.iter().map(|k| k[0]).collect();
+            caps.dedup();
+            grew |= caps.len() > MIN_CLASSES;
+            grouped |= caps.len() > GROUPED_ABOVE;
+            shared |= caps.len() < products.len();
+            signed_zero |= products.iter().any(|p| p.cap.to_bits() == 0)
+                && products
+                    .iter()
+                    .any(|p| p.cap.to_bits() == (-0.0f64).to_bits());
+        }
+        assert!(grew, "no round held more than {MIN_CLASSES} distinct caps");
+        assert!(
+            grouped,
+            "no round held more than {GROUPED_ABOVE} distinct caps"
+        );
+        assert!(shared, "no bucket ever held two products");
+        assert!(signed_zero, "no round held both -0.0 and 0.0 caps");
+        assert!(duplicate, "no two products ever shared a key");
+    }
+
+    /// Classes the cap table holds before it first grows, times two: a
+    /// round with more distinct caps than this makes it grow twice.
+    const MIN_CLASSES: usize = 64;
+
+    #[test]
+    fn first_child_fast_path_and_fallback_match_the_staged_path() {
+        // A node's first child, merged with the unit accumulator. When its
+        // lifted frontier is in key order the sweep runs inside the store;
+        // a hand-swapped pair of neighbours (as rounding in a lift can
+        // produce) makes it stage the products instead. Either way the
+        // survivors, their traces and the staged count (what the node adds
+        // to `options_created` and `merge_products_max`) must be those of
+        // staging every admitted product and pruning them with the
+        // reference pruner.
+        let mut state = 0xF1857u64;
+        let (mut fast, mut fallback) = (0, 0);
+        let mut products = Products::default();
+        let mut step = InsertStep::default();
+        let mut unit = OptionBuf::default();
+        unit.push(0.0, 0.0, 0.0, 0, f64::NAN);
+        for round in 0..400 {
+            let objective = if round % 2 == 0 {
+                Objective::MinDelay
+            } else {
+                POWER
+            };
+            // A child frontier as it is parked: pruned, sorted, lifted
+            // (exactly, so the order holds), after other nodes' options.
+            let mut rows: Vec<(f64, f64, f64)> = (0..1 + round % 29)
+                .map(|_| (lcg(&mut state), lcg(&mut state), lcg(&mut state)))
+                .collect();
+            match objective {
+                Objective::MinDelay => prune_2d(&mut rows, |x| (x.0, x.1)),
+                Objective::MinPowerUnderDelay { .. } => prune_3d(&mut rows, |&x| x),
+            }
+            let swapped = round % 4 >= 2 && rows.len() >= 2;
+            if swapped {
+                let i = lcg(&mut state) as usize % (rows.len() - 1);
+                rows.swap(i, i + 1);
+            }
+            let mut store = OptionBuf::default();
+            for j in 0..3 {
+                store.push(99.0, 99.0, 99.0, 500 + j, f64::NAN);
+            }
+            for (i, &(cap, delay, width)) in rows.iter().enumerate() {
+                store.push(
+                    cap + 3.0,
+                    delay + 1.0 + 2.0 * cap,
+                    width,
+                    10 + i as u32,
+                    f64::NAN,
+                );
+            }
+            let range = 3..store.len();
+            let limit = if round % 3 == 0 { f64::INFINITY } else { 30.0 };
+            let admits = |delay: f64, cap: f64| delay + cap <= limit;
+
+            let mut staged: Vec<(f64, f64, f64, u32)> = range
+                .clone()
+                .filter_map(|b| {
+                    let (cap, delay, width) = product(&unit, 0, &store, b);
+                    admits(delay, cap).then_some((cap, delay, width, store.trace[b]))
+                })
+                .collect();
+            let in_order = staged.windows(2).all(|w| match objective {
+                Objective::MinDelay => (w[0].0, w[0].1) <= (w[1].0, w[1].1),
+                Objective::MinPowerUnderDelay { .. } => {
+                    (w[0].0, w[0].1, w[0].2) <= (w[1].0, w[1].1, w[1].2)
+                }
+            });
+            let expect_staged = staged.len();
+            match objective {
+                Objective::MinDelay => prune_2d(&mut staged, |r| (r.0, r.1)),
+                Objective::MinPowerUnderDelay { .. } => prune_3d(&mut staged, |r| (r.0, r.1, r.2)),
+            }
+
+            products.items.clear();
+            let (n, kept) = merge_first_child(
+                &mut store,
+                range,
+                &unit,
+                objective,
+                &admits,
+                &mut products,
+                &mut step,
+            );
+            let got: Vec<(f64, f64, f64, u32)> = (3..3 + kept)
+                .map(|i| (store.cap[i], store.delay[i], store.width[i], store.trace[i]))
+                .collect();
+            let ctx = format!("round {round} {objective:?} swapped {swapped}");
+            assert_eq!(n, expect_staged, "{ctx}");
+            assert_eq!(got, staged, "{ctx}");
+            assert_eq!(store.trace[..3], [500, 501, 502], "{ctx}");
+            if in_order {
+                assert!(
+                    products.items.is_empty(),
+                    "{ctx}: an in-order child was staged"
+                );
+                fast += 1;
+            } else {
+                assert_eq!(
+                    products.items.len(),
+                    n,
+                    "{ctx}: out of order, yet not staged"
+                );
+                fallback += 1;
+            }
+        }
+        assert!(fast > 0, "the in-place sweep never ran");
+        assert!(fallback > 0, "the staged fallback never ran");
     }
 }
