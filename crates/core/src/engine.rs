@@ -142,6 +142,19 @@ fn cache_key(value: &impl fmt::Debug) -> String {
     format!("{value:?}")
 }
 
+/// The `τ_min` memo key of a chain: the parts a [`TwoPinNet`] is built
+/// from (segments, zones, driver and receiver width). The net's derived
+/// `RcProfile` is `RcProfile::new(&segments)`, so it adds nothing to the
+/// key, and its six vectors made up most of the cost of rendering one.
+fn net_key(net: &TwoPinNet) -> String {
+    cache_key(&(
+        net.segments(),
+        net.zones(),
+        net.driver_width(),
+        net.receiver_width(),
+    ))
+}
+
 /// Validates a caller-supplied tree buffer-legality mask and normalizes
 /// the trivial case: a mask that allows every *non-root* node is the
 /// unmasked problem (the root entry is ignored throughout — the root
@@ -578,7 +591,7 @@ impl Engine {
     /// [`Engine::set_value_cache_cap`]).
     pub fn tau_min(&self, net: &TwoPinNet) -> f64 {
         self.memo_tau_min(
-            || cache_key(net),
+            || net_key(net),
             || Ok::<_, Infallible>(tmin::tau_min_paper(net, self.tech.device())),
         )
         .unwrap_or_else(|never| match never {})
@@ -1420,6 +1433,28 @@ mod tests {
         let fresh = tmin::tau_min_paper(&nets[0], engine.tech.device());
         assert_eq!(again.to_bits(), fresh.to_bits());
         assert_eq!(engine.stats().evictions, 3);
+    }
+
+    #[test]
+    fn tau_min_key_tells_nets_apart_by_their_parts() {
+        let engine = engine();
+        let net = |length: f64| {
+            rip_net::NetBuilder::new()
+                .segment(rip_net::Segment::new(4000.0, 0.08, 0.2))
+                .segment(rip_net::Segment::new(length, 0.06, 0.18))
+                .forbidden_zone(1000.0, 2000.0)
+                .unwrap()
+                .build()
+                .unwrap()
+        };
+        let counts = || (engine.stats().tau_min_hits, engine.stats().tau_min_misses);
+        let a = engine.tau_min(&net(6000.0));
+        let b = engine.tau_min(&net(6000.0));
+        assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(counts(), (1, 1));
+        // One bit of one segment's length apart: a different net.
+        let _ = engine.tau_min(&net(f64::from_bits(6000.0f64.to_bits() + 1)));
+        assert_eq!(counts(), (1, 2));
     }
 
     #[test]

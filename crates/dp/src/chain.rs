@@ -212,10 +212,6 @@ fn min_power_in(
 }
 
 fn materialize(cur: &OptionBuf, best: usize, arena: &TraceArena, stats: DpStats) -> DpSolution {
-    debug_assert!(
-        cur.pending[best].is_nan(),
-        "final options never carry pending inserts"
-    );
     let repeaters: Vec<Repeater> = arena
         .collect(cur.trace[best])
         .into_iter()
@@ -252,13 +248,7 @@ fn sweep(
         ..DpStats::default()
     };
     let DpScratch { cur, step, arena } = scratch;
-    cur.push(
-        device.input_cap(net.receiver_width()),
-        0.0,
-        0.0,
-        TRACE_ROOT,
-        f64::NAN,
-    );
+    cur.push(device.input_cap(net.receiver_width()), 0.0, 0.0, TRACE_ROOT);
     stats.options_created = 1;
 
     let mut prev_pos = net.total_length();

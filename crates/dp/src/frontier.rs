@@ -43,8 +43,8 @@
 //!   option, keeps each width class's best insertion among those the
 //!   caller admits, and reduces each width bucket to its sub-frontier;
 //! * [`InsertStep::merge_into`] merges the sub-frontiers into the
-//!   caller's frontier and records a trace only for the insertions that
-//!   survive;
+//!   caller's frontier and records a trace for each insertion as the
+//!   merge keeps it, so the arena sees the survivors in merged order;
 //! * [`select`] picks the answer from a finished frontier.
 //!
 //! Each caller passes only what belongs to its own model: the load a
@@ -53,10 +53,15 @@
 //! its admission test and how it records a surviving insertion. The
 //! objective is dispatched here and nowhere else.
 //!
-//! Dominance queries during the merge use the [`Staircase`] (binary
-//! search insertion, amortized `O(log n)`), exactly as the reference
-//! pruner does — the survivor *set and order* are byte-identical to the
-//! reference (`tests/frontier_equivalence.rs` and
+//! The merge feeds its options in key order to the objective's dominance
+//! test. In delay mode that is the least delay so far. In power mode it
+//! is a [`WidthFloor`]: a site's frontier and fresh insertions hold a
+//! few dozen exact widths, already classed for generation, so the merge
+//! ranks those classes once and keeps the least delay at or below each
+//! width rank. An option is dropped iff the floor at its rank is at or
+//! below its delay — the reference pruner's `(delay, width)` staircase
+//! test without its binary searches. The survivor *set and order* are
+//! byte-identical to the reference (`tests/frontier_equivalence.rs` and
 //! `tests/tree_frontier_equivalence.rs` pin this on 50-net and 50-tree
 //! corpora), only the work to compute them changes.
 //!
@@ -65,7 +70,7 @@
 //! the crate's free functions, so a warm thread allocates nothing.
 
 use crate::chain::Objective;
-use crate::options::{Staircase, TraceArena};
+use crate::options::TraceArena;
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -81,11 +86,9 @@ pub(crate) struct OptionBuf {
     pub delay: Vec<f64>,
     /// Accumulated downstream repeater width, u.
     pub width: Vec<f64>,
-    /// Traceback handle into the [`TraceArena`].
+    /// Traceback handle into the [`TraceArena`] (for a fresh insertion
+    /// before its merge, the handle of the option it was built on).
     pub trace: Vec<u32>,
-    /// Pending insertion width not yet materialized into the arena
-    /// (`NaN` = none). Lets pruning run before arena allocation.
-    pub pending: Vec<f64>,
 }
 
 impl OptionBuf {
@@ -98,15 +101,13 @@ impl OptionBuf {
         self.delay.clear();
         self.width.clear();
         self.trace.clear();
-        self.pending.clear();
     }
 
-    pub(crate) fn push(&mut self, cap: f64, delay: f64, width: f64, trace: u32, pending: f64) {
+    pub(crate) fn push(&mut self, cap: f64, delay: f64, width: f64, trace: u32) {
         self.cap.push(cap);
         self.delay.push(delay);
         self.width.push(width);
         self.trace.push(trace);
-        self.pending.push(pending);
     }
 
     /// Appends the options `range` of `src`, column by column (the tree
@@ -116,8 +117,7 @@ impl OptionBuf {
         self.cap.extend_from_slice(&src.cap[range.clone()]);
         self.delay.extend_from_slice(&src.delay[range.clone()]);
         self.width.extend_from_slice(&src.width[range.clone()]);
-        self.trace.extend_from_slice(&src.trace[range.clone()]);
-        self.pending.extend_from_slice(&src.pending[range]);
+        self.trace.extend_from_slice(&src.trace[range]);
     }
 
     /// Overwrites option `at` with the given columns.
@@ -127,7 +127,6 @@ impl OptionBuf {
         self.delay[at] = delay;
         self.width[at] = width;
         self.trace[at] = trace;
-        self.pending[at] = f64::NAN;
     }
 
     /// Drops every option whose delay exceeds `target_fs`, preserving
@@ -147,7 +146,6 @@ impl OptionBuf {
                     self.delay[w] = self.delay[i];
                     self.width[w] = self.width[i];
                     self.trace[w] = self.trace[i];
-                    self.pending[w] = self.pending[i];
                 }
                 w += 1;
             }
@@ -156,7 +154,6 @@ impl OptionBuf {
         self.delay.truncate(w);
         self.width.truncate(w);
         self.trace.truncate(w);
-        self.pending.truncate(w);
     }
 }
 
@@ -198,21 +195,25 @@ impl DpScratch {
 }
 
 /// The buffer-insertion step and its working memory: the frontier's
-/// width classes, the fresh insertion options, the merge output, the
-/// in-flight width bucket and the dominance staircase. The tree DP's
-/// branch cross-merge borrows `merged` and `stairs` between steps.
+/// width classes, the fresh insertion options and the library width
+/// each inserts, the merge output, the in-flight width bucket and the
+/// merge's width floor. The tree DP's branch cross-merge borrows
+/// `merged` between steps.
 #[derive(Debug, Default)]
 pub(crate) struct InsertStep {
     /// The frontier grouped by exact width (one run in delay mode).
     runs: WidthRuns,
-    /// Fresh insertion options: the reduced width buckets, `cap`-sorted.
+    /// Fresh insertion options: the reduced width buckets, `cap`-sorted,
+    /// each carrying the trace of the option it was built on.
     fresh: OptionBuf,
+    /// The library width each fresh option inserts.
+    fresh_w: Vec<f64>,
     /// Output buffer of the frontier merge.
     pub merged: OptionBuf,
     /// The width bucket being generated: one item per width class.
     bucket: Vec<BucketItem>,
-    /// Binary-search dominance staircase.
-    pub stairs: Staircase,
+    /// Power-mode dominance of the merge.
+    floor: WidthFloor,
 }
 
 impl InsertStep {
@@ -220,9 +221,9 @@ impl InsertStep {
     pub(crate) fn clear(&mut self) {
         self.runs.clear();
         self.fresh.clear();
+        self.fresh_w.clear();
         self.merged.clear();
         self.bucket.clear();
-        self.stairs.clear();
     }
 
     /// Generates the buffer insertions at one site. For each width `w`
@@ -242,7 +243,8 @@ impl InsertStep {
     /// round to the same bits all stay in the bucket, where the staircase
     /// keeps the lowest frontier index (`seq`). The bucket is then
     /// reduced to its sorted sub-frontier, which carries the parent trace
-    /// and `w` as a pending insert, ready for [`InsertStep::merge_into`].
+    /// and `w`, ready for [`InsertStep::merge_into`]. `front` is grouped
+    /// even when `widths` is empty: the merge classes its widths.
     ///
     /// Returns the options created at the site: every option of `front`
     /// plus every admitted insertion, class minimum or not.
@@ -258,14 +260,13 @@ impl InsertStep {
         let Self {
             runs,
             fresh,
+            fresh_w,
             bucket,
             ..
         } = self;
         fresh.clear();
+        fresh_w.clear();
         let mut created = front.len() as u64;
-        if widths.is_empty() {
-            return created;
-        }
         let by_width = matches!(objective, Objective::MinPowerUnderDelay { .. });
         runs.group(&front.width, 0..front.len(), by_width);
         for &w in widths {
@@ -293,7 +294,8 @@ impl InsertStep {
                 }
             }
             reduce_bucket(bucket, |item| {
-                fresh.push(cap, item.delay, item.width, item.trace, w);
+                fresh.push(cap, item.delay, item.width, item.trace);
+                fresh_w.push(w);
             });
         }
         created
@@ -313,33 +315,94 @@ impl InsertStep {
 
     /// Merges the insertions of the last [`InsertStep::generate`] into
     /// the sorted frontier `front`, leaving the objective's Pareto
-    /// frontier there, then records each surviving insertion:
-    /// `record(w, parent_trace)` returns its new trace handle.
+    /// frontier there, and records each insertion as the merge keeps it:
+    /// `record(w, parent_trace)` returns its new trace handle. `front`
+    /// must be the frontier generated from, or a subset of it, so that
+    /// its widths were classed.
     pub(crate) fn merge_into(
         &mut self,
         front: &mut OptionBuf,
         objective: Objective,
-        mut record: impl FnMut(f64, u32) -> u32,
+        record: impl FnMut(f64, u32) -> u32,
     ) {
         let Self {
+            runs,
             fresh,
+            fresh_w,
             merged,
-            stairs,
+            floor,
             ..
         } = self;
         match objective {
-            Objective::MinDelay => merge_prune::<false>(front, fresh, merged, stairs),
+            Objective::MinDelay => {
+                let mut best_delay = f64::INFINITY;
+                let keeps = |delay: f64, _: f64| {
+                    let keep = delay < best_delay;
+                    if keep {
+                        best_delay = delay;
+                    }
+                    keep
+                };
+                merge_prune::<false>(front, fresh, fresh_w, merged, keeps, record);
+            }
             Objective::MinPowerUnderDelay { .. } => {
-                merge_prune::<true>(front, fresh, merged, stairs);
+                let table = &mut runs.table;
+                for &width in &fresh.width {
+                    table.insert(width);
+                }
+                floor.rank(table);
+                let table = &*table;
+                let keeps = |delay: f64, width: f64| floor.keeps(table.find(width), delay);
+                merge_prune::<true>(front, fresh, fresh_w, merged, keeps, record);
             }
         }
-        for i in 0..front.len() {
-            let pending = front.pending[i];
-            if !pending.is_nan() {
-                front.trace[i] = record(pending, front.trace[i]);
-                front.pending[i] = f64::NAN;
-            }
+    }
+}
+
+/// The power-mode dominance test of a merge, which sees its options in
+/// key order `(cap, delay, width)`: an option `(d, p)` is dominated iff
+/// some option kept before it has `d' ≤ d` and `p' ≤ p`. The widths of
+/// one merge fall into a few dozen exact classes, so instead of a
+/// `(delay, width)` [`Staircase`](crate::options::Staircase) the floor
+/// keeps, for each width rank `r`, the least delay among the kept
+/// options whose width ranks at most `r`. Ranks order the classes by
+/// width, so `floor[r]` is the least `d'` over every kept `p' ≤ p` and
+/// the test is one comparison; keeping an option lowers the floor from
+/// its rank up to the first entry already at or below its delay. The
+/// ranks come from the same [`ClassTable`] as the width classes, so
+/// `-0.0` and `0.0` share a rank (they compare equal under `≤`), and
+/// widths one bit apart get distinct, correctly ordered ranks.
+#[derive(Debug, Default)]
+struct WidthFloor {
+    /// The width rank of each class of the table.
+    rank_of: Vec<u32>,
+    /// Least kept delay at or below each width rank; non-increasing.
+    floor: Vec<f64>,
+}
+
+impl WidthFloor {
+    /// Ranks every class of `table` by width and empties the floor.
+    fn rank(&mut self, table: &mut ClassTable) {
+        table.rank(&mut self.rank_of);
+        self.floor.clear();
+        self.floor.resize(self.rank_of.len(), f64::INFINITY);
+    }
+
+    /// Whether the next option in key order, of width class `class` and
+    /// delay `delay`, survives; a survivor lowers the floor.
+    #[inline]
+    fn keeps(&mut self, class: u32, delay: f64) -> bool {
+        let floor = &mut self.floor[self.rank_of[class as usize] as usize..];
+        if floor[0] <= delay {
+            return false;
         }
+        for least in floor {
+            if *least <= delay {
+                break;
+            }
+            *least = delay;
+        }
+        true
     }
 }
 
@@ -498,26 +561,38 @@ impl ClassTable {
     /// contiguous run of its count: appends each run's start offset, in
     /// rank order, and then the total to `starts`, and turns each
     /// class's count into its run's start (see [`ClassTable::take`]).
-    /// Distinct keys are distinct values, so the ranking has no ties.
     pub(crate) fn lay_out(&mut self, starts: &mut Vec<u32>) {
-        let Self {
-            keys,
-            counts,
-            ranked,
-            ..
-        } = self;
+        self.sort_ranked();
+        let mut offset = 0;
+        for &c in &self.ranked {
+            starts.push(offset);
+            let count = self.counts[c as usize];
+            self.counts[c as usize] = offset;
+            offset += count;
+        }
+        starts.push(offset);
+    }
+
+    /// Sorts the class ids by ascending key into `ranked`. Distinct keys
+    /// are distinct values, so the ranking has no ties.
+    fn sort_ranked(&mut self) {
+        let Self { keys, ranked, .. } = self;
         ranked.clear();
         ranked.extend(0..keys.len() as u32);
         let key = |c: &u32| f64::from_bits(keys[*c as usize]);
         ranked.sort_unstable_by(|x, y| cmp_f64(key(x), key(y)));
-        let mut offset = 0;
-        for &c in ranked.iter() {
-            starts.push(offset);
-            let count = counts[c as usize];
-            counts[c as usize] = offset;
-            offset += count;
+    }
+
+    /// Writes each class's rank in ascending key order to
+    /// `rank_of[class]`. Counts are not used, so classes may be inserted
+    /// after [`ClassTable::lay_out`] and ranked with the rest.
+    fn rank(&mut self, rank_of: &mut Vec<u32>) {
+        self.sort_ranked();
+        rank_of.clear();
+        rank_of.resize(self.ranked.len(), 0);
+        for (r, &c) in self.ranked.iter().enumerate() {
+            rank_of[c as usize] = r as u32;
         }
-        starts.push(offset);
     }
 
     /// The key of `class`.
@@ -632,20 +707,22 @@ fn cmp_key<const POWER: bool>(cur: &OptionBuf, i: usize, fresh: &OptionBuf, j: u
 /// Merges the sorted surviving frontier `cur` with the sorted fresh
 /// options into the Pareto frontier, leaving the result (sorted, all
 /// columns) in `cur`: the 2D `(cap, delay)` frontier in delay mode, the
-/// 3D one (staircase dominance over `(delay, width)` under the
-/// `cap`-sorted sweep) in power mode. Ties on the key prefer `cur`,
-/// reproducing the reference pruner's stable sort of
-/// `[survivors.., fresh..]`.
+/// 3D one in power mode. `keeps(delay, width)` is the objective's
+/// dominance test over the options kept so far, fed in key order. Ties
+/// on the key prefer `cur`, reproducing the reference pruner's stable
+/// sort of `[survivors.., fresh..]`. A kept fresh option gets its trace
+/// from `record(w, parent_trace)`, `w` being its entry in `fresh_w`, in
+/// merged order.
 fn merge_prune<const POWER: bool>(
     cur: &mut OptionBuf,
     fresh: &OptionBuf,
+    fresh_w: &[f64],
     merged: &mut OptionBuf,
-    stairs: &mut Staircase,
+    mut keeps: impl FnMut(f64, f64) -> bool,
+    mut record: impl FnMut(f64, u32) -> u32,
 ) {
     merged.clear();
-    stairs.clear();
     let (mut i, mut j) = (0usize, 0usize);
-    let mut best_delay = f64::INFINITY;
     while i < cur.len() || j < fresh.len() {
         let take_cur = if i >= cur.len() {
             false
@@ -654,31 +731,19 @@ fn merge_prune<const POWER: bool>(
         } else {
             cmp_key::<POWER>(cur, i, fresh, j) != Ordering::Greater
         };
-        let (buf, k) = if take_cur {
-            let k = i;
+        if take_cur {
+            let (delay, width) = (cur.delay[i], cur.width[i]);
+            if keeps(delay, width) {
+                merged.push(cur.cap[i], delay, width, cur.trace[i]);
+            }
             i += 1;
-            (&*cur, k)
         } else {
-            let k = j;
+            let (delay, width) = (fresh.delay[j], fresh.width[j]);
+            if keeps(delay, width) {
+                let trace = record(fresh_w[j], fresh.trace[j]);
+                merged.push(fresh.cap[j], delay, width, trace);
+            }
             j += 1;
-            (fresh, k)
-        };
-        let (delay, width) = (buf.delay[k], buf.width[k]);
-        let keep = if POWER {
-            let keep = !stairs.dominates(delay, width);
-            if keep {
-                stairs.insert(delay, width);
-            }
-            keep
-        } else {
-            let keep = delay < best_delay;
-            if keep {
-                best_delay = delay;
-            }
-            keep
-        };
-        if keep {
-            merged.push(buf.cap[k], delay, width, buf.trace[k], buf.pending[k]);
         }
     }
     std::mem::swap(cur, merged);
@@ -687,7 +752,7 @@ fn merge_prune<const POWER: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::{prune_2d, prune_3d};
+    use crate::options::{prune_2d, prune_3d, Staircase};
 
     const POWER: Objective = Objective::MinPowerUnderDelay { target_fs: 1.0 };
 
@@ -707,20 +772,81 @@ mod tests {
         prune_3d(&mut v, |&x| x);
         let mut buf = OptionBuf::default();
         for (i, &(c, d, w)) in v.iter().enumerate() {
-            buf.push(c, d, w, i as u32, f64::NAN);
+            buf.push(c, d, w, i as u32);
         }
         buf
     }
 
+    fn rows(buf: &OptionBuf) -> Vec<(f64, f64, f64, u32)> {
+        (0..buf.len())
+            .map(|i| (buf.cap[i], buf.delay[i], buf.width[i], buf.trace[i]))
+            .collect()
+    }
+
     /// The oracle: what the reference pruner produces from the
-    /// concatenated survivors + fresh options.
-    fn reference_3d(cur: &OptionBuf, fresh: &OptionBuf) -> Vec<(f64, f64, f64)> {
-        let mut all: Vec<(f64, f64, f64)> = (0..cur.len())
-            .map(|i| (cur.cap[i], cur.delay[i], cur.width[i]))
-            .chain((0..fresh.len()).map(|j| (fresh.cap[j], fresh.delay[j], fresh.width[j])))
+    /// concatenated survivors + fresh options, each fresh survivor with
+    /// the trace `record` gives it in merged order.
+    fn reference_3d(
+        cur: &OptionBuf,
+        fresh: &OptionBuf,
+        fresh_w: &[f64],
+        mut record: impl FnMut(f64, u32) -> u32,
+    ) -> Vec<(f64, f64, f64, u32)> {
+        // `(cap, delay, width, trace, inserted width)`, `NaN` = carried.
+        let mut all: Vec<Row> = (0..cur.len())
+            .map(|i| {
+                (
+                    cur.cap[i],
+                    cur.delay[i],
+                    cur.width[i],
+                    cur.trace[i],
+                    f64::NAN,
+                )
+            })
+            .chain((0..fresh.len()).map(|j| {
+                let (c, d, w) = (fresh.cap[j], fresh.delay[j], fresh.width[j]);
+                (c, d, w, fresh.trace[j], fresh_w[j])
+            }))
             .collect();
-        prune_3d(&mut all, |&x| x);
-        all
+        prune_3d(&mut all, |r| (r.0, r.1, r.2));
+        all.iter()
+            .map(|&(c, d, w, trace, inserted)| {
+                let trace = if inserted.is_nan() {
+                    trace
+                } else {
+                    record(inserted, trace)
+                };
+                (c, d, w, trace)
+            })
+            .collect()
+    }
+
+    /// The power-mode merge as [`InsertStep::merge_into`] runs it: every
+    /// width of `cur` and `fresh` classed and ranked, then the floor.
+    fn merge_power(
+        cur: &mut OptionBuf,
+        fresh: &OptionBuf,
+        fresh_w: &[f64],
+        record: impl FnMut(f64, u32) -> u32,
+    ) {
+        let mut table = ClassTable::default();
+        table.reset();
+        for &width in cur.width.iter().chain(&fresh.width) {
+            table.insert(width);
+        }
+        let mut floor = WidthFloor::default();
+        floor.rank(&mut table);
+        let keeps = |delay, width| floor.keeps(table.find(width), delay);
+        let mut merged = OptionBuf::default();
+        merge_prune::<true>(cur, fresh, fresh_w, &mut merged, keeps, record);
+    }
+
+    /// A recorder handing out handles from 1000 up, logging each call.
+    fn recorder(log: &mut Vec<(f64, u32)>) -> impl FnMut(f64, u32) -> u32 + '_ {
+        |w, prev| {
+            log.push((w, prev));
+            1000 + log.len() as u32 - 1
+        }
     }
 
     #[test]
@@ -734,6 +860,7 @@ mod tests {
             // Fresh: a few equal-cap buckets with ascending caps, each
             // reduced to its sub-frontier, as the sweep generates them.
             let mut fresh = OptionBuf::default();
+            let mut fresh_w = Vec::new();
             let mut bucket = Vec::new();
             for b in 0..4 {
                 let cap = 10.0 + b as f64; // above most cur caps, distinct
@@ -742,22 +869,20 @@ mod tests {
                     bucket.push(BucketItem {
                         delay: lcg(&mut state),
                         width: lcg(&mut state),
-                        trace: s,
+                        trace: 100 + s,
                         seq: s,
                     });
                 }
                 reduce_bucket(&mut bucket, |item| {
-                    fresh.push(cap, item.delay, item.width, item.trace, f64::NAN);
+                    fresh.push(cap, item.delay, item.width, item.trace);
+                    fresh_w.push(cap);
                 });
             }
-            let expect = reference_3d(&cur, &fresh);
-            let mut merged = OptionBuf::default();
-            let mut stairs = Staircase::new();
-            merge_prune::<true>(&mut cur, &fresh, &mut merged, &mut stairs);
-            let got: Vec<(f64, f64, f64)> = (0..cur.len())
-                .map(|i| (cur.cap[i], cur.delay[i], cur.width[i]))
-                .collect();
-            assert_eq!(got, expect, "round {round}");
+            let (mut expect_log, mut log) = (Vec::new(), Vec::new());
+            let expect = reference_3d(&cur, &fresh, &fresh_w, recorder(&mut expect_log));
+            merge_power(&mut cur, &fresh, &fresh_w, recorder(&mut log));
+            assert_eq!(rows(&cur), expect, "round {round}");
+            assert_eq!(log, expect_log, "round {round}");
         }
     }
 
@@ -772,40 +897,191 @@ mod tests {
             prune_2d(&mut v, |&x| x);
             let mut cur = OptionBuf::default();
             for (i, &(c, d)) in v.iter().enumerate() {
-                cur.push(c, d, 0.0, i as u32, f64::NAN);
+                cur.push(c, d, 0.0, i as u32);
             }
             let mut fresh = OptionBuf::default();
+            let mut fresh_w = Vec::new();
             for b in 0..5 {
                 let cap = 9.0 + b as f64;
                 let mut bucket: Vec<BucketItem> = (0..8u32)
                     .map(|s| BucketItem {
                         delay: lcg(&mut state),
                         width: 0.0,
-                        trace: s,
+                        trace: 100 + s,
                         seq: s,
                     })
                     .collect();
                 // Equal widths: only the earliest least delay survives,
                 // the one insertion a delay-mode bucket holds.
                 reduce_bucket(&mut bucket, |item| {
-                    fresh.push(cap, item.delay, item.width, item.trace, f64::NAN);
+                    fresh.push(cap, item.delay, item.width, item.trace);
+                    fresh_w.push(cap);
                 });
             }
-            let mut all: Vec<(f64, f64)> = (0..cur.len())
-                .map(|i| (cur.cap[i], cur.delay[i]))
-                .chain((0..fresh.len()).map(|j| (fresh.cap[j], fresh.delay[j])))
+            let mut all: Vec<Row> = (0..cur.len())
+                .map(|i| (cur.cap[i], cur.delay[i], 0.0, cur.trace[i], f64::NAN))
+                .chain((0..fresh.len()).map(|j| {
+                    (
+                        fresh.cap[j],
+                        fresh.delay[j],
+                        0.0,
+                        fresh.trace[j],
+                        fresh_w[j],
+                    )
+                }))
                 .collect();
-            prune_2d(&mut all, |&x| x);
+            prune_2d(&mut all, |r| (r.0, r.1));
+            let mut expect_log = Vec::new();
+            let expect: Vec<(f64, f64, f64, u32)> = {
+                let mut record = recorder(&mut expect_log);
+                all.iter()
+                    .map(|&(c, d, w, trace, inserted)| {
+                        let trace = if inserted.is_nan() {
+                            trace
+                        } else {
+                            record(inserted, trace)
+                        };
+                        (c, d, w, trace)
+                    })
+                    .collect()
+            };
+            let mut best_delay = f64::INFINITY;
+            let keeps = |delay: f64, _: f64| {
+                let keep = delay < best_delay;
+                best_delay = best_delay.min(delay);
+                keep
+            };
             let mut merged = OptionBuf::default();
-            let mut stairs = Staircase::new();
-            merge_prune::<false>(&mut cur, &fresh, &mut merged, &mut stairs);
-            let got: Vec<(f64, f64)> = (0..cur.len()).map(|i| (cur.cap[i], cur.delay[i])).collect();
-            assert_eq!(got, all, "round {round}");
+            let mut log = Vec::new();
+            merge_prune::<false>(
+                &mut cur,
+                &fresh,
+                &fresh_w,
+                &mut merged,
+                keeps,
+                recorder(&mut log),
+            );
+            assert_eq!(rows(&cur), expect, "round {round}");
+            assert_eq!(log, expect_log, "round {round}");
         }
     }
 
+    #[test]
+    fn power_merge_without_insertions_prunes_a_wire_crossed_frontier() {
+        // The chain's empty-generation path: a wire crossing adds
+        // `R·cap` to each delay, so an option of larger cap but smaller
+        // delay can fall behind one of smaller cap, and the merge that
+        // follows must drop it although nothing was generated (no width
+        // in the library, or every insertion over the target).
+        let mut state = 0x3D3Du64;
+        let mut step = InsertStep::default();
+        let (mut dropped, mut kept_all) = (0, 0);
+        for round in 0..200 {
+            let items: Vec<(f64, f64, f64)> = (0..30)
+                .map(|_| (lcg(&mut state), 3.0 * lcg(&mut state), lcg(&mut state)))
+                .collect();
+            let mut cur = sorted_buf_from(&items);
+            for i in 0..cur.len() {
+                cur.delay[i] += 1.0 + 2.0 * cur.cap[i];
+                cur.cap[i] += 0.5;
+            }
+            let mut expect: Vec<(f64, f64, f64, u32)> = rows(&cur);
+            prune_3d(&mut expect, |r| (r.0, r.1, r.2));
+            let widths: &[f64] = if round % 2 == 0 { &[] } else { &[1.0, 2.0] };
+            let created = step.generate(&cur, widths, POWER, |w| w, |_, d, _| d, |_, _| false);
+            assert_eq!(created, cur.len() as u64);
+            assert!(!step.generated_any());
+            let before = cur.len();
+            step.merge_into(&mut cur, POWER, |_, _| unreachable!("nothing to record"));
+            assert_eq!(rows(&cur), expect, "round {round}");
+            if cur.len() < before {
+                dropped += 1;
+            } else {
+                kept_all += 1;
+            }
+        }
+        assert!(
+            dropped > 0,
+            "no wire crossing ever made an option dominated"
+        );
+        assert!(kept_all > 0, "every wire crossing dropped an option");
+    }
+
+    #[test]
+    fn width_floor_matches_staircase_on_fuzz() {
+        // Key-ordered `(cap, delay, width)` streams, as a merge feeds
+        // them: the floor must keep and drop exactly what the staircase
+        // keeps and drops.
+        let mut state = 0xF100Fu64;
+        let mut table = ClassTable::default();
+        let mut floor = WidthFloor::default();
+        let (mut few, mut grew, mut signed_zero, mut neighbours) = (false, false, false, false);
+        let (mut duplicate, mut delay_tie) = (false, false);
+        for round in 0..800 {
+            let n = 1 + round % 150;
+            let mut items: Vec<(f64, f64, f64)> = (0..n)
+                .map(|_| {
+                    let k = lcg(&mut state);
+                    let width = match round % 4 {
+                        // Few classes on the 10 u grid.
+                        0 => 10.0 * k,
+                        // Up to 81 classes, so the table grows.
+                        1 => 10.0 * (k * 9.0 + lcg(&mut state)),
+                        // Bit neighbours and signed zeros.
+                        2 => [0.3, 0.2 + 0.1, 0.0, -0.0, 370.0][k as usize % 5],
+                        // Fractional widths a DP accumulates.
+                        _ => 0.1 * k + 0.7 * lcg(&mut state),
+                    };
+                    (lcg(&mut state), lcg(&mut state), width)
+                })
+                .collect();
+            items.sort_by(|a, b| {
+                cmp_f64(a.0, b.0)
+                    .then(cmp_f64(a.1, b.1))
+                    .then(cmp_f64(a.2, b.2))
+            });
+            table.reset();
+            for &(_, _, width) in &items {
+                table.insert(width);
+            }
+            floor.rank(&mut table);
+            let mut stairs = Staircase::new();
+            for (i, &(_, delay, width)) in items.iter().enumerate() {
+                let expect = !stairs.dominates(delay, width);
+                if expect {
+                    stairs.insert(delay, width);
+                }
+                let got = floor.keeps(table.find(width), delay);
+                assert_eq!(got, expect, "round {round} item {i}: {:?}", items[i]);
+            }
+            let classes = table.keys.len();
+            few |= n >= 50 && classes <= 9;
+            grew |= classes > 64 && table.slots.len() > MIN_SLOTS;
+            let bits = |x: f64| x.to_bits();
+            signed_zero |= items.iter().any(|x| bits(x.2) == bits(0.0))
+                && items.iter().any(|x| bits(x.2) == bits(-0.0));
+            neighbours |=
+                items.iter().any(|x| x.2 == 0.3) && items.iter().any(|x| x.2 == 0.2 + 0.1);
+            duplicate |= items.windows(2).any(|w| {
+                (bits(w[0].0), bits(w[0].1), bits(w[0].2))
+                    == (bits(w[1].0), bits(w[1].1), bits(w[1].2))
+            });
+            delay_tie |= items
+                .iter()
+                .enumerate()
+                .any(|(i, a)| items[..i].iter().any(|b| b.1 == a.1 && b.2 != a.2));
+        }
+        assert!(few, "no stream had few classes");
+        assert!(grew, "no stream had more than 64 classes");
+        assert!(signed_zero, "no stream held both -0.0 and 0.0");
+        assert!(neighbours, "no stream held both 0.3 and 0.2 + 0.1");
+        assert!(duplicate, "no stream held an exact duplicate");
+        assert!(delay_tie, "no stream held equal delays across classes");
+    }
+
     /// One option as the reference pruner sees it: `(cap, delay, width,
-    /// parent trace, pending width)`, pending `NaN` for a carried option.
+    /// parent trace, inserted width)`, inserted `NaN` for a carried
+    /// option.
     type Row = (f64, f64, f64, u32, f64);
 
     #[test]
@@ -855,7 +1131,7 @@ mod tests {
             }
             let mut cur = OptionBuf::default();
             for (i, &(c, d, w)) in items.iter().enumerate() {
-                cur.push(c, d, w, 10 + i as u32, f64::NAN);
+                cur.push(c, d, w, 10 + i as u32);
             }
             // A small ascending library of integer widths; its load ties
             // with the frontier's caps.
@@ -925,11 +1201,11 @@ mod tests {
             let mut expect_recorded = Vec::new();
             let expect: Vec<(f64, f64, f64, u32)> = all
                 .iter()
-                .map(|&(cap, delay, width, prev, pending)| {
-                    let trace = if pending.is_nan() {
+                .map(|&(cap, delay, width, prev, inserted)| {
+                    let trace = if inserted.is_nan() {
                         prev
                     } else {
-                        expect_recorded.push((pending, prev));
+                        expect_recorded.push((inserted, prev));
                         1000 + expect_recorded.len() as u32 - 1
                     };
                     (cap, delay, width, trace)
@@ -949,7 +1225,6 @@ mod tests {
             assert_eq!(created, expect_created, "{ctx}");
             assert_eq!(got, expect, "{ctx}");
             assert_eq!(recorded, expect_recorded, "{ctx}");
-            assert!(cur.pending.iter().all(|p| p.is_nan()), "{ctx}");
         }
         assert!(duplicated, "no insertion ever duplicated another");
         assert!(tied, "no insertion ever tied a carried option");
@@ -971,8 +1246,8 @@ mod tests {
         // the lower frontier index survives, although its class sorts
         // after the other.
         let mut front = OptionBuf::default();
-        front.push(5.0, 1.0, 0.2 + 0.1, 7, f64::NAN);
-        front.push(6.0, 1.0, 0.3, 9, f64::NAN);
+        front.push(5.0, 1.0, 0.2 + 0.1, 7);
+        front.push(6.0, 1.0, 0.3, 9);
         assert!(front.width[0] > front.width[1]);
         assert_eq!(
             (front.width[0] + 1.0).to_bits(),
@@ -1064,7 +1339,7 @@ mod tests {
     fn select_breaks_ties_towards_the_earliest_option() {
         let mut front = OptionBuf::default();
         for (delay, width) in [(5.0, 3.0), (4.0, 9.0), (4.0, 9.0), (6.0, 3.0)] {
-            front.push(0.0, delay, width, 0, f64::NAN);
+            front.push(0.0, delay, width, 0);
         }
         assert_eq!(select(&front, Objective::MinDelay), Some(1));
         let target = |target_fs| Objective::MinPowerUnderDelay { target_fs };
@@ -1076,16 +1351,15 @@ mod tests {
     #[test]
     fn retain_delay_le_compacts_all_columns() {
         let mut buf = OptionBuf::default();
-        buf.push(1.0, 5.0, 10.0, 1, f64::NAN);
-        buf.push(2.0, 50.0, 20.0, 2, 7.0);
-        buf.push(3.0, 6.0, 30.0, 3, f64::NAN);
+        buf.push(1.0, 5.0, 10.0, 1);
+        buf.push(2.0, 50.0, 20.0, 2);
+        buf.push(3.0, 6.0, 30.0, 3);
         buf.retain_delay_le(10.0);
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.cap, vec![1.0, 3.0]);
         assert_eq!(buf.delay, vec![5.0, 6.0]);
         assert_eq!(buf.width, vec![10.0, 30.0]);
         assert_eq!(buf.trace, vec![1, 3]);
-        assert!(buf.pending.iter().all(|p| p.is_nan()));
     }
 
     #[test]
@@ -1106,7 +1380,7 @@ mod tests {
         ];
         let mut fresh = OptionBuf::default();
         reduce_bucket(&mut bucket, |item| {
-            fresh.push(1.0, item.delay, item.width, item.trace, 5.0);
+            fresh.push(1.0, item.delay, item.width, item.trace);
         });
         assert_eq!(fresh.len(), 1);
         assert_eq!(
@@ -1120,7 +1394,7 @@ mod tests {
     fn scratch_reset_keeps_capacity() {
         let mut s = DpScratch::default();
         for _ in 0..100 {
-            s.cur.push(1.0, 2.0, 3.0, 0, f64::NAN);
+            s.cur.push(1.0, 2.0, 3.0, 0);
         }
         let cap_before = s.cur.cap.capacity();
         s.reset();

@@ -75,9 +75,9 @@
 //!   the unit accumulator, without regrouping.
 //!
 //! Traces are lazy, as in the chain sweep: a staged product carries only
-//! its source indices and a fresh insertion only its pending width, and
-//! the trace arena records a join or a buffer only for options that
-//! survive pruning.
+//! its source indices and a fresh insertion only its parent's trace and
+//! its inserted width, and the trace arena records a join or a buffer
+//! only as the prune or the merge keeps an option.
 //!
 //! The previous engine survives verbatim as [`crate::reference::tree`]
 //! and `tests/tree_frontier_equivalence.rs` pins both to the same
@@ -192,8 +192,8 @@ struct CrossItem {
 // solve; the lazy trace must not widen it.
 const _: () = assert!(std::mem::size_of::<CrossItem>() == 32);
 
-/// The staged products of a cross-merge, and the exact-cap buckets that
-/// order them.
+/// The staged products of a cross-merge, the exact-cap buckets that
+/// order them and the staircase of their prune sweep.
 #[derive(Debug, Default)]
 struct Products {
     /// Staged products, ordered and pruned in place.
@@ -202,6 +202,8 @@ struct Products {
     caps: ClassTable,
     /// Start of each bucket, in ascending cap order, then the total.
     starts: Vec<u32>,
+    /// The prune sweep's dominance staircase.
+    stairs: Staircase,
 }
 
 impl Products {
@@ -222,6 +224,7 @@ impl Products {
             items: products,
             caps,
             starts,
+            ..
         } = self;
         caps.reset();
         for p in products.iter() {
@@ -270,14 +273,9 @@ impl Products {
     /// put in `(cap, delay[, width], a, b)` order by
     /// [`Products::order`] — the order of the reference's stable
     /// `prune_2d`/`prune_3d` sort — and fed to the [`Sweep`].
-    fn prune(
-        &mut self,
-        objective: Objective,
-        stairs: &mut Staircase,
-        mut emit: impl FnMut(&CrossItem),
-    ) {
+    fn prune(&mut self, objective: Objective, mut emit: impl FnMut(&CrossItem)) {
         self.order(objective);
-        let mut sweep = Sweep::new(objective, stairs);
+        let mut sweep = Sweep::new(objective, &mut self.stairs);
         for p in &self.items {
             if sweep.keeps(p.delay, p.width) {
                 emit(p);
@@ -368,8 +366,8 @@ pub(crate) struct TreeScratch {
     runs_b: WidthRuns,
     /// Staged cross-merge products.
     products: Products,
-    /// The buffer-insertion step; its merge buffer and staircase also
-    /// serve the cross-merge.
+    /// The buffer-insertion step; its merge buffer also serves the
+    /// cross-merge.
     step: InsertStep,
     /// Trace arena (buffer/join decisions).
     arena: TArena,
@@ -571,7 +569,7 @@ fn merge_first_child(
     objective: Objective,
     admits: &impl Fn(f64, f64) -> bool,
     products: &mut Products,
-    step: &mut InsertStep,
+    merged: &mut OptionBuf,
 ) -> (usize, usize) {
     debug_assert!(unit.len() == 1 && unit.trace[0] == 0);
     let by_width = matches!(objective, Objective::MinPowerUnderDelay { .. });
@@ -597,7 +595,7 @@ fn merge_first_child(
 
     let start = range.start;
     if in_order {
-        let mut sweep = Sweep::new(objective, &mut step.stairs);
+        let mut sweep = Sweep::new(objective, &mut products.stairs);
         let (mut staged, mut kept) = (0, start);
         for b in range {
             let (cap, delay, width) = product(unit, 0, store, b);
@@ -615,10 +613,9 @@ fn merge_first_child(
 
     products.items.clear();
     stage_all(&mut products.items, unit, store, range, admits);
-    let merged = &mut step.merged;
     merged.clear();
-    products.prune(objective, &mut step.stairs, |p| {
-        merged.push(p.cap, p.delay, p.width, store.trace[p.b as usize], f64::NAN);
+    products.prune(objective, |p| {
+        merged.push(p.cap, p.delay, p.width, store.trace[p.b as usize]);
     });
     for i in 0..merged.len() {
         store.set(
@@ -782,7 +779,7 @@ fn solve_tree(
         'nodes: for v in (0..tree.len()).rev() {
             // Cross-merge the children (lifted across their edges).
             acc.clear();
-            acc.push(0.0, 0.0, 0.0, 0, f64::NAN);
+            acc.push(0.0, 0.0, 0.0, 0);
             let admits = |delay: f64, cap: f64| {
                 if v == 0 {
                     bound.admits_at_root(delay, cap)
@@ -813,7 +810,7 @@ fn solve_tree(
                         objective,
                         &admits,
                         products,
-                        step,
+                        &mut step.merged,
                     );
                     let survivors = range.start..range.start + survivors;
                     if v != 0 && children.len() == 1 && !buffer_ok(v) {
@@ -848,9 +845,9 @@ fn solve_tree(
                     // so `acc.trace` stays readable until the swap.
                     let merged = &mut step.merged;
                     merged.clear();
-                    products.prune(objective, &mut step.stairs, |p| {
+                    products.prune(objective, |p| {
                         let trace = arena.join(acc.trace[p.a as usize], store.trace[p.b as usize]);
-                        merged.push(p.cap, p.delay, p.width, trace, f64::NAN);
+                        merged.push(p.cap, p.delay, p.width, trace);
                     });
                     std::mem::swap(acc, merged);
                     products.items.len()
@@ -1246,7 +1243,6 @@ mod tests {
         // set-identical to the naive oracle — mirroring the chain
         // engine's prune_2d/prune_3d fuzz suites.
         let mut state = 0xC0FFEEu64;
-        let mut stairs = Staircase::new();
         let mut products = Products::default();
         for round in 0..50 {
             let n = 1 + (round * 5) % 80;
@@ -1261,7 +1257,7 @@ mod tests {
                 .collect();
             let items: Vec<(f64, f64)> = products.items.iter().map(|p| (p.cap, p.delay)).collect();
             let mut got: Vec<(f64, f64)> = Vec::new();
-            products.prune(Objective::MinDelay, &mut stairs, |p| {
+            products.prune(Objective::MinDelay, |p| {
                 got.push((p.cap, p.delay));
             });
             assert!(
@@ -1286,7 +1282,6 @@ mod tests {
     #[test]
     fn cross_merge_fuzz_matches_naive_oracle_min_power() {
         let mut state = 0xBEEFu64;
-        let mut stairs = Staircase::new();
         let mut products = Products::default();
         for round in 0..50 {
             let n = 1 + (round * 7) % 100;
@@ -1305,7 +1300,7 @@ mod tests {
                 .map(|p| (p.cap, p.delay, p.width))
                 .collect();
             let mut got: Vec<(f64, f64, f64)> = Vec::new();
-            products.prune(POWER, &mut stairs, |p| {
+            products.prune(POWER, |p| {
                 got.push((p.cap, p.delay, p.width));
             });
             assert!(
@@ -1336,7 +1331,7 @@ mod tests {
         rows.sort_by(|x, y| x.partial_cmp(y).unwrap());
         let mut buf = OptionBuf::default();
         for (cap, delay, width) in rows {
-            buf.push(cap, delay, width, 0, f64::NAN);
+            buf.push(cap, delay, width, 0);
         }
         buf
     }
@@ -1347,7 +1342,6 @@ mod tests {
         // must emit exactly the (a, b) sequence it emits when every
         // product is staged — with and without a finite bound.
         let mut state = 0x5EEDu64;
-        let mut stairs = Staircase::new();
         let (mut runs_a, mut runs_b) = (WidthRuns::default(), WidthRuns::default());
         let mut skipped = 0;
         for round in 0..200 {
@@ -1357,13 +1351,13 @@ mod tests {
             let admits = |delay: f64, cap: f64| delay + cap <= limit;
             for objective in [Objective::MinDelay, POWER] {
                 let by_width = objective != Objective::MinDelay;
-                let emitted = |items: Vec<CrossItem>, stairs: &mut Staircase| {
+                let emitted = |items: Vec<CrossItem>| {
                     let mut out = Vec::new();
                     let mut products = Products {
                         items,
                         ..Products::default()
                     };
-                    products.prune(objective, stairs, |p| out.push((p.a, p.b)));
+                    products.prune(objective, |p| out.push((p.a, p.b)));
                     out
                 };
                 let mut all = Vec::new();
@@ -1374,11 +1368,7 @@ mod tests {
                 stage_walk(&mut walked, &acc, &store, &runs_a, &runs_b, &admits);
                 assert!(walked.len() <= all.len());
                 skipped += all.len() - walked.len();
-                assert_eq!(
-                    emitted(walked, &mut stairs),
-                    emitted(all, &mut stairs),
-                    "round {round} {objective:?}"
-                );
+                assert_eq!(emitted(walked), emitted(all), "round {round} {objective:?}");
             }
         }
         assert!(skipped > 0, "the walk never skipped a product");
@@ -1386,7 +1376,6 @@ mod tests {
 
     #[test]
     fn cross_merge_collapses_duplicates_to_the_earliest_record() {
-        let mut stairs = Staircase::new();
         let item = |a, b| CrossItem {
             cap: 1.0,
             delay: 2.0,
@@ -1402,7 +1391,7 @@ mod tests {
         };
         for objective in [Objective::MinDelay, POWER] {
             let mut survivors = Vec::new();
-            products.prune(objective, &mut stairs, |p| {
+            products.prune(objective, |p| {
                 survivors.push((p.a, p.b));
             });
             assert_eq!(
@@ -1538,9 +1527,9 @@ mod tests {
         let mut state = 0xF1857u64;
         let (mut fast, mut fallback) = (0, 0);
         let mut products = Products::default();
-        let mut step = InsertStep::default();
+        let mut merged = OptionBuf::default();
         let mut unit = OptionBuf::default();
-        unit.push(0.0, 0.0, 0.0, 0, f64::NAN);
+        unit.push(0.0, 0.0, 0.0, 0);
         for round in 0..400 {
             let objective = if round % 2 == 0 {
                 Objective::MinDelay
@@ -1563,16 +1552,10 @@ mod tests {
             }
             let mut store = OptionBuf::default();
             for j in 0..3 {
-                store.push(99.0, 99.0, 99.0, 500 + j, f64::NAN);
+                store.push(99.0, 99.0, 99.0, 500 + j);
             }
             for (i, &(cap, delay, width)) in rows.iter().enumerate() {
-                store.push(
-                    cap + 3.0,
-                    delay + 1.0 + 2.0 * cap,
-                    width,
-                    10 + i as u32,
-                    f64::NAN,
-                );
+                store.push(cap + 3.0, delay + 1.0 + 2.0 * cap, width, 10 + i as u32);
             }
             let range = 3..store.len();
             let limit = if round % 3 == 0 { f64::INFINITY } else { 30.0 };
@@ -1605,7 +1588,7 @@ mod tests {
                 objective,
                 &admits,
                 &mut products,
-                &mut step,
+                &mut merged,
             );
             let got: Vec<(f64, f64, f64, u32)> = (3..3 + kept)
                 .map(|i| (store.cap[i], store.delay[i], store.width[i], store.trace[i]))
