@@ -5,8 +5,7 @@
 //! machine-independent: `BENCH_dp_frontier.json` can be regenerated
 //! anywhere and the `speedup_vs_reference` field remains comparable,
 //! which is what CI's bench-regression gate checks (absolute
-//! `nets_per_s` is compared against the committed baseline with a wide
-//! tolerance; the ratio is gated tightly).
+//! `nets_per_s` is recorded for trend-watching only).
 
 use crate::stats::{summarize, JsonObject, StatSummary};
 use rip_dp::{reference, solve_min_power, CandidateSet, DpSolution};

@@ -21,33 +21,27 @@
 //! (`ablations`), and batch-engine throughput (`batch_engine`).
 //!
 //! The *statistical* benchmarks live in [`stats`] (median/MAD over
-//! repeated runs with warm-up discard), with three standard workloads:
+//! repeated runs with warm-up discard). Each times a production DP
+//! against its frozen seed engine in one process, so the ratio they
+//! record (`speedup_vs_reference`) is machine-independent:
 //!
-//! * [`run_frontier_bench`] — production sorted-frontier DP vs the seed
-//!   reference pruner, written to `BENCH_dp_frontier.json`;
-//! * [`run_batch_bench`] — sequential `rip()` vs `Engine::solve_batch`,
-//!   written to `BENCH_batch.json`;
+//! * [`run_frontier_bench`] — production sorted-frontier chain DP vs the
+//!   seed reference pruner, written to `BENCH_dp_frontier.json`;
 //! * [`run_tree_bench`] — production SoA tree DP vs the frozen pre-SoA
-//!   tree engine plus batch tree-pipeline throughput, written to
-//!   `BENCH_tree.json`;
-//! * [`run_serve_bench`] — `rip_serve` service throughput at 1/4/16
-//!   concurrent connections with byte-identity verification against an
-//!   in-process reference engine, written to `BENCH_serve.json`.
+//!   tree engine, unmasked and masked, written to `BENCH_tree.json`.
 //!
-//! `rip bench` runs all four and writes the JSON files. CI's
+//! `rip bench` runs both and writes the JSON files. CI's
 //! bench-regression job runs it with `--check-baseline`, whose gates
-//! are byte identity and machine-independent ratios of the fresh run.
+//! are byte identity and the three speedup ratios of the fresh run.
+//! End-to-end throughput, latency and memory belong to the repository
+//! benchmark (`benchmark/`), not to these files.
 
-pub mod batch_bench;
 pub mod frontier_bench;
 pub mod harness;
-pub mod serve_bench;
 pub mod stats;
 pub mod tree_bench;
 
-pub use batch_bench::{run_batch_bench, BatchBenchConfig, BatchBenchReport};
 pub use frontier_bench::{run_frontier_bench, FrontierBenchConfig, FrontierBenchReport};
-pub use serve_bench::{run_serve_bench, ServeBenchConfig, ServeBenchReport, ServeLevel};
 pub use tree_bench::{run_tree_bench, TreeBenchConfig, TreeBenchReport};
 
 use std::path::PathBuf;
@@ -66,7 +60,7 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Returns the workspace root (the parent of `crates/`), where benchmark
-/// JSON artifacts like `BENCH_batch.json` live.
+/// JSON artifacts like `BENCH_tree.json` live.
 pub fn workspace_root() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench; results live at the workspace
     // root so EXPERIMENTS.md can reference them stably.

@@ -3,18 +3,14 @@
 //! on a generated multi-sink corpus — unmasked on the subdivided site
 //! trees, and **masked** on the raw topologies (where each net's
 //! forbidden-node run aligns index-for-index), making masked floorplans
-//! a measured, byte-identity-gated scenario — plus cold-session
-//! `Engine::solve_tree_batch_masked` throughput over the full tree
-//! pipeline, unmasked and masked.
+//! a measured, byte-identity-gated scenario.
 //!
 //! Like the frontier bench, both DP sides run in the same process on the
 //! same trees, so the recorded `speedup_vs_reference` is
 //! machine-independent: `BENCH_tree.json` can be regenerated anywhere
-//! and the ratio stays comparable — CI's bench-regression gate checks it
-//! alongside the absolute throughput baselines.
+//! and the ratio stays comparable — CI's bench-regression gate checks it.
 
 use crate::stats::{summarize, JsonObject, StatSummary};
-use rip_core::{BatchTarget, Engine, RipConfig, TreeRipConfig, TreeRipOutcome};
 use rip_delay::RcTree;
 use rip_dp::{reference, tree_min_power, TreeSolution};
 use rip_net::{RandomTreeConfig, TreeNetGenerator};
@@ -34,16 +30,6 @@ pub struct TreeBenchConfig {
     pub step_um: f64,
     /// Timing target as a multiple of each tree's min-delay.
     pub target_mult: f64,
-    /// Timed `Engine::solve_tree_batch_masked` runs per batch leg (each
-    /// on a fresh engine).
-    pub batch_runs: usize,
-    /// Trees fed to the batch-pipeline leg (a prefix of the corpus; the
-    /// full preset sweeps the whole corpus).
-    pub batch_trees: usize,
-    /// Trees fed to the **masked** batch-pipeline leg (a prefix of the
-    /// corpus, each tree's paper-distribution forbidden-node mask in
-    /// force through the whole hybrid pipeline).
-    pub masked_batch_trees: usize,
 }
 
 impl TreeBenchConfig {
@@ -56,9 +42,6 @@ impl TreeBenchConfig {
                 warmup: 1,
                 step_um: 200.0,
                 target_mult: 1.3,
-                batch_runs: 1,
-                batch_trees: 2,
-                masked_batch_trees: 2,
             }
         } else {
             Self {
@@ -67,9 +50,6 @@ impl TreeBenchConfig {
                 warmup: 2,
                 step_um: 200.0,
                 target_mult: 1.3,
-                batch_runs: 3,
-                batch_trees: 30,
-                masked_batch_trees: 30,
             }
         }
     }
@@ -102,19 +82,11 @@ pub struct TreeBenchReport {
     pub masked_reference: StatSummary,
     /// `masked_reference.median_s / masked.median_s`.
     pub masked_speedup_vs_reference: f64,
-    /// Summary of the timed unmasked `Engine::solve_tree_batch_masked`
-    /// runs (`None` masks; full hybrid pipeline, fresh engine per run).
-    pub batch: StatSummary,
-    /// Summary of the timed `Engine::solve_tree_batch_masked` runs:
-    /// the full hybrid pipeline with each tree's forbidden-node mask
-    /// binding end to end (fresh engine per run, byte-identity-checked
-    /// against per-tree sequential masked solves).
-    pub masked_batch: StatSummary,
     /// Whether both DP sides gave the same answer on every tree,
     /// unmasked *and* masked — the same buffer widths, delay and width
     /// bits, as judged by [`reference::same_tree_solution`] (checked
-    /// during warm-up; work counters are not compared) — and the masked
-    /// batch matched sequential masked solves byte for byte.
+    /// during warm-up; work counters are not compared) — and no masked
+    /// solution buffers a blocked node.
     pub byte_identical: bool,
 }
 
@@ -122,17 +94,6 @@ impl TreeBenchReport {
     /// Trees solved per second by the production DP (median run).
     pub fn frontier_trees_per_s(&self) -> f64 {
         self.config.trees as f64 / self.frontier.median_s
-    }
-
-    /// Trees solved per second by the batch pipeline (median run).
-    pub fn batch_trees_per_s(&self) -> f64 {
-        self.config.batch_trees.min(self.config.trees) as f64 / self.batch.median_s
-    }
-
-    /// Trees solved per second by the masked batch pipeline (median
-    /// run).
-    pub fn masked_batch_trees_per_s(&self) -> f64 {
-        self.config.masked_batch_trees.min(self.config.trees) as f64 / self.masked_batch.median_s
     }
 
     /// The flat-JSON rendering written to `BENCH_tree.json`.
@@ -165,21 +126,6 @@ impl TreeBenchReport {
                 "masked_speedup_vs_reference",
                 self.masked_speedup_vs_reference,
             )
-            .int("batch_runs", self.config.batch_runs as u64)
-            .int(
-                "batch_trees",
-                self.config.batch_trees.min(self.config.trees) as u64,
-            )
-            .num("batch_s", self.batch.median_s)
-            .num("batch_mad_s", self.batch.mad_s)
-            .num("batch_trees_per_s", self.batch_trees_per_s())
-            .int(
-                "masked_batch_trees",
-                self.config.masked_batch_trees.min(self.config.trees) as u64,
-            )
-            .num("masked_batch_s", self.masked_batch.median_s)
-            .num("masked_batch_mad_s", self.masked_batch.mad_s)
-            .num("masked_batch_trees_per_s", self.masked_batch_trees_per_s())
             .bool("byte_identical", self.byte_identical)
             .finish()
     }
@@ -191,9 +137,7 @@ impl TreeBenchReport {
                frontier  median {:.4}s  mad {:.4}s  ({:.1} trees/s)\n\
                reference median {:.4}s  mad {:.4}s  ({:.1} trees/s)\n\
                speedup vs reference: {:.2}x   byte_identical: {}\n\
-               masked raw corpus: median {:.4}s vs reference {:.4}s  ({:.2}x)\n\
-               pipeline batch ({} trees) median {:.3}s over {} run(s)  ({:.2} trees/s)\n\
-               masked pipeline batch ({} trees) median {:.3}s  ({:.2} trees/s)",
+               masked raw corpus: median {:.4}s vs reference {:.4}s  ({:.2}x)",
             self.config.trees,
             self.nodes_per_pass,
             self.config.runs,
@@ -210,13 +154,6 @@ impl TreeBenchReport {
             self.masked.median_s,
             self.masked_reference.median_s,
             self.masked_speedup_vs_reference,
-            self.config.batch_trees.min(self.config.trees),
-            self.batch.median_s,
-            self.config.batch_runs,
-            self.batch_trees_per_s(),
-            self.config.masked_batch_trees.min(self.config.trees),
-            self.masked_batch.median_s,
-            self.masked_batch_trees_per_s(),
         )
     }
 }
@@ -372,58 +309,6 @@ pub fn run_tree_bench(config: TreeBenchConfig) -> TreeBenchReport {
         std::hint::black_box(&b);
     }
 
-    // Batch pipeline legs over prefixes of the raw (unsubdivided)
-    // trees: unmasked, then with every tree's paper-distribution
-    // forbidden-node mask binding through the whole hybrid pipeline.
-    let batch_corpus = |count: usize, masked: bool| -> Vec<(RcTree, f64, Option<Vec<bool>>)> {
-        raw.iter()
-            .zip(&masks)
-            .take(count)
-            .map(|((tree, driver), mask)| (tree.clone(), *driver, masked.then(|| mask.clone())))
-            .collect()
-    };
-    let (batch_samples, ..) = time_cold_tree_batches(
-        &tech,
-        &batch_corpus(config.batch_trees, false),
-        config.target_mult,
-        config.batch_runs,
-    );
-    let masked_batch_corpus = batch_corpus(config.masked_batch_trees, true);
-    let (masked_batch_samples, masked_batch_targets, outcomes) = time_cold_tree_batches(
-        &tech,
-        &masked_batch_corpus,
-        config.target_mult,
-        config.batch_runs,
-    );
-    // The masked leg's first run doubles as the equivalence check: the
-    // batch solutions must be byte-identical to per-tree sequential
-    // masked solves on a fresh engine, and legal under the mask.
-    let tree_config = TreeRipConfig::paper();
-    let sequential = Engine::new(tech.clone(), RipConfig::paper());
-    for (i, (((tree, driver, mask), batch_sol), &target_fs)) in masked_batch_corpus
-        .iter()
-        .zip(&outcomes)
-        .zip(&masked_batch_targets)
-        .enumerate()
-    {
-        let reference = sequential
-            .solve_tree_masked(tree, *driver, target_fs, &tree_config, mask.as_deref())
-            .expect("the batch run proved the target feasible");
-        if format!("{:?}", batch_sol.solution) != format!("{:?}", reference.solution) {
-            eprintln!("masked batch tree {i}: batch solution differs from sequential!");
-            byte_identical = false;
-        }
-        if mask
-            .iter()
-            .flatten()
-            .zip(&batch_sol.solution.buffer_widths)
-            .any(|(&ok, w)| !ok && w.is_some())
-        {
-            eprintln!("masked batch tree {i}: buffer on a blocked node!");
-            byte_identical = false;
-        }
-    }
-
     let frontier = summarize(&frontier_samples);
     let reference = summarize(&reference_samples);
     let masked = summarize(&masked_samples);
@@ -439,56 +324,8 @@ pub fn run_tree_bench(config: TreeBenchConfig) -> TreeBenchReport {
         masked_speedup_vs_reference: masked_reference.median_s / masked.median_s,
         masked,
         masked_reference,
-        batch: summarize(&batch_samples),
-        masked_batch: summarize(&masked_batch_samples),
         byte_identical,
     }
-}
-
-/// One cold-session batch leg, mirroring `run_batch_bench`'s
-/// convention: fixes each entry's target at `target_mult ×` its (masked)
-/// tree `τ_min` on a probe engine, then times `runs` (at least one)
-/// `Engine::solve_tree_batch_masked` calls, each on a fresh engine.
-/// Returns the run times, the targets and the first run's outcomes.
-fn time_cold_tree_batches(
-    tech: &Technology,
-    corpus: &[(RcTree, f64, Option<Vec<bool>>)],
-    target_mult: f64,
-    runs: usize,
-) -> (Vec<f64>, Vec<f64>, Vec<TreeRipOutcome>) {
-    let tree_config = TreeRipConfig::paper();
-    let probe = Engine::new(tech.clone(), RipConfig::paper());
-    let targets: Vec<f64> = corpus
-        .iter()
-        .map(|(tree, driver, mask)| {
-            target_mult
-                * probe
-                    .tree_tau_min_masked(tree, *driver, &tree_config, mask.as_deref())
-                    .expect("aligned masks cannot fail the tree min-delay")
-        })
-        .collect();
-    drop(probe);
-    let mut samples = Vec::with_capacity(runs.max(1));
-    let mut first = Vec::new();
-    for run in 0..runs.max(1) {
-        let engine = Engine::new(tech.clone(), RipConfig::paper());
-        let t = Instant::now();
-        let outcomes = engine.solve_tree_batch_masked(
-            corpus,
-            &BatchTarget::PerNetFs(targets.clone()),
-            &tree_config,
-        );
-        samples.push(t.elapsed().as_secs_f64());
-        let outcomes: Vec<TreeRipOutcome> = outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(i, out)| out.unwrap_or_else(|e| panic!("tree {i}: pipeline failed: {e}")))
-            .collect();
-        if run == 0 {
-            first = outcomes;
-        }
-    }
-    (samples, targets, first)
 }
 
 #[cfg(test)]
@@ -504,9 +341,6 @@ mod tests {
             warmup: 1,
             step_um: 400.0,
             target_mult: 1.4,
-            batch_runs: 1,
-            batch_trees: 1,
-            masked_batch_trees: 1,
         };
         let report = run_tree_bench(config);
         assert!(report.byte_identical);
@@ -519,9 +353,10 @@ mod tests {
         assert!(num("masked_speedup_vs_reference").is_some());
         assert!(num("masked_median_s").unwrap() > 0.0);
         assert!(num("frontier_trees_per_s").unwrap() > 0.0);
-        assert!(num("batch_trees_per_s").unwrap() > 0.0);
-        assert_eq!(num("masked_batch_trees"), Some(1.0));
-        assert!(num("masked_batch_trees_per_s").unwrap() > 0.0);
+        assert!(
+            !report.to_json().contains("batch"),
+            "the pipeline batch legs belong to the repository benchmark"
+        );
         assert!(report.summary_text().contains("speedup"));
     }
 }

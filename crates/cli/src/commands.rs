@@ -22,8 +22,8 @@ pub enum CliError {
     Solve(RipError),
     /// Filesystem trouble.
     Io(std::io::Error),
-    /// A benchmark regressed past the allowed tolerance
-    /// (`rip bench --check-baseline`).
+    /// A DP answer differed from its reference, or `rip bench
+    /// --check-baseline` found a DP slower than its reference.
     BenchRegression(String),
     /// One or more nets in a batch failed to solve. The rendered table
     /// (with the per-net failure rows) is carried along so the binary
@@ -541,53 +541,32 @@ pub fn cmd_batch_tree(
 }
 
 /// Options for `rip bench`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BenchOptions {
     /// Reduced smoke-run workloads (CI uses this).
     pub quick: bool,
-    /// Check the machine-independent regression gates (in-process
-    /// speedup ratios, byte identity, serve hit rate) and fail on
-    /// regression.
+    /// Check the machine-independent regression gate (byte identity and
+    /// the three in-process speedup ratios) and fail on regression.
     pub check_baseline: bool,
-    /// Allowed slack on the batch-vs-sequential ratio gate (default
-    /// 0.25: on a single-core runner the batch engine's only edge is
-    /// cache reuse, so the ratio sits near 1.0 by construction).
-    pub tolerance: f64,
 }
 
-impl Default for BenchOptions {
-    fn default() -> Self {
-        Self {
-            quick: false,
-            check_baseline: false,
-            tolerance: 0.25,
-        }
-    }
-}
-
-/// `rip bench`: run the statistical benchmark suite (DP frontier, batch
-/// engine, tree workload, solver service), write
-/// `BENCH_dp_frontier.json` / `BENCH_batch.json` / `BENCH_tree.json` /
-/// `BENCH_serve.json` at the workspace root, and optionally run the
-/// regression gates.
+/// `rip bench`: time the production chain and tree DPs against their
+/// frozen seed engines, write `BENCH_dp_frontier.json` and
+/// `BENCH_tree.json` at the workspace root, and optionally run the
+/// regression gate.
 ///
-/// This is the one command behind every performance claim in the
-/// repository: the committed JSONs are regenerated by it, and CI's
+/// The committed JSONs are regenerated by this command, and CI's
 /// bench-regression job runs it with `--check-baseline` at full scale.
-/// Every gate is machine-independent — in-process speedup ratios, byte
-/// identity, and the service's warm-cache hit rate; the absolute
-/// throughput numbers (nets/s, trees/s, requests/s) are recorded in the
-/// JSON for trend-watching only, because they track the CI runner class
-/// more than the code (the old ±25 % absolute legs flaked on runner
-/// changes — see the ROADMAP's runner-variance note).
+/// Both sides of each ratio run in one process on one corpus, so the
+/// gate is machine-independent; the absolute figures (nets/s, trees/s)
+/// are recorded for trend-watching only. End-to-end throughput, latency
+/// and memory are the repository benchmark's (`benchmark/run.py`).
 ///
 /// # Errors
 ///
-/// * [`CliError::BenchRegression`] when any solution is not
-///   byte-identical to its reference (including the serve responses),
-///   or when `--check-baseline` finds a DP engine slower than its
-///   in-process reference, the batch engine behind the sequential pass
-///   beyond the tolerance, or the service's warm hit rate below 50 %;
+/// * [`CliError::BenchRegression`] when any DP solution differs from
+///   its reference, or when `--check-baseline` finds a DP engine slower
+///   than its in-process reference;
 /// * [`CliError::Io`] when the JSON artifacts cannot be written.
 pub fn cmd_bench(opts: &BenchOptions) -> Result<String, CliError> {
     let root = rip_bench::workspace_root();
@@ -602,126 +581,77 @@ pub fn cmd_bench(opts: &BenchOptions) -> Result<String, CliError> {
         }
     };
     let frontier_out = name("BENCH_dp_frontier");
-    let batch_out = name("BENCH_batch");
     let tree_out = name("BENCH_tree");
-    let serve_out = name("BENCH_serve");
 
     let frontier =
         rip_bench::run_frontier_bench(rip_bench::FrontierBenchConfig::preset(opts.quick));
-    let batch = rip_bench::run_batch_bench(rip_bench::BatchBenchConfig::preset(opts.quick));
     let tree = rip_bench::run_tree_bench(rip_bench::TreeBenchConfig::preset(opts.quick));
-    let serve = rip_bench::run_serve_bench(rip_bench::ServeBenchConfig::preset(opts.quick));
 
     std::fs::write(&frontier_out, frontier.to_json())?;
-    std::fs::write(&batch_out, batch.to_json())?;
     std::fs::write(&tree_out, tree.to_json())?;
-    std::fs::write(&serve_out, serve.to_json())?;
 
     let mut out = String::new();
     let _ = writeln!(out, "{}", frontier.summary_text());
-    let _ = writeln!(out, "{}", batch.summary_text());
     let _ = writeln!(out, "{}", tree.summary_text());
-    let _ = writeln!(out, "{}", serve.summary_text());
-    for path in [&frontier_out, &batch_out, &tree_out, &serve_out] {
+    for path in [&frontier_out, &tree_out] {
         let _ = writeln!(out, "wrote {}", path.display());
     }
 
-    if !frontier.byte_identical || !batch.byte_identical || !tree.byte_identical {
+    if opts.check_baseline {
+        bench_gate(&frontier, &tree).map_err(CliError::BenchRegression)?;
+        let _ = writeln!(out, "bench-regression gate: ok");
+    } else if !(frontier.byte_identical && tree.byte_identical) {
         return Err(CliError::BenchRegression(
             "benchmark equivalence check failed: solutions are not byte-identical".into(),
         ));
     }
-    if !serve.byte_identical {
-        return Err(CliError::BenchRegression(
-            "serve equivalence check failed: responses are not byte-identical to the \
-             in-process engine"
-                .into(),
-        ));
-    }
-    if serve.request_errors > 0 {
-        // Kept distinct from the identity check: a failed request (ok:
-        // false) is a service bug, not a determinism break, and the
-        // investigator should start at the failing request, not the
-        // byte-identity machinery.
-        return Err(CliError::BenchRegression(format!(
-            "serve requests failed: {} response(s) were not ok",
-            serve.request_errors
-        )));
-    }
-
-    if opts.check_baseline {
-        let mut failures = Vec::new();
-        // Machine-independent ratio gates. The DP engines must beat
-        // their in-process reference implementations outright — the SoA
-        // frontiers hold a structural margin there, so these are hard
-        // 1.0 floors on any machine.
-        if frontier.speedup_vs_reference < 1.0 {
-            failures.push(format!(
-                "frontier speedup_vs_reference {:.3} < 1.0",
-                frontier.speedup_vs_reference
-            ));
-        }
-        if tree.speedup_vs_reference < 1.0 {
-            failures.push(format!(
-                "tree speedup_vs_reference {:.3} < 1.0",
-                tree.speedup_vs_reference
-            ));
-        }
-        // The masked leg runs the same corpus with every tree's
-        // forbidden-node mask in force; the SoA frontier's margin must
-        // hold there too (masking prunes options on both sides
-        // equally), so it gets the same hard 1.0 floor.
-        if tree.masked_speedup_vs_reference < 1.0 {
-            failures.push(format!(
-                "tree masked_speedup_vs_reference {:.3} < 1.0",
-                tree.masked_speedup_vs_reference
-            ));
-        }
-        // The batch-vs-sequential ratio is also machine-independent, but
-        // on a single-core runner the batch runs on the calling thread
-        // alone (no parallelism), so the ratio sits near 1.0 by
-        // construction; it gets the tolerance as a floor so the gate
-        // catches real regressions (batch falling behind sequential)
-        // without flaking on scheduler noise.
-        let batch_ratio_floor = 1.0 - opts.tolerance;
-        if batch.speedup() < batch_ratio_floor {
-            failures.push(format!(
-                "batch speedup {:.3} < {batch_ratio_floor:.3} (sequential outran the batch engine)",
-                batch.speedup()
-            ));
-        }
-        // The serve workload replays the same request script, so the
-        // shared engine must resolve its `target_mult` requests mostly
-        // from the `τ_min` memo; a cold hit rate here means the service
-        // lost its amortization (e.g. a memo keyed too finely, or
-        // eviction gone wild).
-        if serve.hit_rate < 0.5 {
-            failures.push(format!(
-                "serve hit_rate {:.3} < 0.5 (the shared engine stopped amortizing)",
-                serve.hit_rate
-            ));
-        }
-        let _ = writeln!(
-            out,
-            "absolute throughput recorded for trends only (not gated): \
-             {:.2} nets/s frontier, {:.2} nets/s batch, {:.2} trees/s \
-             ({:.2} masked pipeline), {:.2} req/s serve",
-            frontier.frontier_nets_per_s(),
-            batch.batch_nets_per_s(),
-            tree.frontier_trees_per_s(),
-            tree.masked_batch_trees_per_s(),
-            serve
-                .levels
-                .last()
-                .map(|l| l.requests_per_s())
-                .unwrap_or(0.0),
-        );
-        if !failures.is_empty() {
-            return Err(CliError::BenchRegression(failures.join("; ")));
-        }
-        let _ = writeln!(out, "bench-regression gate: ok");
-    }
     Ok(out)
+}
+
+/// The `--check-baseline` gate over a fresh pair of bench reports:
+/// every DP answer equals its reference's, and every production DP
+/// beats its in-process reference (`speedup_vs_reference` ≥ 1.0 —
+/// chain, tree, and masked tree). The SoA engines hold a structural
+/// margin there, so these are hard floors on any machine.
+///
+/// # Errors
+///
+/// Names every failed check, `; `-separated.
+fn bench_gate(
+    frontier: &rip_bench::FrontierBenchReport,
+    tree: &rip_bench::TreeBenchReport,
+) -> Result<(), String> {
+    let identity = [
+        ("frontier", frontier.byte_identical),
+        ("tree", tree.byte_identical),
+    ];
+    let ratios = [
+        (
+            "frontier speedup_vs_reference",
+            frontier.speedup_vs_reference,
+        ),
+        ("tree speedup_vs_reference", tree.speedup_vs_reference),
+        (
+            "tree masked_speedup_vs_reference",
+            tree.masked_speedup_vs_reference,
+        ),
+    ];
+    let failures: Vec<String> = identity
+        .iter()
+        .filter(|(_, same)| !same)
+        .map(|(bench, _)| format!("{bench} byte_identical: false"))
+        .chain(
+            ratios
+                .iter()
+                .filter(|(_, ratio)| *ratio < 1.0)
+                .map(|(name, ratio)| format!("{name} {ratio:.3} < 1.0")),
+        )
+        .collect();
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("; "))
+    }
 }
 
 /// Options for `rip profile`.
@@ -950,7 +880,7 @@ USAGE:
     rip batch    (--dir <dir> | --seed <n> --count <k>) (--target-ns <x> | --target-mult <m>)
     rip batch    --tree (--dir <dir> | [--seed <n>] --count <k>) (--target-ns <x> | --target-mult <m>)
     rip generate [--tree] --seed <n> --count <k> [--out-dir <dir>]
-    rip bench    [--quick] [--check-baseline] [--tolerance <frac>]
+    rip bench    [--quick] [--check-baseline]
     rip profile  [--quick] [--trees <n>] [--seed <n>]
     rip serve    [--port <p>] [--bind <host>] [--workers <n>] [--max-conns <n>]
                  [--timeout-secs <s>] [--value-cache-cap <n>]
@@ -1254,5 +1184,67 @@ node 2 0.08 0.20 1400 sink 50 blocked
             cmd_solve("segment oops\n", Target::Ns(1.0)),
             Err(CliError::Parse(_))
         ));
+    }
+
+    /// A report pair that passes the gate: both answers identical,
+    /// every ratio at its 1.0 floor (the floor itself passes).
+    fn clean_bench_reports() -> (rip_bench::FrontierBenchReport, rip_bench::TreeBenchReport) {
+        let runs = rip_bench::stats::summarize(&[1.0]);
+        let frontier = rip_bench::FrontierBenchReport {
+            config: rip_bench::FrontierBenchConfig::preset(true),
+            library_widths: 11,
+            options_per_pass: 1,
+            frontier: runs,
+            reference: runs,
+            speedup_vs_reference: 1.0,
+            byte_identical: true,
+        };
+        let tree = rip_bench::TreeBenchReport {
+            config: rip_bench::TreeBenchConfig::preset(true),
+            library_widths: 11,
+            nodes_per_pass: 1,
+            options_per_pass: 1,
+            frontier: runs,
+            reference: runs,
+            speedup_vs_reference: 1.0,
+            masked: runs,
+            masked_reference: runs,
+            masked_speedup_vs_reference: 1.0,
+            byte_identical: true,
+        };
+        (frontier, tree)
+    }
+
+    #[test]
+    fn bench_gate_names_each_failed_check_and_passes_a_clean_pair() {
+        type Break = fn(&mut rip_bench::FrontierBenchReport, &mut rip_bench::TreeBenchReport);
+        let (frontier, tree) = clean_bench_reports();
+        assert_eq!(bench_gate(&frontier, &tree), Ok(()));
+        let breaks: [(&str, Break); 5] = [
+            ("frontier byte_identical", |f, _| f.byte_identical = false),
+            ("tree byte_identical", |_, t| t.byte_identical = false),
+            ("frontier speedup_vs_reference", |f, _| {
+                f.speedup_vs_reference = 0.99
+            }),
+            ("tree speedup_vs_reference", |_, t| {
+                t.speedup_vs_reference = 0.99
+            }),
+            ("tree masked_speedup_vs_reference", |_, t| {
+                t.masked_speedup_vs_reference = 0.99
+            }),
+        ];
+        let (mut all_f, mut all_t) = clean_bench_reports();
+        for (name, break_check) in breaks {
+            let (mut f, mut t) = clean_bench_reports();
+            break_check(&mut f, &mut t);
+            let msg = bench_gate(&f, &t).expect_err(name);
+            // Named, and alone: no other check fires on its behalf.
+            assert!(msg.starts_with(name) && !msg.contains(';'), "{name}: {msg}");
+            break_check(&mut all_f, &mut all_t);
+        }
+        let msg = bench_gate(&all_f, &all_t).unwrap_err();
+        for (name, _) in breaks {
+            assert!(msg.contains(name), "{name} missing from {msg}");
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! rip batch    --dir nets --target-mult 1.4      # many nets, one Engine session
 //! rip batch    --tree --dir trees --target-mult 1.4 # multi-sink tree batch
 //! rip generate --seed 7 --count 5 --out-dir nets # paper-distribution nets
-//! rip bench    --quick --check-baseline          # statistical benches + CI gate
+//! rip bench    --quick --check-baseline          # DP vs reference + CI gate
 //! rip profile  --quick                           # per-stage pipeline breakdown
 //! rip serve    --port 4817 --workers 4           # resident solver service
 //! rip client   127.0.0.1:4817 --smoke            # scripted protocol check

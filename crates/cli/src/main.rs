@@ -160,24 +160,15 @@ fn run(args: &[String]) -> Result<String, CliError> {
         }
         Some("bench") => {
             let flags: Vec<String> = it.map(String::from).collect();
-            let mut opts = BenchOptions {
+            reject_unknown_flags(&flags, &[], &BENCH_SWITCHES)?;
+            cmd_bench(&BenchOptions {
                 quick: flags.iter().any(|f| f == "--quick"),
                 check_baseline: flags.iter().any(|f| f == "--check-baseline"),
-                ..BenchOptions::default()
-            };
-            if let Some(tol) = flag_value(&flags, "--tolerance")? {
-                opts.tolerance = tol
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|t| t.is_finite() && (0.0..1.0).contains(t))
-                    .ok_or_else(|| {
-                        CliError::Usage("--tolerance must be a fraction in [0, 1)".into())
-                    })?;
-            }
-            cmd_bench(&opts)
+            })
         }
         Some("profile") => {
             let flags: Vec<String> = it.map(String::from).collect();
+            reject_unknown_flags(&flags, &PROFILE_FLAGS, &PROFILE_SWITCHES)?;
             let mut opts = ProfileOptions {
                 quick: flags.iter().any(|f| f == "--quick"),
                 ..ProfileOptions::default()
@@ -198,7 +189,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
         }
         Some("serve") => {
             let flags: Vec<String> = it.map(String::from).collect();
-            reject_unknown_flags(&flags, &SERVE_FLAGS)?;
+            reject_unknown_flags(&flags, &SERVE_FLAGS, &[])?;
             let mut opts = ServeOptions::default();
             let parse_usize = |name: &str, v: String| {
                 v.parse::<usize>()
@@ -268,6 +259,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             let Some(addr) = rest.first().filter(|a| !a.starts_with("--")) else {
                 return Err(CliError::Usage("client needs <addr> (host:port)".into()));
             };
+            reject_unknown_flags(&rest[1..], &CLIENT_FLAGS, &CLIENT_SWITCHES)?;
             let file = flag_value(&rest, "--file")?;
             // The target flags are only meaningful with --file; parse
             // them lazily so plain relay/smoke sessions don't require
@@ -362,17 +354,44 @@ const SERVE_FLAGS: [&str; 13] = [
     "--fault-seed",
 ];
 
+/// The value-less `rip bench` switches (it has no valued flags).
+const BENCH_SWITCHES: [&str; 2] = ["--quick", "--check-baseline"];
+
+/// The `rip profile` flags that take a value.
+const PROFILE_FLAGS: [&str; 2] = ["--trees", "--seed"];
+
+/// The value-less `rip profile` switches.
+const PROFILE_SWITCHES: [&str; 1] = ["--quick"];
+
+/// The `rip client` flags after `<addr>` that take a value.
+const CLIENT_FLAGS: [&str; 5] = [
+    "--file",
+    "--target-ns",
+    "--target-mult",
+    "--retries",
+    "--backoff-ms",
+];
+
+/// The value-less `rip client` switches.
+const CLIENT_SWITCHES: [&str; 3] = ["--smoke", "--metrics", "--shutdown"];
+
 /// Fails with a usage error naming the first token of `flags` that is
-/// not one of `known` (each known flag's value is skipped), so a
-/// misspelt or retired flag stops the command instead of being ignored.
-fn reject_unknown_flags(flags: &[String], known: &[&str]) -> Result<(), CliError> {
+/// neither one of the `valued` flags (whose value is skipped) nor one of
+/// the value-less `switches`, so a misspelt or retired flag stops the
+/// command instead of being ignored.
+fn reject_unknown_flags(
+    flags: &[String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<(), CliError> {
     let mut it = flags.iter();
     while let Some(flag) = it.next() {
-        if !known.contains(&flag.as_str()) {
+        if valued.contains(&flag.as_str()) {
+            // The value; a missing one is reported by `flag_value`.
+            it.next();
+        } else if !switches.contains(&flag.as_str()) {
             return Err(CliError::Usage(format!("unknown flag {flag:?}")));
         }
-        // The value; a missing one is reported by `flag_value`.
-        it.next();
     }
     Ok(())
 }
@@ -433,7 +452,7 @@ mod tests {
             (&["--queue-cap", "8"][..], "--queue-cap"),
             (&["--fault-seed", "3", "stray"][..], "stray"),
         ] {
-            match reject_unknown_flags(&flags(args), &SERVE_FLAGS) {
+            match reject_unknown_flags(&flags(args), &SERVE_FLAGS, &[]) {
                 Err(CliError::Usage(msg)) => assert!(msg.contains(bad), "{args:?}: {msg}"),
                 other => panic!("{args:?} must be a usage error, got {other:?}"),
             }
@@ -448,14 +467,63 @@ mod tests {
             .iter()
             .flat_map(|f| [f.to_string(), "--not-a-flag".to_string()])
             .collect();
-        assert!(reject_unknown_flags(&all, &SERVE_FLAGS).is_ok());
-        assert!(reject_unknown_flags(&[], &SERVE_FLAGS).is_ok());
+        assert!(reject_unknown_flags(&all, &SERVE_FLAGS, &[]).is_ok());
+        assert!(reject_unknown_flags(&[], &SERVE_FLAGS, &[]).is_ok());
         // A trailing flag without its value passes here; `flag_value`
         // reports it when the value is read.
-        assert!(reject_unknown_flags(&flags(&["--port"]), &SERVE_FLAGS).is_ok());
+        assert!(reject_unknown_flags(&flags(&["--port"]), &SERVE_FLAGS, &[]).is_ok());
         assert!(matches!(
             run(&flags(&["serve", "--port", "0", "--shards", "2"])),
             Err(CliError::Usage(_))
+        ));
+    }
+
+    fn usage_error_naming(args: &[&str], bad: &str) {
+        match run(&flags(args)) {
+            Err(CliError::Usage(msg)) => assert!(msg.contains(bad), "{args:?}: {msg}"),
+            other => panic!("{args:?} must be a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bench_profile_and_client_reject_retired_and_misspelt_flags() {
+        // Rejected before any bench runs or any connection is opened.
+        usage_error_naming(&["bench", "--tolerance", "0.25"], "--tolerance");
+        usage_error_naming(
+            &["bench", "--quick", "--check-baselines"],
+            "--check-baselines",
+        );
+        usage_error_naming(&["profile", "--quick", "--tree", "3"], "--tree");
+        usage_error_naming(&["profile", "--seed", "7", "--quik"], "--quik");
+        usage_error_naming(&["client", "127.0.0.1:1", "--smoek"], "--smoek");
+        usage_error_naming(
+            &["client", "127.0.0.1:1", "--retries", "2", "--backoff", "5"],
+            "--backoff",
+        );
+    }
+
+    #[test]
+    fn bench_profile_and_client_accept_every_known_flag() {
+        for (valued, switches) in [
+            (&[][..], &BENCH_SWITCHES[..]),
+            (&PROFILE_FLAGS[..], &PROFILE_SWITCHES[..]),
+            (&CLIENT_FLAGS[..], &CLIENT_SWITCHES[..]),
+        ] {
+            // Switches take no value: a switch right before a valued
+            // flag must not swallow it.
+            let all: Vec<String> = switches
+                .iter()
+                .map(|f| f.to_string())
+                .chain(valued.iter().flat_map(|f| [f.to_string(), "1".to_string()]))
+                .collect();
+            assert!(
+                reject_unknown_flags(&all, valued, switches).is_ok(),
+                "{all:?}"
+            );
+        }
+        assert!(matches!(
+            reject_unknown_flags(&flags(&["--quick", "7"]), &[], &BENCH_SWITCHES),
+            Err(CliError::Usage(msg)) if msg.contains("\"7\"")
         ));
     }
 }

@@ -34,8 +34,8 @@
 //!   errors and connection resets;
 //! * [`loadgen`] — deterministic concurrent load with **byte-identity**
 //!   verification against an in-process reference engine (the service
-//!   analogue of the DP frozen-reference equivalence suites; `rip bench`
-//!   builds `BENCH_serve.json` from it).
+//!   analogue of the DP frozen-reference equivalence suites; the serve
+//!   integration and chaos suites drive the server with it).
 //!
 //! ```
 //! use rip_core::Engine;
@@ -72,8 +72,8 @@ pub use client::{Client, RetryPolicy};
 pub use fault::{FaultInjector, FaultPlan};
 pub use json::{parse_json, Json, JsonError};
 pub use loadgen::{
-    connection_script, fire_load, net_pool, prepare_load, run_loadgen, tree_pool, LoadgenConfig,
-    LoadgenOutcome, PreparedLoad, ScriptedRequest,
+    connection_script, net_pool, run_loadgen, tree_pool, LoadgenConfig, LoadgenOutcome,
+    ScriptedRequest,
 };
 pub use protocol::{
     net_from_json, net_to_json, parse_line, tree_from_json, tree_to_json, ErrorCode, Request,

@@ -9,10 +9,6 @@
 //! answer, no matter how warm the caches are or how many connections
 //! interleave. `stats` responses are inherently racy (they read live
 //! counters) and are only checked for `ok: true`.
-//!
-//! The expected responses are rendered *before* the timed phase, so a
-//! benchmark run measures server throughput, not reference-engine
-//! throughput.
 
 use crate::client::{Client, RetryPolicy};
 use crate::json::{parse_json, Json};
@@ -20,10 +16,8 @@ use crate::protocol::{net_to_json, tree_to_json, ServeState};
 use rip_net::{
     NetGenerator, RandomNetConfig, RandomTreeConfig, TreeNet, TreeNetGenerator, TwoPinNet,
 };
-use rip_obs::Histogram;
 use std::io;
 use std::net::SocketAddr;
-use std::time::Instant;
 
 /// Workload shape of one loadgen run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,9 +31,9 @@ pub struct LoadgenConfig {
     pub nets: usize,
     /// Distinct masked trees in the request pool
     /// ([`RandomTreeConfig::compact`], so every topology carries a
-    /// forbidden run and solves fast). `0` — the default, and what the
-    /// serve benchmark uses — disables `solve_tree` requests and leaves
-    /// the classic chain-only mix byte-for-byte unchanged.
+    /// forbidden run and solves fast). `0` — the default — disables
+    /// `solve_tree` requests and leaves the classic chain-only mix
+    /// byte-for-byte unchanged.
     pub trees: usize,
     /// Net-suite seed (the tree pool derives its own seed from this).
     pub seed: u64,
@@ -66,7 +60,7 @@ impl Default for LoadgenConfig {
 }
 
 /// Result of one loadgen run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LoadgenOutcome {
     /// Requests sent (across all connections).
     pub requests: usize,
@@ -87,26 +81,9 @@ pub struct LoadgenOutcome {
     pub retries: u64,
     /// Requests that exhausted their retries.
     pub gave_up: u64,
-    /// Wall-clock of the timed phase, nanoseconds.
-    pub elapsed_ns: u128,
-    /// Median per-request latency, nanoseconds (log2-bucket upper
-    /// bound: for an exact quantile `x`, the reported value `e`
-    /// satisfies `x ≤ e < 2·x`; see [`rip_obs::HistogramSnapshot`]).
-    pub p50_ns: u64,
-    /// 95th-percentile per-request latency, nanoseconds (same bucket
-    /// semantics).
-    pub p95_ns: u64,
-    /// 99th-percentile per-request latency, nanoseconds (same bucket
-    /// semantics).
-    pub p99_ns: u64,
 }
 
 impl LoadgenOutcome {
-    /// Requests per second over the timed phase.
-    pub fn requests_per_s(&self) -> f64 {
-        self.requests as f64 / (self.elapsed_ns as f64 * 1e-9)
-    }
-
     /// `true` when every byte-checked response matched the reference
     /// and nothing errored.
     pub fn clean(&self) -> bool {
@@ -240,36 +217,30 @@ pub fn tree_pool(config: &LoadgenConfig) -> Vec<TreeNet> {
     .expect("the compact tree distribution is valid")
 }
 
-/// A fully prepared load: per-connection request scripts plus the
-/// pre-rendered expected response of every deterministic request.
-///
-/// Preparing once and firing many times ([`fire_load`]) is how the
-/// serve bench repeats identical timed runs without re-driving the
-/// reference engine before each one — the scripts and their answers do
-/// not change between runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PreparedLoad {
-    /// One request script per connection.
-    pub scripts: Vec<Vec<ScriptedRequest>>,
-    /// Per-script expected response lines (`None` for unverified
-    /// requests, i.e. non-deterministic ones or when no reference was
-    /// given).
-    pub expected: Vec<Vec<Option<String>>>,
-    /// The retry policy every firing connection runs with (each
-    /// connection derives its own jitter seed from it).
-    pub retry: RetryPolicy,
-}
-
-/// Builds the scripts for `config` and renders the expected responses
-/// through `reference` (a [`ServeState`] over an
+/// Runs one load: builds the scripts for `config`, renders the
+/// expected responses through `reference` (a [`ServeState`] over an
 /// identically-configured engine; pass `None` to skip verification,
-/// e.g. for smoke tests against a remote server).
-pub fn prepare_load(reference: Option<&ServeState>, config: &LoadgenConfig) -> PreparedLoad {
+/// e.g. under injected faults), then opens one connection per script,
+/// sends every request, and byte-checks the responses that carry an
+/// expectation.
+///
+/// # Errors
+///
+/// Returns the first transport-level error (connect/read/write); a
+/// response-level failure is counted in
+/// [`LoadgenOutcome::errors`] instead.
+pub fn run_loadgen(
+    addr: SocketAddr,
+    reference: Option<&ServeState>,
+    config: &LoadgenConfig,
+) -> io::Result<LoadgenOutcome> {
     let nets = net_pool(config);
     let trees = tree_pool(config);
     let scripts: Vec<Vec<ScriptedRequest>> = (0..config.connections.max(1))
         .map(|c| connection_script(c, &nets, &trees, config))
         .collect();
+    // Per-script expected response lines (`None` for unverified
+    // requests: non-deterministic ones, or all without a reference).
     let expected: Vec<Vec<Option<String>>> = scripts
         .iter()
         .map(|script| {
@@ -283,76 +254,24 @@ pub fn prepare_load(reference: Option<&ServeState>, config: &LoadgenConfig) -> P
                 .collect()
         })
         .collect();
-    PreparedLoad {
-        scripts,
-        expected,
-        retry: config.retry,
-    }
-}
-
-/// Convenience wrapper: [`prepare_load`] + one [`fire_load`] pass.
-///
-/// # Errors
-///
-/// Returns the first transport-level error (connect/read/write); a
-/// response-level failure is counted in
-/// [`LoadgenOutcome::errors`] instead.
-pub fn run_loadgen(
-    addr: SocketAddr,
-    reference: Option<&ServeState>,
-    config: &LoadgenConfig,
-) -> io::Result<LoadgenOutcome> {
-    fire_load(addr, &prepare_load(reference, config))
-}
-
-/// Fires a prepared load once: opens one connection per script,
-/// sends every request, and byte-checks the responses that carry an
-/// expectation. Only the firing is timed.
-///
-/// # Errors
-///
-/// Returns the first transport-level error (connect/read/write); a
-/// response-level failure is counted in
-/// [`LoadgenOutcome::errors`] instead.
-pub fn fire_load(addr: SocketAddr, load: &PreparedLoad) -> io::Result<LoadgenOutcome> {
-    let PreparedLoad {
-        scripts,
-        expected,
-        retry,
-    } = load;
-    /// What one connection thread tallies.
-    #[derive(Default)]
-    struct ConnTally {
-        errors: usize,
-        mismatches: usize,
-        verified: usize,
-        internal_errors: usize,
-        attempts: u64,
-        retries: u64,
-        gave_up: u64,
-    }
-    // Per-request round-trip latencies, observed concurrently by every
-    // connection thread (the histogram is atomic).
-    let latency = Histogram::new();
-    let t0 = Instant::now();
-    let results: Vec<io::Result<ConnTally>> = std::thread::scope(|scope| {
+    let results: Vec<io::Result<LoadgenOutcome>> = std::thread::scope(|scope| {
         let handles: Vec<_> = scripts
             .iter()
-            .zip(expected)
+            .zip(&expected)
             .enumerate()
             .map(|(i, (script, expected))| {
-                let latency = &latency;
-                scope.spawn(move || -> io::Result<ConnTally> {
+                scope.spawn(move || -> io::Result<LoadgenOutcome> {
                     // Per-connection jitter seed: identical policies on
                     // every thread must not back off in lockstep.
-                    let mut policy = *retry;
+                    let mut policy = config.retry;
                     policy.seed ^= (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                     let mut client = Client::connect(addr)?.with_retry(policy);
-                    let mut tally = ConnTally::default();
+                    let mut tally = LoadgenOutcome {
+                        requests: script.len(),
+                        ..LoadgenOutcome::default()
+                    };
                     for (req, expect) in script.iter().zip(expected) {
-                        let t_req = Instant::now();
                         let response = client.request_line(&req.line)?;
-                        latency.observe_since(t_req);
                         let parsed = parse_json(&response).ok();
                         let ok = parsed
                             .as_ref()
@@ -385,25 +304,10 @@ pub fn fire_load(addr: SocketAddr, load: &PreparedLoad) -> io::Result<LoadgenOut
             .map(|h| h.join().expect("loadgen connection threads do not panic"))
             .collect()
     });
-    let elapsed_ns = t0.elapsed().as_nanos();
-
-    let mut outcome = LoadgenOutcome {
-        requests: 0,
-        errors: 0,
-        mismatches: 0,
-        verified: 0,
-        internal_errors: 0,
-        attempts: 0,
-        retries: 0,
-        gave_up: 0,
-        elapsed_ns: elapsed_ns.max(1),
-        p50_ns: latency.quantile(0.50),
-        p95_ns: latency.quantile(0.95),
-        p99_ns: latency.quantile(0.99),
-    };
-    for (result, script) in results.into_iter().zip(scripts) {
+    let mut outcome = LoadgenOutcome::default();
+    for result in results {
         let tally = result?;
-        outcome.requests += script.len();
+        outcome.requests += tally.requests;
         outcome.errors += tally.errors;
         outcome.mismatches += tally.mismatches;
         outcome.verified += tally.verified;
