@@ -23,8 +23,15 @@ pub enum CliError {
     /// Filesystem trouble.
     Io(std::io::Error),
     /// A DP answer differed from its reference, or `rip bench
-    /// --check-baseline` found a DP slower than its reference.
-    BenchRegression(String),
+    /// --check-baseline` found a DP slower than its reference. The
+    /// run's summary is carried along so the binary can still print its
+    /// figures before exiting nonzero.
+    BenchRegression {
+        /// The bench summary: both legs' figures and the files written.
+        summary: String,
+        /// Every failed check.
+        failed: String,
+    },
     /// One or more nets in a batch failed to solve. The rendered table
     /// (with the per-net failure rows) is carried along so the binary
     /// can still print it before exiting nonzero.
@@ -46,7 +53,7 @@ impl std::fmt::Display for CliError {
             CliError::Parse(e) => write!(f, "net file error: {e}"),
             CliError::Solve(e) => write!(f, "solver error: {e}"),
             CliError::Io(e) => write!(f, "io error: {e}"),
-            CliError::BenchRegression(msg) => write!(f, "bench regression: {msg}"),
+            CliError::BenchRegression { failed, .. } => write!(f, "bench regression: {failed}"),
             CliError::BatchFailed { failed, .. } => {
                 write!(f, "batch failed: {failed} net(s) did not solve")
             }
@@ -598,12 +605,18 @@ pub fn cmd_bench(opts: &BenchOptions) -> Result<String, CliError> {
     }
 
     if opts.check_baseline {
-        bench_gate(&frontier, &tree).map_err(CliError::BenchRegression)?;
+        if let Err(failed) = bench_gate(&frontier, &tree) {
+            return Err(CliError::BenchRegression {
+                summary: out,
+                failed,
+            });
+        }
         let _ = writeln!(out, "bench-regression gate: ok");
     } else if !(frontier.byte_identical && tree.byte_identical) {
-        return Err(CliError::BenchRegression(
-            "benchmark equivalence check failed: solutions are not byte-identical".into(),
-        ));
+        return Err(CliError::BenchRegression {
+            summary: out,
+            failed: "benchmark equivalence check failed: solutions are not byte-identical".into(),
+        });
     }
     Ok(out)
 }

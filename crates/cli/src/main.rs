@@ -23,6 +23,14 @@ fn main() -> ExitCode {
             eprintln!("rip: batch failed: {failed} net(s) did not solve");
             ExitCode::FAILURE
         }
+        // A failed bench gate prints the run's figures first, so the log
+        // shows what the failed check measured; the command line was
+        // fine, so no usage dump.
+        Err(CliError::BenchRegression { summary, failed }) => {
+            print!("{summary}");
+            eprintln!("rip: bench regression: {failed}");
+            ExitCode::FAILURE
+        }
         // A protocol failure means the command line was fine and the
         // service misbehaved — the usage dump would only bury the
         // failing request/response.

@@ -53,15 +53,14 @@
 //! its admission test and how it records a surviving insertion. The
 //! objective is dispatched here and nowhere else.
 //!
-//! The merge feeds its options in key order to the objective's dominance
-//! test. In delay mode that is the least delay so far. In power mode it
-//! is a [`WidthFloor`]: a site's frontier and fresh insertions hold a
-//! few dozen exact widths, already classed for generation, so the merge
-//! ranks those classes once and keeps the least delay at or below each
-//! width rank. An option is dropped iff the floor at its rank is at or
-//! below its delay — the reference pruner's `(delay, width)` staircase
-//! test without its binary searches. The survivor *set and order* are
-//! byte-identical to the reference (`tests/frontier_equivalence.rs` and
+//! The merge feeds its options in key order to [`WidthFloor`], the one
+//! dominance test of every production prune in both DPs. A site's
+//! widths are already classed for generation, so the floor ranks the
+//! classes once and drops an option iff the least kept delay at or below
+//! its width rank is at or below its delay: the reference pruner's
+//! `(delay, width)` staircase test without its binary searches. The
+//! survivor *set and order* are byte-identical to the reference
+//! (`tests/frontier_equivalence.rs` and
 //! `tests/tree_frontier_equivalence.rs` pin this on 50-net and 50-tree
 //! corpora), only the work to compute them changes.
 //!
@@ -212,7 +211,7 @@ pub(crate) struct InsertStep {
     pub merged: OptionBuf,
     /// The width bucket being generated: one item per width class.
     bucket: Vec<BucketItem>,
-    /// Power-mode dominance of the merge.
+    /// The merge's dominance test.
     floor: WidthFloor,
 }
 
@@ -333,47 +332,42 @@ impl InsertStep {
             floor,
             ..
         } = self;
+        let table = &mut runs.table;
         match objective {
             Objective::MinDelay => {
-                let mut best_delay = f64::INFINITY;
-                let keeps = |delay: f64, _: f64| {
-                    let keep = delay < best_delay;
-                    if keep {
-                        best_delay = delay;
-                    }
-                    keep
-                };
-                merge_prune::<false>(front, fresh, fresh_w, merged, keeps, record);
+                floor.start(None);
+                merge_prune::<false>(front, fresh, fresh_w, merged, floor, table, record);
             }
             Objective::MinPowerUnderDelay { .. } => {
-                let table = &mut runs.table;
                 for &width in &fresh.width {
                     table.insert(width);
                 }
-                floor.rank(table);
-                let table = &*table;
-                let keeps = |delay: f64, width: f64| floor.keeps(table.find(width), delay);
-                merge_prune::<true>(front, fresh, fresh_w, merged, keeps, record);
+                floor.start(Some(table));
+                merge_prune::<true>(front, fresh, fresh_w, merged, floor, table, record);
             }
         }
     }
 }
 
-/// The power-mode dominance test of a merge, which sees its options in
-/// key order `(cap, delay, width)`: an option `(d, p)` is dominated iff
-/// some option kept before it has `d' ≤ d` and `p' ≤ p`. The widths of
-/// one merge fall into a few dozen exact classes, so instead of a
-/// `(delay, width)` [`Staircase`](crate::options::Staircase) the floor
-/// keeps, for each width rank `r`, the least delay among the kept
-/// options whose width ranks at most `r`. Ranks order the classes by
-/// width, so `floor[r]` is the least `d'` over every kept `p' ≤ p` and
-/// the test is one comparison; keeping an option lowers the floor from
-/// its rank up to the first entry already at or below its delay. The
-/// ranks come from the same [`ClassTable`] as the width classes, so
-/// `-0.0` and `0.0` share a rank (they compare equal under `≤`), and
-/// widths one bit apart get distinct, correctly ordered ranks.
+/// The one dominance test of every production prune (both DPs'
+/// buffer-insertion merge, the tree DP's first-child sweep and
+/// branch-merge prune), fed options in key order `(cap, delay[,
+/// width])`: an option `(d, p)` is dominated iff some option kept before
+/// it has `d' ≤ d` and `p' ≤ p`. A sweep's widths fall into a few dozen
+/// exact classes, so instead of a `(delay, width)` staircase the floor
+/// keeps, for each width rank `r`, the least kept delay of width rank at
+/// most `r`: the test is one comparison, and a survivor lowers the floor
+/// from its rank up to the first entry at or below its delay. Ranks come
+/// from the [`ClassTable`] that classed the widths, so `-0.0` and `0.0`
+/// share one, and widths one bit apart get distinct, ordered ones. In
+/// delay mode the floor is one scalar, the least kept delay, so the sweep
+/// a `τ_min` solve starts at each fine-tree node costs no vector upkeep.
 #[derive(Debug, Default)]
-struct WidthFloor {
+pub(crate) struct WidthFloor {
+    /// Whether widths are classed (power mode) or ignored (delay mode).
+    by_width: bool,
+    /// Least kept delay (delay mode).
+    least: f64,
     /// The width rank of each class of the table.
     rank_of: Vec<u32>,
     /// Least kept delay at or below each width rank; non-increasing.
@@ -381,18 +375,40 @@ struct WidthFloor {
 }
 
 impl WidthFloor {
-    /// Ranks every class of `table` by width and empties the floor.
-    fn rank(&mut self, table: &mut ClassTable) {
-        table.rank(&mut self.rank_of);
-        self.floor.clear();
-        self.floor.resize(self.rank_of.len(), f64::INFINITY);
+    /// Empties the floor for a sweep over the width classes of `table`,
+    /// ranked here, or (`None`, delay mode) over width-blind options.
+    pub(crate) fn start(&mut self, table: Option<&mut ClassTable>) {
+        self.by_width = table.is_some();
+        self.least = f64::INFINITY;
+        if let Some(table) = table {
+            table.rank(&mut self.rank_of);
+            self.floor.clear();
+            self.floor.resize(self.rank_of.len(), f64::INFINITY);
+        }
     }
 
-    /// Whether the next option in key order, of width class `class` and
-    /// delay `delay`, survives; a survivor lowers the floor.
+    /// Whether a kept option dominates a later one of `width` (classed
+    /// in `widths`) and `delay`, without keeping it.
     #[inline]
-    fn keeps(&mut self, class: u32, delay: f64) -> bool {
-        let floor = &mut self.floor[self.rank_of[class as usize] as usize..];
+    pub(crate) fn dominates(&self, widths: &ClassTable, width: f64, delay: f64) -> bool {
+        if !self.by_width {
+            return self.least <= delay;
+        }
+        self.floor[self.rank_of[widths.find(width) as usize] as usize] <= delay
+    }
+
+    /// Whether the next option, of `width` (classed in `widths`) and
+    /// `delay`, survives; a survivor lowers the floor.
+    #[inline]
+    pub(crate) fn keeps(&mut self, widths: &ClassTable, width: f64, delay: f64) -> bool {
+        if !self.by_width {
+            let keep = delay < self.least;
+            if keep {
+                self.least = delay;
+            }
+            return keep;
+        }
+        let floor = &mut self.floor[self.rank_of[widths.find(width) as usize] as usize..];
         if floor[0] <= delay {
             return false;
         }
@@ -455,9 +471,9 @@ fn reduce_bucket(bucket: &mut [BucketItem], mut emit: impl FnMut(&BucketItem)) {
 /// to a dense class id, with each class's count. After
 /// [`ClassTable::lay_out`] the classes are ranked by ascending key and
 /// each count becomes its class's next free offset in a key-ordered
-/// layout. This is the one hash table of both grouping passes: the width
-/// classes of [`WidthRuns`] and the exact-cap buckets that order the
-/// tree DP's branch-merge products.
+/// layout. This is the one hash table of every grouping pass: the width
+/// classes of [`WidthRuns`] and of each [`WidthFloor`] sweep, and the
+/// exact-cap buckets that order the tree DP's branch-merge products.
 ///
 /// The table's slot is the top bits of a multiplicative hash: widths on
 /// the library grid end in dozens of zero mantissa bits, so the
@@ -707,8 +723,8 @@ fn cmp_key<const POWER: bool>(cur: &OptionBuf, i: usize, fresh: &OptionBuf, j: u
 /// Merges the sorted surviving frontier `cur` with the sorted fresh
 /// options into the Pareto frontier, leaving the result (sorted, all
 /// columns) in `cur`: the 2D `(cap, delay)` frontier in delay mode, the
-/// 3D one in power mode. `keeps(delay, width)` is the objective's
-/// dominance test over the options kept so far, fed in key order. Ties
+/// 3D one in power mode, under `floor`, started on the width classes of
+/// `widths` in power mode and width-blind in delay mode. Ties
 /// on the key prefer `cur`, reproducing the reference pruner's stable
 /// sort of `[survivors.., fresh..]`. A kept fresh option gets its trace
 /// from `record(w, parent_trace)`, `w` being its entry in `fresh_w`, in
@@ -718,7 +734,8 @@ fn merge_prune<const POWER: bool>(
     fresh: &OptionBuf,
     fresh_w: &[f64],
     merged: &mut OptionBuf,
-    mut keeps: impl FnMut(f64, f64) -> bool,
+    floor: &mut WidthFloor,
+    widths: &ClassTable,
     mut record: impl FnMut(f64, u32) -> u32,
 ) {
     merged.clear();
@@ -733,13 +750,13 @@ fn merge_prune<const POWER: bool>(
         };
         if take_cur {
             let (delay, width) = (cur.delay[i], cur.width[i]);
-            if keeps(delay, width) {
+            if floor.keeps(widths, width, delay) {
                 merged.push(cur.cap[i], delay, width, cur.trace[i]);
             }
             i += 1;
         } else {
             let (delay, width) = (fresh.delay[j], fresh.width[j]);
-            if keeps(delay, width) {
+            if floor.keeps(widths, width, delay) {
                 let trace = record(fresh_w[j], fresh.trace[j]);
                 merged.push(fresh.cap[j], delay, width, trace);
             }
@@ -752,7 +769,7 @@ fn merge_prune<const POWER: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::{prune_2d, prune_3d, Staircase};
+    use crate::reference::prune::{prune_2d, prune_3d, Staircase};
 
     const POWER: Objective = Objective::MinPowerUnderDelay { target_fs: 1.0 };
 
@@ -835,10 +852,9 @@ mod tests {
             table.insert(width);
         }
         let mut floor = WidthFloor::default();
-        floor.rank(&mut table);
-        let keeps = |delay, width| floor.keeps(table.find(width), delay);
+        floor.start(Some(&mut table));
         let mut merged = OptionBuf::default();
-        merge_prune::<true>(cur, fresh, fresh_w, &mut merged, keeps, record);
+        merge_prune::<true>(cur, fresh, fresh_w, &mut merged, &mut floor, &table, record);
     }
 
     /// A recorder handing out handles from 1000 up, logging each call.
@@ -945,12 +961,8 @@ mod tests {
                     })
                     .collect()
             };
-            let mut best_delay = f64::INFINITY;
-            let keeps = |delay: f64, _: f64| {
-                let keep = delay < best_delay;
-                best_delay = best_delay.min(delay);
-                keep
-            };
+            let mut floor = WidthFloor::default();
+            floor.start(None);
             let mut merged = OptionBuf::default();
             let mut log = Vec::new();
             merge_prune::<false>(
@@ -958,7 +970,8 @@ mod tests {
                 &fresh,
                 &fresh_w,
                 &mut merged,
-                keeps,
+                &mut floor,
+                &ClassTable::default(),
                 recorder(&mut log),
             );
             assert_eq!(rows(&cur), expect, "round {round}");
@@ -1009,28 +1022,37 @@ mod tests {
 
     #[test]
     fn width_floor_matches_staircase_on_fuzz() {
-        // Key-ordered `(cap, delay, width)` streams, as a merge feeds
-        // them: the floor must keep and drop exactly what the staircase
-        // keeps and drops.
+        // Key-ordered `(cap, delay, width)` streams, as every prune sweep
+        // feeds them. Before each item the read-only `dominates` query
+        // (the branch-merge pre-filter's test) must answer what the
+        // staircase answers, and `keeps` must keep and drop exactly what
+        // the staircase keeps and drops. The same streams with width
+        // ignored pin the one-class floor of the delay objective to the
+        // least-delay record.
         let mut state = 0xF100Fu64;
         let mut table = ClassTable::default();
-        let mut floor = WidthFloor::default();
+        let (mut floor, mut one_class) = (WidthFloor::default(), WidthFloor::default());
         let (mut few, mut grew, mut signed_zero, mut neighbours) = (false, false, false, false);
-        let (mut duplicate, mut delay_tie) = (false, false);
-        for round in 0..800 {
+        let (mut duplicate, mut delay_tie, mut summed) = (false, false, false);
+        for round in 0..1000 {
             let n = 1 + round % 150;
+            // A width the DP accumulates, on a fractional grid.
+            let fraction = |state: &mut u64| 0.1 * lcg(state) + 0.7 * lcg(state);
             let mut items: Vec<(f64, f64, f64)> = (0..n)
                 .map(|_| {
                     let k = lcg(&mut state);
-                    let width = match round % 4 {
+                    let width = match round % 5 {
                         // Few classes on the 10 u grid.
                         0 => 10.0 * k,
                         // Up to 81 classes, so the table grows.
                         1 => 10.0 * (k * 9.0 + lcg(&mut state)),
                         // Bit neighbours and signed zeros.
                         2 => [0.3, 0.2 + 0.1, 0.0, -0.0, 370.0][k as usize % 5],
-                        // Fractional widths a DP accumulates.
-                        _ => 0.1 * k + 0.7 * lcg(&mut state),
+                        3 => fraction(&mut state),
+                        // Sums of two such widths, as a branch merge adds
+                        // its sides' widths: over 64 classes, some of them
+                        // bit neighbours.
+                        _ => fraction(&mut state) + fraction(&mut state),
                     };
                     (lcg(&mut state), lcg(&mut state), width)
                 })
@@ -1044,15 +1066,27 @@ mod tests {
             for &(_, _, width) in &items {
                 table.insert(width);
             }
-            floor.rank(&mut table);
+            floor.start(Some(&mut table));
+            one_class.start(None);
             let mut stairs = Staircase::new();
+            let mut least = f64::INFINITY;
             for (i, &(_, delay, width)) in items.iter().enumerate() {
-                let expect = !stairs.dominates(delay, width);
-                if expect {
+                let ctx = || format!("round {round} item {i}: {:?}", items[i]);
+                let dominated = stairs.dominates(delay, width);
+                assert_eq!(
+                    floor.dominates(&table, width, delay),
+                    dominated,
+                    "{}",
+                    ctx()
+                );
+                assert_eq!(floor.keeps(&table, width, delay), !dominated, "{}", ctx());
+                if !dominated {
                     stairs.insert(delay, width);
                 }
-                let got = floor.keeps(table.find(width), delay);
-                assert_eq!(got, expect, "round {round} item {i}: {:?}", items[i]);
+                let (d, k) = (delay >= least, delay < least);
+                assert_eq!(one_class.dominates(&table, width, delay), d, "{}", ctx());
+                assert_eq!(one_class.keeps(&table, width, delay), k, "{}", ctx());
+                least = least.min(delay);
             }
             let classes = table.keys.len();
             few |= n >= 50 && classes <= 9;
@@ -1062,6 +1096,11 @@ mod tests {
                 && items.iter().any(|x| bits(x.2) == bits(-0.0));
             neighbours |=
                 items.iter().any(|x| x.2 == 0.3) && items.iter().any(|x| x.2 == 0.2 + 0.1);
+            summed |= round % 5 == 4
+                && classes > 64
+                && items
+                    .iter()
+                    .any(|x| items.iter().any(|y| x.2 != y.2 && (x.2 - y.2).abs() < 1e-9));
             duplicate |= items.windows(2).any(|w| {
                 (bits(w[0].0), bits(w[0].1), bits(w[0].2))
                     == (bits(w[1].0), bits(w[1].1), bits(w[1].2))
@@ -1075,6 +1114,10 @@ mod tests {
         assert!(grew, "no stream had more than 64 classes");
         assert!(signed_zero, "no stream held both -0.0 and 0.0");
         assert!(neighbours, "no stream held both 0.3 and 0.2 + 0.1");
+        assert!(
+            summed,
+            "no stream of summed widths had over 64 classes and bit neighbours"
+        );
         assert!(duplicate, "no stream held an exact duplicate");
         assert!(delay_tie, "no stream held equal delays across classes");
     }

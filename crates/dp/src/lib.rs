@@ -24,8 +24,9 @@
 //!   per-width two-pointer walks. Both sweeps run one shared
 //!   buffer-insertion step at every buffer site (try each width, keep
 //!   each width class's best insertion, reduce each width bucket, merge
-//!   into the frontier under a per-width-rank delay floor, recording a
-//!   trace as the merge keeps an insertion), and one final pick;
+//!   into the frontier, recording a trace as the merge keeps an
+//!   insertion), one final pick, and one dominance test in every prune:
+//!   a per-width-rank delay floor;
 //! * one scratch per thread — the four DP functions solve on their
 //!   thread's reusable working memory (frontiers, merge buffers, trace
 //!   arenas), so a thread allocates nothing after its first solve and

@@ -19,18 +19,23 @@
 //! clone+sort cross-merges) as the fixed point behind
 //! `tests/tree_frontier_equivalence.rs` and `BENCH_tree.json`.
 //!
+//! Both prune with the sort-and-sweep pruners of the private `prune`
+//! submodule, which only they and the unit oracles reach.
+//!
 //! [`same_solution`] and [`same_tree_solution`] are the one definition
 //! of "same answer" that every equivalence test and bench gate uses.
 //!
 //! Do not "optimize" this module — its value is being the fixed point.
 
+pub(crate) mod prune;
 pub mod tree;
 
 use crate::candidates::CandidateSet;
 use crate::chain::{DpSolution, DpStats, Objective};
 use crate::error::DpError;
-use crate::options::{prune_2d, prune_3d, TraceArena, TRACE_ROOT};
+use crate::options::{TraceArena, TRACE_ROOT};
 use crate::tree::TreeSolution;
+use prune::{prune_2d, prune_3d};
 use rip_delay::{buffer_added_delay, wire_added_delay, Repeater, RepeaterAssignment};
 use rip_net::TwoPinNet;
 use rip_tech::{RepeaterDevice, RepeaterLibrary};

@@ -17,9 +17,9 @@
 //!
 //! Do not "optimize" this module — its value is being the fixed point.
 
+use super::prune::{prune_2d, prune_3d, Staircase};
 use crate::chain::DpStats;
 use crate::error::DpError;
-use crate::options::{prune_2d, prune_3d, Staircase};
 use crate::tree::TreeSolution;
 use rip_delay::RcTree;
 use rip_tech::{RepeaterDevice, RepeaterLibrary};

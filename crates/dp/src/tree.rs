@@ -27,16 +27,15 @@
 //!   staged or copied. When rounding in the lift breaks the key order
 //!   (about 2 % of first children), the products are staged and ordered
 //!   like a branch merge's;
-//! * branch cross-merges stage only the products that can survive, then
-//!   order them by the full key plus the product's source indices
-//!   `(a, b)` without a comparison sort of the whole set: each product's
-//!   exact cap is classed by the shared [`ClassTable`], only the
-//!   distinct caps are sorted, the products are permuted in place into
-//!   ascending-cap buckets, and each bucket is sorted on
-//!   `(delay[, width], a, b)`. `(a, b)` is unique, so the key is total
-//!   and the order is the one a full sort would give (the reference's
-//!   stable sort, since `(a, b)` is generation order). One
-//!   binary-search [`Staircase`] dominance sweep follows;
+//! * branch cross-merges stage only the products that can survive and
+//!   sweep them in the full key plus the source indices `(a, b)` without
+//!   sorting the whole set: the products are permuted into buckets by
+//!   exact cap ([`ClassTable`]), a bucket drops what the earlier buckets'
+//!   survivors dominate, and only the rest is sorted on
+//!   `(delay[, width], a, b)`. `(a, b)` is unique, so the survivors and
+//!   their order are those of a full sort (the reference's stable sort,
+//!   since `(a, b)` is generation order). Every prune sweep tests
+//!   dominance with one [`WidthFloor`];
 //! * each legal node runs the buffer-insertion step that the chain sweep
 //!   runs at each candidate ([`InsertStep`]): the tree supplies the load
 //!   `tap + C_in(w)`, the stage delay `(d + i) + R·c`, the admission
@@ -87,8 +86,7 @@
 
 use crate::chain::{DpStats, Objective};
 use crate::error::DpError;
-use crate::frontier::{cmp_f64, select, ClassTable, InsertStep, OptionBuf, WidthRuns};
-use crate::options::Staircase;
+use crate::frontier::{cmp_f64, select, ClassTable, InsertStep, OptionBuf, WidthFloor, WidthRuns};
 use rip_delay::RcTree;
 use rip_tech::{RepeaterDevice, RepeaterLibrary};
 use std::cell::RefCell;
@@ -175,8 +173,8 @@ impl TArena {
 
 /// One staged cross-merge product before pruning: accumulator option `a`
 /// joined with child store option `b`. Products are generated a-outer,
-/// b-inner, so ordering them on the full `(cap, delay[, width], a, b)`
-/// key ([`Products::order`]) reproduces the reference pruner's stable
+/// b-inner, so sweeping them in full `(cap, delay[, width], a, b)` key
+/// order ([`Products::prune`]) reproduces the reference pruner's stable
 /// sort without its clone or temporary allocation, and the trace join
 /// can wait until the product survives.
 #[derive(Debug, Clone, Copy)]
@@ -193,7 +191,7 @@ struct CrossItem {
 const _: () = assert!(std::mem::size_of::<CrossItem>() == 32);
 
 /// The staged products of a cross-merge, the exact-cap buckets that
-/// order them and the staircase of their prune sweep.
+/// order them, and the width classes and floor of their prune sweep.
 #[derive(Debug, Default)]
 struct Products {
     /// Staged products, ordered and pruned in place.
@@ -202,40 +200,55 @@ struct Products {
     caps: ClassTable,
     /// Start of each bucket, in ascending cap order, then the total.
     starts: Vec<u32>,
-    /// The prune sweep's dominance staircase.
-    stairs: Staircase,
+    /// The width classes of the swept options (power mode).
+    widths: ClassTable,
+    /// The prune sweep's dominance test.
+    floor: WidthFloor,
 }
 
 impl Products {
-    /// Orders the products by `(cap, delay[, width], a, b)` in place:
-    /// classes each one by its exact cap ([`ClassTable`], so `-0.0` and
-    /// `0.0` share a bucket, as they compare equal), sorts only the
-    /// distinct caps, permutes the products into ascending-cap buckets by
-    /// following displacement cycles (American-flag sort), and sorts each
-    /// bucket on `(delay[, width], a, b)`. A paper-scale branch merge
-    /// stages some 32K products on about 1.2K distinct caps, so a product
-    /// pays two table probes and a sort among its bucket, not `log₂ n`
-    /// comparisons against the whole set. No per-product side buffer is
-    /// kept: a displaced product's class is looked up again. With more
-    /// than [`GROUPED_ABOVE`] distinct caps the products are first moved
-    /// into groups of consecutive caps ([`group_by_cap`]).
-    fn order(&mut self, objective: Objective) {
+    /// Prunes the staged products to their non-dominated frontier and
+    /// emits the survivors in `(cap, delay[, width], a, b)` order, the
+    /// reference pruner's, without sorting the whole set. Each product is
+    /// classed by its exact cap ([`ClassTable`], so `-0.0` and `0.0`
+    /// share a bucket) and, in power mode, by its exact width for the
+    /// [`WidthFloor`]. Only the distinct caps are sorted; the products are
+    /// permuted in place into ascending-cap buckets by displacement
+    /// cycles (American-flag sort). A filled bucket of several products
+    /// drops what the floor already dominates, as the earlier buckets'
+    /// smaller caps dominate it in the full order too, and sorts the rest
+    /// on `(delay[, width], a, b)`. A paper-scale branch merge stages some
+    /// 32K products on about 1.2K caps, and a quarter of the products pass
+    /// the floor, so a product pays a few table probes, not `log₂ n`
+    /// comparisons.
+    /// No per-product side buffer is kept: a displaced product's class is
+    /// looked up again. With more than [`GROUPED_ABOVE`] distinct caps
+    /// the products are first grouped by cap ([`group_by_cap`]).
+    fn prune(&mut self, objective: Objective, mut emit: impl FnMut(&CrossItem)) {
+        let by_width = matches!(objective, Objective::MinPowerUnderDelay { .. });
         let Self {
             items: products,
             caps,
             starts,
-            ..
+            widths,
+            floor,
         } = self;
         caps.reset();
+        if by_width {
+            widths.reset();
+        }
         for p in products.iter() {
             caps.insert(p.cap);
+            if by_width {
+                widths.insert(p.width);
+            }
         }
         starts.clear();
         caps.lay_out(starts);
+        floor.start(by_width.then_some(&mut *widths));
         if starts.len() - 1 > GROUPED_ABOVE {
             group_by_cap(products, caps, starts);
         }
-        let by_width = matches!(objective, Objective::MinPowerUnderDelay { .. });
         for r in 0..starts.len() - 1 {
             let (c, end) = (caps.ranked()[r], starts[r + 1] as usize);
             // Fill bucket `c`: each product taken from its next free slot
@@ -251,8 +264,19 @@ impl Products {
                 }
                 products[caps.take(c)] = item;
             }
-            let bucket = &mut products[starts[r] as usize..end];
+            let mut bucket = &mut products[starts[r] as usize..end];
             if bucket.len() > 1 {
+                // Drop what the earlier buckets' survivors dominate, so
+                // only the rest is sorted.
+                let mut live = 0;
+                for i in 0..bucket.len() {
+                    let p = bucket[i];
+                    if !floor.dominates(widths, p.width, p.delay) {
+                        bucket[live] = p;
+                        live += 1;
+                    }
+                }
+                bucket = &mut bucket[..live];
                 bucket.sort_unstable_by(|x, y| {
                     cmp_f64(x.delay, y.delay)
                         .then_with(|| {
@@ -265,26 +289,16 @@ impl Products {
                         .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
                 });
             }
-        }
-    }
-
-    /// Prunes the staged products to their non-dominated frontier and
-    /// emits the survivors in sorted, reference order: the products are
-    /// put in `(cap, delay[, width], a, b)` order by
-    /// [`Products::order`] — the order of the reference's stable
-    /// `prune_2d`/`prune_3d` sort — and fed to the [`Sweep`].
-    fn prune(&mut self, objective: Objective, mut emit: impl FnMut(&CrossItem)) {
-        self.order(objective);
-        let mut sweep = Sweep::new(objective, &mut self.stairs);
-        for p in &self.items {
-            if sweep.keeps(p.delay, p.width) {
-                emit(p);
+            for p in bucket.iter() {
+                if floor.keeps(widths, p.width, p.delay) {
+                    emit(p);
+                }
             }
         }
     }
 }
 
-/// Distinct caps above which [`Products::order`] groups the products
+/// Distinct caps above which [`Products::prune`] groups the products
 /// first. Its cycles keep one cursor per distinct cap; past 2¹⁵ of them
 /// (2 MB of cache lines) the cursors outgrow a core's cache and nearly
 /// every step of a cycle misses: on stream tree 21 a 1.1M-product merge
@@ -505,49 +519,6 @@ thread_local! {
     static TREE_SCRATCH: RefCell<TreeScratch> = RefCell::default();
 }
 
-/// The one prune of the tree DP's cross-merges, fed options in key order
-/// `(cap, delay[, width])`: the min-delay record in 2D, the binary-search
-/// [`Staircase`] over `(delay, width)` in 3D. An option survives when no
-/// earlier one dominates it; key order makes exact duplicates collapse
-/// to the first fed.
-struct Sweep<'a> {
-    objective: Objective,
-    best_delay: f64,
-    stairs: &'a mut Staircase,
-}
-
-impl<'a> Sweep<'a> {
-    fn new(objective: Objective, stairs: &'a mut Staircase) -> Self {
-        stairs.clear();
-        Self {
-            objective,
-            best_delay: f64::INFINITY,
-            stairs,
-        }
-    }
-
-    /// Whether the next option in key order survives.
-    #[inline]
-    fn keeps(&mut self, delay: f64, width: f64) -> bool {
-        match self.objective {
-            Objective::MinDelay => {
-                let keep = delay < self.best_delay;
-                if keep {
-                    self.best_delay = delay;
-                }
-                keep
-            }
-            Objective::MinPowerUnderDelay { .. } => {
-                let keep = !self.stairs.dominates(delay, width);
-                if keep {
-                    self.stairs.insert(delay, width);
-                }
-                keep
-            }
-        }
-    }
-}
-
 /// Cross-merges the unit accumulator `unit` with a node's first child,
 /// the lifted frontier `store[range]`, and leaves the survivors at the
 /// front of `range`. Returns the number of staged (admitted) products
@@ -558,10 +529,10 @@ impl<'a> Sweep<'a> {
 /// unit's trace is empty). When the admitted ones are non-decreasing in
 /// the objective's key — the generation index `b` then breaks ties, as
 /// in a full sort — range order is key order: one read-only pass checks
-/// that, and the [`Sweep`] reads them where they lie, writing each
-/// survivor at or before its own slot. Otherwise the products are
-/// staged in `products`, ordered and pruned by [`Products::prune`] into
-/// `merged`, and copied back.
+/// that, classing their widths as it goes, and the [`WidthFloor`] sweep
+/// reads them where they lie, writing each survivor at or before its own
+/// slot. Otherwise the products are staged in `products`, pruned by
+/// [`Products::prune`] into `merged`, and copied back.
 fn merge_first_child(
     store: &mut OptionBuf,
     range: Range<usize>,
@@ -581,12 +552,20 @@ fn merge_first_child(
             two
         }
     };
-    // The admitted products' key order, checked read-only.
+    // The admitted products' key order, checked read-only, and their
+    // width classes.
+    let Products { widths, floor, .. } = products;
+    if by_width {
+        widths.reset();
+    }
     let mut last = (f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
     let in_order = range.clone().all(|b| {
         let p = product(unit, 0, store, b);
         if !admits(p.1, p.0) {
             return true;
+        }
+        if by_width {
+            widths.insert(p.2);
         }
         let ordered = key(last, p) != Ordering::Greater;
         last = p;
@@ -595,13 +574,13 @@ fn merge_first_child(
 
     let start = range.start;
     if in_order {
-        let mut sweep = Sweep::new(objective, &mut products.stairs);
+        floor.start(by_width.then_some(&mut *widths));
         let (mut staged, mut kept) = (0, start);
         for b in range {
             let (cap, delay, width) = product(unit, 0, store, b);
             if admits(delay, cap) {
                 staged += 1;
-                if sweep.keeps(delay, width) {
+                if floor.keeps(widths, width, delay) {
                     let trace = store.trace[b];
                     store.set(kept, cap, delay, width, trace);
                     kept += 1;
@@ -941,7 +920,7 @@ mod tests {
     use super::*;
     use crate::candidates::CandidateSet;
     use crate::chain::{solve_min_delay, solve_min_power};
-    use crate::options::{prune_2d, prune_3d};
+    use crate::reference::prune::{prune_2d, prune_3d};
     use rip_net::{NetBuilder, Segment, TwoPinNet};
     use rip_tech::Technology;
 
@@ -1402,8 +1381,8 @@ mod tests {
         }
     }
 
-    /// The order [`Products::order`] replaced: one comparison sort of
-    /// every product on the full `(cap, delay[, width], a, b)` key.
+    /// The order the cap buckets reproduce: one comparison sort of every
+    /// product on the full `(cap, delay[, width], a, b)` key.
     fn sort_oracle(products: &mut [CrossItem], objective: Objective) {
         let generation = |x: &CrossItem, y: &CrossItem| (x.a, x.b).cmp(&(y.a, y.b));
         match objective {
@@ -1438,11 +1417,13 @@ mod tests {
     }
 
     #[test]
-    fn bucket_order_matches_sort_oracle_on_fuzz() {
-        // Quantised caps, so buckets hold several products; every third
-        // round mixes `-0.0` with `0.0` (one bucket, as they compare
-        // equal); every third draws up to 81 caps, so the class table
-        // grows; three rounds draw some 38K distinct caps among 40K
+    fn bucket_prune_matches_sort_oracle_on_fuzz() {
+        // `Products::prune` against one full sort followed by the
+        // reference pruner: the same survivors, field for field, in the
+        // same order. Quantised caps, so buckets hold several products;
+        // every third round mixes `-0.0` with `0.0` (one bucket, as they
+        // compare equal); every third draws up to 81 caps, so the class
+        // table grows; three rounds draw some 38K distinct caps among 40K
         // products, so the products are grouped before the per-cap
         // cycles. Products arrive shuffled, as the run-pair walk stages
         // them out of `(a, b)` order, and exact key duplicates differ only
@@ -1450,7 +1431,7 @@ mod tests {
         let mut state = 0xB0C4E7u64;
         let mut staged = Products::default();
         let (mut grew, mut grouped, mut signed_zero) = (false, false, false);
-        let (mut duplicate, mut shared) = (false, false);
+        let (mut duplicate, mut shared, mut filtered) = (false, false, false);
         for round in 0..600 {
             let wide = round % 200 == 199;
             let n = if wide { 40_000 } else { round % 211 };
@@ -1478,11 +1459,29 @@ mod tests {
             }
             for objective in [Objective::MinDelay, POWER] {
                 staged.items.clone_from(&products);
-                staged.order(objective);
-                let got = &staged.items;
+                let mut got = Vec::new();
+                staged.prune(objective, |p| got.push(*p));
+                assert_eq!(staged.items.len(), products.len(), "round {round}");
                 let mut expect = products.clone();
                 sort_oracle(&mut expect, objective);
-                assert_eq!(bits(got), bits(&expect), "round {round} {objective:?}");
+                match objective {
+                    Objective::MinDelay => prune_2d(&mut expect, |p| (p.cap, p.delay)),
+                    Objective::MinPowerUnderDelay { .. } => {
+                        prune_3d(&mut expect, |p| (p.cap, p.delay, p.width))
+                    }
+                }
+                assert_eq!(bits(&got), bits(&expect), "round {round} {objective:?}");
+                // A product a smaller-cap survivor dominates: the floor
+                // drops it, before its bucket is sorted when it shares one.
+                filtered |= !wide
+                    && products.iter().any(|p| {
+                        products.iter().filter(|q| q.cap == p.cap).count() > 1
+                            && expect.iter().any(|s| {
+                                s.cap < p.cap
+                                    && s.delay <= p.delay
+                                    && (objective == Objective::MinDelay || s.width <= p.width)
+                            })
+                    });
             }
             let mut keys: Vec<[u64; 3]> = products
                 .iter()
@@ -1508,6 +1507,10 @@ mod tests {
         assert!(shared, "no bucket ever held two products");
         assert!(signed_zero, "no round held both -0.0 and 0.0 caps");
         assert!(duplicate, "no two products ever shared a key");
+        assert!(
+            filtered,
+            "no product was ever dominated by a smaller-cap survivor"
+        );
     }
 
     /// Classes the cap table holds before it first grows, times two: a

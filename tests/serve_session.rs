@@ -497,9 +497,10 @@ fn over_long_request_lines_get_a_typed_bad_request_before_close() {
 
 #[test]
 fn drain_finishes_in_flight_work_and_rejects_new_requests() {
-    // Every eligible request is held in flight by an injected delay far
-    // longer than the pause below, so the batch is still running when
-    // the drain lands however fast the solver is. Control requests and
+    // Every eligible request is held in flight by an injected delay, and
+    // the drain is sent only once the batch's delay has begun, so the
+    // batch is still running when the drain lands however the threads
+    // are scheduled and however fast the solver is. Control requests and
     // drain-rejected work are never delayed.
     let config = ServeConfig {
         workers: 4,
@@ -530,7 +531,16 @@ fn drain_finishes_in_flight_work_and_rejects_new_requests() {
             ))
             .unwrap()
     });
-    std::thread::sleep(std::time::Duration::from_millis(150));
+    // The delay is counted before it starts, so once the counter reads 1
+    // the batch is in flight.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while server.faults().injected_delays() < 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the batch never reached the server"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
 
     // A control connection pipelines `drain` plus one more request in a
     // single write: the drain is acknowledged, and everything behind it
