@@ -64,10 +64,11 @@ pub struct TreeBenchReport {
     pub library_widths: usize,
     /// Tree nodes solved per full DP pass (after subdivision).
     pub nodes_per_pass: u64,
-    /// Options created per full DP pass by the production engine (at
-    /// most the reference's count, since the bound and the merge walks
-    /// only skip work; a work counter, so the equivalence check does not
-    /// compare it).
+    /// Options made per full DP pass by the production engine
+    /// (`DpStats::options_created`; at most the reference's count, since
+    /// the bound, the merge walks and the one insertion per width class
+    /// and library width only skip work; a work counter, so the
+    /// equivalence check does not compare it).
     pub options_per_pass: u64,
     /// Run-time summary of the production (SoA frontier) tree DP.
     pub frontier: StatSummary,

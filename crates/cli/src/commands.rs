@@ -788,7 +788,10 @@ const PROFILE_STAGES: [(&str, &str); 5] = [
 /// The fine tree-DP work histograms `rip profile` reports after the
 /// stages (counts per fine solve, not part of the wall-clock coverage).
 const PROFILE_DP_WORK: [(&str, &str); 2] = [
-    ("engine_tree_fine_options", "options created"),
+    (
+        "engine_tree_fine_options",
+        "options made (frontier + class minima)",
+    ),
     (
         "engine_tree_merge_products_max",
         "largest branch-merge staging",

@@ -489,8 +489,9 @@ impl Engine {
     /// (`engine_tree_*_ns`), and `τ_min` memo lookup latency
     /// (`engine_cache_{hit,miss}_ns`, a miss including its DP), all in
     /// nanoseconds; plus the fine DPs' work per solve, as counts:
-    /// options created (`engine_chain_fine_options`,
-    /// `engine_tree_fine_options`) and the tree's largest branch-merge
+    /// options made (`engine_chain_fine_options`,
+    /// `engine_tree_fine_options`, counted as `DpStats::options_created`)
+    /// and the tree's largest branch-merge
     /// staging (`engine_tree_merge_products_max`).
     /// Observation never changes solver results — the determinism suite
     /// pins that solve bytes are identical with metrics read or reset at

@@ -66,7 +66,12 @@ pub struct DpStats {
     pub candidates: usize,
     /// Library widths considered.
     pub library_size: usize,
-    /// Total options created across the sweep (before pruning).
+    /// Options the DP made across the sweep, before pruning. At a buffer
+    /// site these are the frontier's options plus, per library width and
+    /// width class admitting any insertion, the class's least-delay
+    /// insertion (the only one that could survive); a tree's branch
+    /// merges add their products. So this counts work done, not every
+    /// admissible insertion as the reference engines do.
     pub options_created: u64,
     /// Largest surviving option set after any prune.
     pub options_peak: usize,

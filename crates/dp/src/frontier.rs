@@ -27,8 +27,15 @@
 //!    grouped by exact width once per site ([`WidthRuns`]), in linear
 //!    time (hash each width to its class, sort only the distinct widths,
 //!    scatter the indices with a counting pass), and a bucket receives
-//!    only each class's admitted minimum — one scan per (width class,
-//!    library width) — before it is sorted and reduced to its staircase.
+//!    only each class's admitted minimum before it is sorted and reduced
+//!    to its staircase. The minimum comes from a bounded scan: each
+//!    class's prefix and suffix delay minima, built once per site and
+//!    shared by every library width, bound the stage delay of every
+//!    option before or after a position (the stage delay only grows with
+//!    delay and cap, and a class's caps do not fall), so the scan starts
+//!    where the previous width found its minimum and stops in each
+//!    direction as soon as the bound shows nothing further can win. The
+//!    admission test is asked once, on that minimum.
 //!    Minima of distinct classes whose `+ w` sums round to the same bits
 //!    are still resolved by that staircase, so the survivors and their
 //!    order are those of reducing the full bucket. The
@@ -39,9 +46,9 @@
 //! [`InsertStep`] is that step, shared by the chain sweep
 //! ([`crate::chain`]) and the tree DP ([`crate::tree`]):
 //!
-//! * [`InsertStep::generate`] tries every library width against every
-//!   option, keeps each width class's best insertion among those the
-//!   caller admits, and reduces each width bucket to its sub-frontier;
+//! * [`InsertStep::generate`] finds, for every library width, each width
+//!   class's least-delay insertion, keeps it if the caller admits it, and
+//!   reduces each width bucket to its sub-frontier;
 //! * [`InsertStep::merge_into`] merges the sub-frontiers into the
 //!   caller's frontier and records a trace for each insertion as the
 //!   merge keeps it, so the arena sees the survivors in merged order;
@@ -195,13 +202,15 @@ impl DpScratch {
 
 /// The buffer-insertion step and its working memory: the frontier's
 /// width classes, the fresh insertion options and the library width
-/// each inserts, the merge output, the in-flight width bucket and the
-/// merge's width floor. The tree DP's branch cross-merge borrows
+/// each inserts, the merge output, the width buckets being generated and
+/// the merge's width floor. The tree DP's branch cross-merge borrows
 /// `merged` between steps.
 #[derive(Debug, Default)]
 pub(crate) struct InsertStep {
     /// The frontier grouped by exact width (one run in delay mode).
     runs: WidthRuns,
+    /// The run being scanned, with its delay minima.
+    scan: ClassScan,
     /// Fresh insertion options: the reduced width buckets, `cap`-sorted,
     /// each carrying the trace of the option it was built on.
     fresh: OptionBuf,
@@ -209,8 +218,9 @@ pub(crate) struct InsertStep {
     fresh_w: Vec<f64>,
     /// Output buffer of the frontier merge.
     pub merged: OptionBuf,
-    /// The width bucket being generated: one item per width class.
-    bucket: Vec<BucketItem>,
+    /// The width buckets being generated, one per library width, each
+    /// with at most one item per width class.
+    buckets: Vec<Vec<BucketItem>>,
     /// The merge's dominance test.
     floor: WidthFloor,
 }
@@ -222,15 +232,15 @@ impl InsertStep {
         self.fresh.clear();
         self.fresh_w.clear();
         self.merged.clear();
-        self.bucket.clear();
+        self.buckets.iter_mut().for_each(Vec::clear);
     }
 
     /// Generates the buffer insertions at one site. For each width `w`
-    /// (ascending), every option of `front` is tried: the new option
-    /// presents `load(w)` upstream, has delay
-    /// `stage_delay(w, delay, cap)` and width `width + w`, and is
-    /// admitted when `admits(new_delay, load(w))`. `load` must be
-    /// strictly increasing in `w`.
+    /// (ascending), the options of `front` are candidates: an insertion
+    /// presents `load(w)` upstream, has delay `stage_delay(w, delay, cap)`
+    /// and width `width + w`, and is admitted when
+    /// `admits(new_delay, load(w))`. `load` must be strictly increasing in
+    /// `w`.
     ///
     /// The width bucket receives one insertion per width class of
     /// `front` (exactly equal `width`; the whole frontier in delay mode):
@@ -245,8 +255,28 @@ impl InsertStep {
     /// and `w`, ready for [`InsertStep::merge_into`]. `front` is grouped
     /// even when `widths` is empty: the merge classes its widths.
     ///
-    /// Returns the options created at the site: every option of `front`
-    /// plus every admitted insertion, class minimum or not.
+    /// The class minimum comes from a bounded scan ([`bounded_argmin`]),
+    /// not from evaluating every option. Each class is scanned for every
+    /// library width in turn while its options are at hand, and each
+    /// width's scan starts where the previous width found the minimum;
+    /// the first starts at the class's last option. This is exact under
+    /// three premises the callers keep:
+    /// * `stage_delay` is non-decreasing in the delay and in the cap
+    ///   under IEEE rounding. Both callers' forms are: the chain's
+    ///   `d + (i + R·c)` and the tree's `(d + i) + R·c`, with `R ≥ 0`,
+    ///   are compositions of monotone roundings.
+    /// * Caps are non-decreasing inside a class run: `front` is sorted
+    ///   by cap and a run keeps index order.
+    /// * `admits` is down-closed in the delay: if it admits a delay, it
+    ///   admits every smaller one at the same cap. The chain's
+    ///   `delay <= limit` and the tree's `Bound::admits` are. So the
+    ///   class's least admitted insertion is its least insertion if that
+    ///   is admitted, and otherwise there is none: `admits` is asked once
+    ///   per class, on the minimum.
+    ///
+    /// Returns the options the DP made at the site: every option of
+    /// `front` plus each admitted class minimum (one per width class and
+    /// library width at most).
     pub(crate) fn generate(
         &mut self,
         front: &OptionBuf,
@@ -258,9 +288,10 @@ impl InsertStep {
     ) -> u64 {
         let Self {
             runs,
+            scan,
             fresh,
             fresh_w,
-            bucket,
+            buckets,
             ..
         } = self;
         fresh.clear();
@@ -268,22 +299,25 @@ impl InsertStep {
         let mut created = front.len() as u64;
         let by_width = matches!(objective, Objective::MinPowerUnderDelay { .. });
         runs.group(&front.width, 0..front.len(), by_width);
-        for &w in widths {
-            let cap = load(w);
-            bucket.clear();
-            for run in runs.runs() {
-                let mut best: Option<(f64, usize)> = None;
-                for &i in run {
-                    let i = i as usize;
-                    let delay = stage_delay(w, front.delay[i], front.cap[i]);
-                    if admits(delay, cap) {
-                        created += 1;
-                        if best.map_or(true, |(least, _)| delay < least) {
-                            best = Some((delay, i));
-                        }
-                    }
-                }
-                if let Some((delay, i)) = best {
+        if widths.is_empty() {
+            return created;
+        }
+        debug_assert!(
+            front.cap.windows(2).all(|c| c[0] <= c[1]),
+            "the frontier must be cap-sorted"
+        );
+        if buckets.len() < widths.len() {
+            buckets.resize_with(widths.len(), Vec::new);
+        }
+        for run in runs.runs() {
+            scan.start(run, front);
+            let mut at = run.len() - 1;
+            for (&w, bucket) in widths.iter().zip(buckets.iter_mut()) {
+                let (delay, argmin, _) = scan.argmin(at, |d, c| stage_delay(w, d, c));
+                at = argmin;
+                if admits(delay, load(w)) {
+                    created += 1;
+                    let i = run[at] as usize;
                     bucket.push(BucketItem {
                         delay,
                         width: front.width[i] + w,
@@ -292,10 +326,14 @@ impl InsertStep {
                     });
                 }
             }
+        }
+        for (&w, bucket) in widths.iter().zip(buckets.iter_mut()) {
+            let cap = load(w);
             reduce_bucket(bucket, |item| {
                 fresh.push(cap, item.delay, item.width, item.trace);
                 fresh_w.push(w);
             });
+            bucket.clear();
         }
         created
     }
@@ -705,6 +743,105 @@ impl WidthRuns {
             .windows(2)
             .map(|w| &self.order[w[0] as usize..w[1] as usize])
     }
+}
+
+/// One width class of the buffer-insertion step, ready for
+/// [`bounded_argmin`]: its caps and delays gathered in run order, with
+/// their prefix and suffix delay minima. None of it depends on the
+/// library width, so every width reuses it. One run at a time is held,
+/// so the buffers grow to the largest class, not to the frontier.
+#[derive(Debug, Default)]
+struct ClassScan {
+    cap: Vec<f64>,
+    delay: Vec<f64>,
+    /// Least delay of the run's options up to and including each one.
+    pre: Vec<f64>,
+    /// Least delay of the run's options from each one on.
+    suf: Vec<f64>,
+}
+
+impl ClassScan {
+    /// Gathers the options `run` of `front` and their delay minima.
+    fn start(&mut self, run: &[u32], front: &OptionBuf) {
+        let Self {
+            cap,
+            delay,
+            pre,
+            suf,
+        } = self;
+        cap.clear();
+        delay.clear();
+        pre.clear();
+        let mut least = f64::INFINITY;
+        for &i in run {
+            let d = front.delay[i as usize];
+            cap.push(front.cap[i as usize]);
+            delay.push(d);
+            if d < least {
+                least = d;
+            }
+            pre.push(least);
+        }
+        suf.clear();
+        suf.resize(run.len(), 0.0);
+        let mut least = f64::INFINITY;
+        for (d, s) in delay.iter().zip(suf.iter_mut()).rev() {
+            if *d < least {
+                least = *d;
+            }
+            *s = least;
+        }
+    }
+
+    /// [`bounded_argmin`] of `f` over the run, from position `start`.
+    #[inline]
+    fn argmin(&self, start: usize, f: impl Fn(f64, f64) -> f64) -> (f64, usize, Range<usize>) {
+        bounded_argmin(&self.delay, &self.cap, &self.pre, &self.suf, start, f)
+    }
+}
+
+/// The least `f(delay[p], cap[p])` of a class run and the lowest
+/// position `p` reaching it, as a full scan would find them, by a scan
+/// from `start` that stops where a bound proves no further option wins.
+/// Also returns the positions it evaluated.
+///
+/// `cap` must be non-decreasing, `pre` and `suf` the run's prefix and
+/// suffix minima of `delay`, and `f` non-decreasing in both arguments
+/// under its rounding. Then `f(suf[p], cap[p])` bounds every option
+/// from `p` on, so the forward scan stops at the first `p` whose bound
+/// is not below the least so far: none after it can beat that least,
+/// and a tie keeps the lower position. And `f(pre[p], cap[0])` bounds
+/// every option up to `p`, so the backward scan stops at the first `p`
+/// whose bound exceeds the least; it takes ties, which lie lower.
+fn bounded_argmin(
+    delay: &[f64],
+    cap: &[f64],
+    pre: &[f64],
+    suf: &[f64],
+    start: usize,
+    f: impl Fn(f64, f64) -> f64,
+) -> (f64, usize, Range<usize>) {
+    let mut least = f(delay[start], cap[start]);
+    let mut at = start;
+    let mut end = start + 1;
+    while end < delay.len() && f(suf[end], cap[end]) < least {
+        let d = f(delay[end], cap[end]);
+        if d < least {
+            least = d;
+            at = end;
+        }
+        end += 1;
+    }
+    let mut begin = start;
+    while begin > 0 && f(pre[begin - 1], cap[0]) <= least {
+        begin -= 1;
+        let d = f(delay[begin], cap[begin]);
+        if d <= least {
+            least = d;
+            at = begin;
+        }
+    }
+    (least, at, begin..end)
 }
 
 /// Lexicographic comparison between `cur[i]` and `fresh[j]` on the
@@ -1198,6 +1335,9 @@ mod tests {
                     )
                 })
                 .collect();
+            // The DP makes the frontier's options and one insertion per
+            // (library width, width class) that admits any.
+            let mut expect_created = cur.len() as u64;
             for &w in &widths {
                 // `(parent width, delay)` of this bucket's admitted
                 // insertions so far, to spot the width-class cases.
@@ -1221,11 +1361,17 @@ mod tests {
                         all.push((load(w), delay, parent + w, cur.trace[i], w));
                     }
                 }
+                let mut classes: Vec<u64> = bucket
+                    .iter()
+                    .map(|&(parent, _)| match objective {
+                        Objective::MinDelay => 0,
+                        Objective::MinPowerUnderDelay { .. } => (parent + 0.0).to_bits(),
+                    })
+                    .collect();
+                classes.sort_unstable();
+                classes.dedup();
+                expect_created += classes.len() as u64;
             }
-            // Every admitted insertion counts, not only the class minima
-            // that reach the bucket (`non_winner` asserts the difference
-            // occurs).
-            let expect_created = all.len() as u64;
             let key = |r: &Row| (r.0, r.1, r.2);
             let sort_key = |r: &Row| match objective {
                 Objective::MinDelay => (r.0, r.1, 0.0),
@@ -1282,6 +1428,252 @@ mod tests {
         );
     }
 
+    /// The chain's stage delay `d + (i + R·c)` and the tree's
+    /// `(d + i) + R·c`.
+    fn stage_forms(i: f64, r: f64) -> [Box<dyn Fn(f64, f64) -> f64>; 2] {
+        [
+            Box::new(move |d, c| d + (i + r * c)),
+            Box::new(move |d, c| (d + i) + r * c),
+        ]
+    }
+
+    /// The full scan the bounded one replaces: the least `f` of the run,
+    /// as bits, and its first position.
+    fn full_scan(delay: &[f64], cap: &[f64], f: &dyn Fn(f64, f64) -> f64) -> (u64, usize) {
+        let mut best = (f(delay[0], cap[0]), 0);
+        for p in 1..delay.len() {
+            let d = f(delay[p], cap[p]);
+            if d < best.0 {
+                best = (d, p);
+            }
+        }
+        (best.0.to_bits(), best.1)
+    }
+
+    /// Prefix and suffix minima of `delay`.
+    fn minima(delay: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let scan = |it: &mut dyn Iterator<Item = &f64>| {
+            let mut least = f64::INFINITY;
+            it.map(|&d| {
+                least = least.min(d);
+                least
+            })
+            .collect::<Vec<f64>>()
+        };
+        let pre = scan(&mut delay.iter());
+        let mut suf = scan(&mut delay.iter().rev());
+        suf.reverse();
+        (pre, suf)
+    }
+
+    #[test]
+    fn bounded_argmin_matches_full_scan_on_fuzz() {
+        // A class run as the insertion step sees it: caps non-decreasing
+        // (quantised, often equal, signed zeros at the low end) and
+        // quantised delays that fall with cap as on a pruned frontier,
+        // rise with it as after a wire crossing, or neither. From every
+        // start, for several drive strengths and both roundings, the
+        // bounded scan must return the full scan's `(delay bits, index)`.
+        // An intrinsic of `-0.0` keeps a delay's sign in `f`, so picking
+        // `-0.0` for `0.0` would show in the bits.
+        let mut state = 0xA6F1u64;
+        let (mut forward_stop, mut backward_stop) = (false, false);
+        let (mut single, mut signed_zero, mut rising) = (false, false, false);
+        for round in 0..600 {
+            let n = if round % 10 == 0 { 1 } else { 1 + round % 37 };
+            let mut cap = Vec::with_capacity(n);
+            let mut c = if round % 3 == 0 { -0.0 } else { 0.0 };
+            for _ in 0..n {
+                let step = lcg(&mut state);
+                if step >= 4.0 {
+                    c += (step - 4.0) * 0.5;
+                }
+                cap.push(c);
+            }
+            let delay: Vec<f64> = (0..n)
+                .map(|p| {
+                    let noise = lcg(&mut state);
+                    match round % 4 {
+                        0 => 40.0 - 3.0 * p as f64 + noise,
+                        1 => {
+                            rising = true;
+                            noise + 1.5 * cap[p]
+                        }
+                        2 => [0.0, -0.0, 1.0, 2.0][noise as usize % 4],
+                        _ => noise,
+                    }
+                })
+                .collect();
+            signed_zero |= delay.iter().any(|d| d.to_bits() == (-0.0f64).to_bits())
+                && delay.iter().any(|d| d.to_bits() == 0);
+            single |= n == 1;
+            let (pre, suf) = minima(&delay);
+            for (i, r) in [
+                (-0.0, 0.0),
+                (0.5, 0.37),
+                (1.0, 1.0),
+                (0.0, 2.5),
+                (3.25, 0.125),
+            ] {
+                for f in stage_forms(i, r) {
+                    let expect = full_scan(&delay, &cap, &f);
+                    for start in 0..n {
+                        let (least, at, seen) = bounded_argmin(&delay, &cap, &pre, &suf, start, &f);
+                        assert_eq!(
+                            (least.to_bits(), at),
+                            expect,
+                            "round {round} start {start} i {i} r {r}: {delay:?} {cap:?}"
+                        );
+                        forward_stop |= seen.end < n;
+                        backward_stop |= seen.start > 0;
+                    }
+                }
+            }
+        }
+        assert!(forward_stop, "no forward scan ever stopped early");
+        assert!(backward_stop, "no backward scan ever stopped early");
+        assert!(single && signed_zero && rising);
+
+        // The site flow: each class scanned for ascending widths from its
+        // last argmin, then admitted once, against the full scan of every
+        // class followed by the admission of each insertion. Generation
+        // must emit the same width buckets and count the admitted class
+        // minima.
+        let mut step = InsertStep::default();
+        let (mut inside, mut class_rejected, mut all_rejected) = (false, false, false);
+        for round in 0..400 {
+            let objective = if round % 3 == 0 {
+                Objective::MinDelay
+            } else {
+                POWER
+            };
+            let rows: Vec<(f64, f64, f64)> = (0..1 + round % 41)
+                .map(|_| {
+                    let c = lcg(&mut state);
+                    (
+                        c,
+                        30.0 - 2.0 * c + lcg(&mut state),
+                        (lcg(&mut state) / 3.0).floor(),
+                    )
+                })
+                .collect();
+            let mut cur = sorted_buf_from(&rows);
+            if round % 2 == 1 {
+                // A wire crossing: delay rises with cap.
+                for k in 0..cur.len() {
+                    cur.delay[k] += 2.0 * cur.cap[k];
+                }
+            }
+            let limit = if round % 5 == 4 {
+                -1.0
+            } else {
+                20.0 + 4.0 * lcg(&mut state)
+            };
+            let widths = [1.0, 2.0, 4.0, 8.0];
+            let rounding = round % 2;
+            let drive = |w: f64, d: f64, c: f64| stage_forms(0.5, 8.0 / w)[rounding](d, c);
+            let admits = |d: f64, _| d <= limit;
+            let by_width = objective != Objective::MinDelay;
+            let classes = sorted_runs(&cur.width, 0..cur.len(), by_width);
+            let mut expect: Vec<(u64, u64, u64, u32, u64)> = Vec::new();
+            let mut expect_created = cur.len() as u64;
+            let mut last: Vec<usize> = classes.iter().map(|run| run.len() - 1).collect();
+            for &w in &widths {
+                let cap = w;
+                let mut bucket = Vec::new();
+                for (k, run) in classes.iter().enumerate() {
+                    let d: Vec<f64> = run.iter().map(|&i| cur.delay[i as usize]).collect();
+                    let c: Vec<f64> = run.iter().map(|&i| cur.cap[i as usize]).collect();
+                    let (bits, at) = full_scan(&d, &c, &|d, c| drive(w, d, c));
+                    inside |= 0 < last[k] && last[k] + 1 < run.len();
+                    last[k] = at;
+                    let i = run[at] as usize;
+                    let admitted = (0..run.len()).any(|p| admits(drive(w, d[p], c[p]), cap));
+                    assert_eq!(admitted, admits(f64::from_bits(bits), cap));
+                    class_rejected |= !admitted && classes.len() > 1;
+                    if admitted {
+                        expect_created += 1;
+                        bucket.push(BucketItem {
+                            delay: f64::from_bits(bits),
+                            width: cur.width[i] + w,
+                            trace: cur.trace[i],
+                            seq: i as u32,
+                        });
+                    }
+                }
+                reduce_bucket(&mut bucket, |item| {
+                    let (d, wd) = (item.delay.to_bits(), item.width.to_bits());
+                    expect.push((cap.to_bits(), d, wd, item.trace, w.to_bits()));
+                });
+            }
+            all_rejected |= expect.is_empty();
+            let created = step.generate(&cur, &widths, objective, |w| w, drive, admits);
+            let got: Vec<(u64, u64, u64, u32, u64)> = (0..step.fresh.len())
+                .map(|j| {
+                    let f = &step.fresh;
+                    let bits = (
+                        f.cap[j].to_bits(),
+                        f.delay[j].to_bits(),
+                        f.width[j].to_bits(),
+                    );
+                    (
+                        bits.0,
+                        bits.1,
+                        bits.2,
+                        f.trace[j],
+                        step.fresh_w[j].to_bits(),
+                    )
+                })
+                .collect();
+            assert_eq!(got, expect, "round {round} {objective:?} limit {limit}");
+            assert_eq!(created, expect_created, "round {round}");
+        }
+        assert!(inside, "no scan ever started inside its run");
+        assert!(class_rejected, "no class was ever rejected beside another");
+        assert!(all_rejected, "no site ever rejected every insertion");
+    }
+
+    #[test]
+    fn stage_delay_forms_are_monotone_on_fuzz() {
+        // The premise of the bounded scan: both roundings of the stage
+        // delay are non-decreasing in the delay and in the cap, for any
+        // resistance `R >= 0`. Values span magnitudes, include signed
+        // zeros and pairs one bit apart, where rounding is decisive.
+        let mut state = 0x0DDu64;
+        let value = |state: &mut u64| {
+            let k = lcg(state);
+            match k as u32 % 4 {
+                0 => [0.0, -0.0, 1.0, 0.1][lcg(state) as usize % 4],
+                1 => lcg(state) * 0.37 * 10f64.powi(lcg(state) as i32 - 4),
+                2 => 0.2 + 0.1,
+                _ => 1.0e5 * lcg(state) + 0.3,
+            }
+        };
+        let bump = |x: f64| {
+            if x == 0.0 {
+                f64::from_bits(1)
+            } else {
+                f64::from_bits(x.to_bits() + 1)
+            }
+        };
+        let mut checked = 0;
+        for _ in 0..20_000 {
+            let (i, r) = (value(&mut state), value(&mut state));
+            let (d, c) = (value(&mut state), value(&mut state));
+            let (d2, c2) = if lcg(&mut state) >= 4.0 {
+                (bump(d), bump(c))
+            } else {
+                (d + value(&mut state), c + value(&mut state))
+            };
+            for f in stage_forms(i, r) {
+                assert!(f(d, c) <= f(d2, c), "delay {d} -> {d2}, i {i} r {r} c {c}");
+                assert!(f(d, c) <= f(d, c2), "cap {c} -> {c2}, i {i} r {r} d {d}");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 40_000);
+    }
+
     #[test]
     fn insert_step_breaks_ties_across_width_classes_by_frontier_index() {
         // Two width classes one bit apart whose `+ w` sums round to the
@@ -1298,7 +1690,7 @@ mod tests {
         );
         let mut step = InsertStep::default();
         let created = step.generate(&front, &[1.0], POWER, |w| w, |_, d, _| d, |_, _| true);
-        assert_eq!(created, 4);
+        assert_eq!(created, 4, "two options and two class minima");
         let mut recorded = Vec::new();
         step.merge_into(&mut front, POWER, |w, prev| {
             recorded.push((w, prev));

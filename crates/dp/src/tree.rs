@@ -1189,6 +1189,50 @@ mod tests {
 
     const POWER: Objective = Objective::MinPowerUnderDelay { target_fs: 1.0 };
 
+    #[test]
+    fn bound_admits_is_down_closed_in_delay() {
+        // The premise that lets the insertion step ask `admits` only on a
+        // width class's least delay: at a fixed cap, every delay below an
+        // admitted one is admitted. Delays within a few ulps of the
+        // target's boundary decide between the two roundings, so each
+        // disjunct must be the only one to admit somewhere.
+        let mut state = 0xB0DEu64;
+        let ulps = |x: f64, k: i64| f64::from_bits((x.to_bits() as i64 + k) as u64);
+        let (mut buffer_only, mut driver_only) = (false, false);
+        for _ in 0..2000 {
+            let bound = Bound {
+                target: 4.0e5 + 1234.567 * lcg(&mut state) + 0.1 * lcg(&mut state),
+                intrinsic: 3.0e4 + 0.3 * lcg(&mut state),
+                r_min: 37.5 + 1.7 * lcg(&mut state),
+                r_driver: 100.0,
+                root_tap: 0.0,
+            };
+            let cap = 12.3 * lcg(&mut state) + 0.01 * lcg(&mut state);
+            let edge = bound.target - (bound.intrinsic + bound.r_min * cap);
+            let mut delays: Vec<f64> = (-6..=6).map(|k| ulps(edge, k)).collect();
+            delays.extend((0..8).map(|_| edge + 1.0e3 * (lcg(&mut state) - 4.0)));
+            delays.sort_by(|a, b| cmp_f64(*a, *b));
+            let admitted: Vec<bool> = delays.iter().map(|&d| bound.admits(d, cap)).collect();
+            for k in 1..delays.len() {
+                assert!(
+                    admitted[k - 1] || !admitted[k],
+                    "{bound:?} cap {cap}: {} rejected, {} admitted",
+                    delays[k - 1],
+                    delays[k]
+                );
+            }
+            for &d in &delays {
+                let rc = bound.r_min * cap;
+                let buffer = (d + bound.intrinsic) + rc <= bound.target;
+                let driver = d + (bound.intrinsic + rc) <= bound.target;
+                buffer_only |= buffer && !driver;
+                driver_only |= driver && !buffer;
+            }
+        }
+        assert!(buffer_only, "the buffer rounding never admitted alone");
+        assert!(driver_only, "the driver rounding never admitted alone");
+    }
+
     fn naive_pareto_2d(items: &[(f64, f64)]) -> Vec<(f64, f64)> {
         let mut out: Vec<(f64, f64)> = items
             .iter()

@@ -3,7 +3,7 @@
 //! One instrument kind, lock-free on the hot path: [`Histogram`], a
 //! fixed 64-bucket log2 histogram with an exact `count` and `sum`, from
 //! which p50/p90/p99 estimates derive. It records latencies in
-//! nanoseconds and per-solve work (DP options created, merge products)
+//! nanoseconds and per-solve work (DP options made, merge products)
 //! as plain counts; a histogram's `count` doubles as an event counter.
 //!
 //! Histograms live behind a named [`MetricsRegistry`]: `get-or-create`
